@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test check race chaos fuzz golden bench bench-quick fleet-smoke fleet-saturation fleet-shards fleet-chaos trace-smoke federation-smoke ci clean
+.PHONY: build vet test check race chaos fuzz golden bench perfbench-test fleet-smoke fleet-saturation fleet-shards fleet-chaos trace-smoke federation-smoke ci clean
 
 # Minutes of fuzzing per property target (see `make fuzz`).
 FUZZTIME ?= 30s
@@ -34,18 +34,18 @@ fuzz:
 golden:
 	$(GO) test ./internal/exp -run TestGoldenDigests -update
 
-# The concurrency-bearing packages under the race detector: the worker-pool
-# market rounds (internal/core), the platform tick/migration machinery
-# (internal/platform), the telemetry sinks/registry fed from pool workers
-# (internal/telemetry), the fleet's board goroutines behind the batch
-# barrier (internal/fleet), and the federation stepping region fleets
-# (internal/federation).
+# The concurrency-bearing packages under the race detector: the market
+# (internal/core), the LBT planner's chip-wide fan-out (internal/lbt), the
+# platform tick/migration machinery (internal/platform), the telemetry
+# sinks/registry read by the HTTP layer (internal/telemetry), the fleet's
+# board goroutines behind the batch barrier (internal/fleet), and the
+# federation stepping region fleets (internal/federation).
 race:
-	$(GO) test -race ./internal/core ./internal/platform ./internal/telemetry ./internal/fleet ./internal/federation
+	$(GO) test -race ./internal/core ./internal/lbt ./internal/platform ./internal/telemetry ./internal/fleet ./internal/federation
 
 # Fault-injection suite under the race detector: randomized chaos schedules,
-# single-fault recovery acceptance, and the ≥16-cluster run that drives the
-# injector hooks from the parallel worker pool (see internal/fault).
+# single-fault recovery acceptance, and the 16-cluster run that drives the
+# injector hooks of every cluster each round (see internal/fault).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 
@@ -74,7 +74,7 @@ SHARDS ?= 8
 # saturation batch), the sharded-dispatcher sweep point at S=$(SHARDS),
 # and the bounded-skew stepping benchmarks (K=0 vs K=4), plus the
 # equivalence/replay tests that pin them. -benchtime 1x exercises the
-# paths; the real numbers come from `make bench` → BENCH_scale.json.
+# paths; measure with `go test -bench ... -count 5` (see EXPERIMENTS.md).
 fleet-saturation:
 	$(GO) test -race -run 'TestPropertyIndexMatchesLinearOracle|TestPropertyShardedMatchesLinearOracle|TestFleetReplaysBitIdentically|TestFleetSkewZeroMatchesLockstep' ./internal/fleet
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDispatcherRoute$$|BenchmarkDispatcherSaturationBatch|BenchmarkDispatcherSharded/boards=256/S=$(SHARDS)$$|BenchmarkFleetSaturation' -benchtime 1x .
@@ -106,16 +106,18 @@ federation-smoke:
 	$(GO) test -race -count=1 ./internal/federation
 	sh scripts/federation-smoke.sh
 
-# Full scalability sweep (tick throughput to 512 tasks, market rounds to
-# 256 clusters); persists BENCH_scale.json.
+# The repository benchmark (BENCHMARK.json), built from source: every
+# perfbench workload in turn. For one-off variations call
+# `bash perfbench/run.sh` directly (see EXPERIMENTS.md).
 bench:
-	$(GO) run ./cmd/bench -out BENCH_scale.json
+	for w in paper_tc2 manycluster_v32 fed_follow_sun; do bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; done
 
-# Reduced sweep for CI smoke runs (seconds, not minutes).
-bench-quick:
-	$(GO) run ./cmd/bench -quick -out BENCH_scale.json
+# perfbench is its own module, so `go build ./...` and `go vet ./...` at
+# the root never compile it; vet it and run every workload at tiny length.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet race chaos test check bench-quick fleet-smoke fleet-saturation trace-smoke fleet-chaos federation-smoke
+ci: build vet race chaos test check perfbench-test fleet-smoke fleet-saturation trace-smoke fleet-chaos federation-smoke
 
 clean:
-	rm -f BENCH_scale.json
+	rm -rf .bench_build

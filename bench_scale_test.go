@@ -1,9 +1,9 @@
 // Scalability harness for the simulation hot paths: platform tick
 // throughput vs task count (and its zero-allocation steady-state
-// invariant), and market round latency vs cluster count for the
-// sequential, worker-pool, and legacy goroutine-per-cluster paths.
-// cmd/bench runs the same shapes outside `go test` and persists the
-// numbers as BENCH_scale.json.
+// invariant), market round latency vs cluster count, and the fleet's
+// dispatch and barrier stepping. Compare runs with
+// `go test -run '^$' -bench <name> -cpu 1,2 -count 5 .`; the end-to-end
+// benchmark with per-layer splits is perfbench (see EXPERIMENTS.md).
 package pricepower_test
 
 import (
@@ -90,22 +90,19 @@ func BenchmarkTickTelemetryAttached(b *testing.B) {
 }
 
 // BenchmarkMarketRoundScale measures one full market round at Table-7
-// cluster counts, sequential vs the persistent worker pool. The pool's
-// wall-clock advantage needs GOMAXPROCS > 1; the bit-identical results are
-// pinned by the equivalence tests in internal/core.
+// cluster counts. Rounds run on the calling goroutine: fanning the cluster
+// phases out over a worker pool was never faster beyond noise at V=16–256
+// on one or two CPUs, and up to ~40% slower (DESIGN.md §6).
 func BenchmarkMarketRoundScale(b *testing.B) {
 	for _, v := range []int{16, 64, 256} {
-		for _, mode := range []string{"seq", "pool"} {
-			b.Run(fmt.Sprintf("V=%d/%s", v, mode), func(b *testing.B) {
-				m, _ := exp.BuildScaledMarket(exp.Table7Config{V: v, C: 8, T: 8}, 42)
-				m.SetParallel(mode == "pool")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.StepOnce()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("V=%d", v), func(b *testing.B) {
+			m, _ := exp.BuildScaledMarket(exp.Table7Config{V: v, C: 8, T: 8}, 42)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.StepOnce()
+			}
+		})
 	}
 }
 
@@ -113,11 +110,9 @@ func BenchmarkMarketRoundScale(b *testing.B) {
 // market round at the largest Table-7 scale: per-round throttle/allowance
 // events, the clamp-counter fold, and the state publish, with the
 // high-volume kinds (bid/price/clearing) masked off as DefaultKinds does.
-// The acceptance budget is ≤10% over BenchmarkMarketRoundScale/V=256/pool;
-// cmd/bench persists the measured ratio to BENCH_scale.json.
+// The acceptance budget is ≤10% over BenchmarkMarketRoundScale/V=256.
 func BenchmarkMarketRoundTelemetryAttached(b *testing.B) {
 	m, _ := exp.BuildScaledMarket(exp.Table7Config{V: 256, C: 8, T: 8}, 42)
-	m.SetParallel(true)
 	m.SetTelemetry(telemetry.NewEmitter(telemetry.NewRegistry(), telemetry.NewRing(4096)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -147,8 +142,7 @@ func routingSnaps(n int) []fleet.Snapshot {
 }
 
 // routingSpecs is the canonical 100-submission batch the dispatcher
-// benchmarks route per op (cmd/bench scales the result to cost per 1k
-// submissions for BENCH_scale.json).
+// benchmarks route per op.
 func routingSpecs() []task.Spec { return routingSpecsN(100) }
 
 // routingSpecsN builds an n-submission batch with the same mix; the
@@ -191,9 +185,9 @@ func BenchmarkDispatcherRoute(b *testing.B) {
 }
 
 // BenchmarkDispatcherRouteLinear is the pre-index baseline — one full
-// admissibility scan per submission — kept so the fleet_saturation
-// dimension in BENCH_scale.json records the index's speedup against it
-// (the acceptance bar is ≥5× routed submissions/s at 256 boards).
+// admissibility scan per submission — kept to measure the index's speedup
+// against it (the acceptance bar is ≥5× routed submissions/s at 256
+// boards).
 func BenchmarkDispatcherRouteLinear(b *testing.B) {
 	specs := routingSpecs()
 	for _, n := range []int{4, 16, 64, 256} {
@@ -274,9 +268,9 @@ func routingSubsN(n int) []fleet.Submission {
 // routing dimension: the 1000-submission saturation batch routed through
 // S price-index shards at 256 boards on the clustered fixture, plus the
 // unsharded indexed Route on the same fixture as the speedup baseline
-// (labelled S=0). ns/op is cost per 1k submissions; cmd/bench converts it
-// to routed/s for BENCH_scale.json — the acceptance bar is ≥1M routed
-// submissions/s and ≥3× over the single-index dispatcher at S=8.
+// (labelled S=0). ns/op is cost per 1k submissions — the acceptance bar
+// is ≥1M routed submissions/s and ≥3× over the single-index dispatcher at
+// S=8.
 func BenchmarkDispatcherSharded(b *testing.B) {
 	const boards = 256
 	subs := routingSubsN(1000)
@@ -318,8 +312,7 @@ func churnSpec(i int, batch sim.Time) task.Spec {
 // short-lived task per board and advances one barrier (dispatch, the
 // concurrent board advance, collection). K=0 is lockstep; K=4 lets
 // boards pipeline up to four barriers ahead, overlapping the dispatch
-// of barrier n with the board execution of barriers n-4..n-1. cmd/bench
-// converts ns/op into routed/s for BENCH_scale.json.
+// of barrier n with the board execution of barriers n-4..n-1.
 func BenchmarkFleetSaturation(b *testing.B) {
 	const batch = 10 * sim.Millisecond
 	for _, n := range []int{64, 256} {
@@ -391,19 +384,5 @@ func BenchmarkFleetStep(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMarketRoundSpawnBaseline is the pre-pool fan-out (one goroutine
-// per cluster per phase, three phases per round) at the largest scale —
-// the baseline the worker pool is judged against in BENCH_scale.json.
-func BenchmarkMarketRoundSpawnBaseline(b *testing.B) {
-	m, _ := exp.BuildScaledMarket(exp.Table7Config{V: 256, C: 8, T: 8}, 42)
-	m.SetParallel(true)
-	m.SetSpawnFanout(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.StepOnce()
 	}
 }

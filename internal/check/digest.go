@@ -18,9 +18,7 @@ import (
 // round (and, optionally, over the platform state on a fixed sampling
 // grid). Replay re-runs the experiment and reports the first sample where
 // the digests diverge, turning "the numbers drifted" into "round 217
-// diverged", which bisects straight to the responsible change. The same
-// mechanism pins the pooled-parallel market rounds to the sequential
-// order's results: identical digests, not just statistically similar ones.
+// diverged", which bisects straight to the responsible change.
 //
 // Digests are bit-exact over float64 values, which is exactly the point —
 // but it also means they are specific to a compilation target's floating-

@@ -188,9 +188,9 @@ func (c *CoreAgent) DistributedAllowance() float64 { return c.distributed }
 // runBids lets every task agent revise its bid against the price of the
 // previous round. Per-task bid events are emitted only when the caller's
 // emitter has the high-volume KindBid enabled (off by default — at Table 7
-// scale this loop runs for thousands of tasks per round). cfg is shared
-// read-only across the concurrent cluster phases — nothing down this chain
-// may write through it.
+// scale this loop runs for thousands of tasks per round). cfg is the
+// market's own configuration, shared read-only by every cluster — nothing
+// down this chain may write through it.
 func (c *CoreAgent) runBids(cfg *Config, em *telemetry.Emitter, cluster, round int) {
 	emitBids := em.Enabled(telemetry.KindBid)
 	for _, t := range c.Tasks {

@@ -56,8 +56,6 @@ type Market struct {
 	wSeeded     bool    // wAvg holds a real sample (0 W is a legitimate reading)
 	round       int
 	nextID      int
-	parallel    bool
-	spawnFanout bool // benchmark baseline: legacy goroutine-per-cluster fan-out
 
 	// Sensor-health bookkeeping (graceful degradation, DESIGN.md §9). The
 	// chip agent validates each power reading before classification; while
@@ -102,7 +100,6 @@ func NewMarket(cfg Config, controls []ClusterControl, coresPer []int) *Market {
 		}
 		m.Clusters = append(m.Clusters, v)
 	}
-	m.parallel = len(m.Clusters) >= parallelThreshold
 	return m
 }
 
@@ -434,12 +431,12 @@ func (m *Market) StepOnce() {
 	}
 
 	// Bidding, price discovery, purchase, price control: cluster-local
-	// phases, concurrent across clusters in parallel mode.
-	m.forEachCluster(func(v *ClusterAgent) {
+	// phases, run in cluster order on the calling goroutine.
+	for _, v := range m.Clusters {
 		v.runBids(&m.cfg, m.round)
 		v.discover(m.round)
 		v.controlPrice(&m.cfg, m.state, m.round)
-	})
+	}
 
 	// Emergency backstop: the curbed allowances normally percolate into
 	// lower bids, deflation, and a supply drop — but once bids sit on the
@@ -547,11 +544,11 @@ func (m *Market) distributeAllowance(w float64) {
 		m.distributed += sh.v.allowance
 	}
 	// The per-cluster fan-out (A_v → A_c → a_t) is cluster-local.
-	m.forEachCluster(func(v *ClusterAgent) {
+	for _, v := range m.Clusters {
 		if v.TaskCount() > 0 {
 			v.distributeAllowance()
 		}
-	})
+	}
 }
 
 // Stable reports whether the last round left every cluster un-frozen and no

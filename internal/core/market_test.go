@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"pricepower/internal/sim"
 )
 
 // feedback copies each agent's purchased supply into its observation — the
@@ -533,5 +535,82 @@ func TestTaskAgentCoreBackref(t *testing.T) {
 	m.RemoveTask(a)
 	if a.Core() != nil {
 		t.Errorf("Core() after RemoveTask = %v, want nil", a.Core())
+	}
+}
+
+// manyClusterMarket builds a market of clusters × coresPer cores over
+// ladders of five different bases, with tasksPer seeded random-demand
+// agents on every core.
+func manyClusterMarket(seed uint64, clusters, coresPer, tasksPer int) (*Market, []*TaskAgent) {
+	rng := sim.NewRand(seed)
+	controls := make([]ClusterControl, clusters)
+	cores := make([]int, clusters)
+	for i := range controls {
+		base := 300 + 100*float64(i%5)
+		controls[i] = NewLadderControl(
+			[]float64{base, base * 1.5, base * 2, base * 3},
+			[]float64{0.5, 1, 1.8, 3})
+		cores[i] = coresPer
+	}
+	m := NewMarket(Config{InitialAllowance: 50, InitialBid: 1, Wtdp: float64(clusters)},
+		controls, cores)
+	var agents []*TaskAgent
+	for coreID := 0; coreID < clusters*coresPer; coreID++ {
+		for t := 0; t < tasksPer; t++ {
+			ag := m.AddTask(1+rng.Intn(7), coreID)
+			ag.Demand = rng.Range(20, 500)
+			agents = append(agents, ag)
+		}
+	}
+	return m, agents
+}
+
+// TestManyClusterStressChurn runs a many-cluster market with
+// Add/Move/Remove churn between rounds — the index structures (CoreByID
+// slices, task-agent core back-references) must stay consistent.
+func TestManyClusterStressChurn(t *testing.T) {
+	const clusters, coresPer = 48, 4
+	m, agents := manyClusterMarket(55, clusters, coresPer, 2)
+	rng := sim.NewRand(99)
+	numCores := clusters * coresPer
+	for round := 0; round < 60; round++ {
+		m.StepOnce()
+		for _, a := range agents {
+			if a.Core() != nil {
+				a.Observed = a.Purchased()
+			}
+		}
+		// Churn between rounds: move one agent, remove one, add one.
+		if i := rng.Intn(len(agents)); agents[i].Core() != nil {
+			m.MoveTask(agents[i], rng.Intn(numCores))
+		}
+		if i := rng.Intn(len(agents)); agents[i].Core() != nil {
+			m.RemoveTask(agents[i])
+		}
+		na := m.AddTask(1+rng.Intn(7), rng.Intn(numCores))
+		na.Demand = rng.Range(20, 500)
+		agents = append(agents, na)
+	}
+	// Invariant: every live agent's back-reference is listed by its core.
+	live := 0
+	for _, a := range agents {
+		c := a.Core()
+		if c == nil {
+			continue
+		}
+		live++
+		found := false
+		for _, t2 := range c.Tasks {
+			if t2 == a {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("agent %d not listed on its core %d", a.ID, c.ID)
+		}
+	}
+	if live != m.taskCount() {
+		t.Errorf("live agents %d != market task count %d", live, m.taskCount())
 	}
 }

@@ -7,14 +7,13 @@ import "pricepower/internal/telemetry"
 // DVFS ladder moves, and — when the high-volume kinds are enabled on the
 // emitter — per-core price/clearing and per-task bid events; it also feeds
 // the emitter's registry (round count, throttle entries, Eq. 1 clamp hits,
-// worker-pool occupancy).
+// sensor rejects).
 //
-// Emission sites in the concurrent cluster phases go through the emitter's
-// thread-safe sinks; counts accumulated on the hot path live in plain
-// per-core fields and are folded into the registry once per round in the
-// sequential round tail, so the bidding loops pay no atomics. Passing nil
-// detaches. Platform-attached governors never call this directly: the
-// platform propagates its emitter through ppm.Governor.AttachTelemetry.
+// Counts accumulated on the hot path live in plain per-core fields and are
+// folded into the registry once per round in the round tail, so the
+// bidding loops pay no atomics. Passing nil detaches. Platform-attached
+// governors never call this directly: the platform propagates its emitter
+// through ppm.Governor.AttachTelemetry.
 func (m *Market) SetTelemetry(em *telemetry.Emitter) {
 	m.tel = em
 	for _, v := range m.Clusters {
@@ -39,19 +38,13 @@ func (m *Market) SetTelemetry(em *telemetry.Emitter) {
 		"Bid revisions clamped by Eq. 1 (floor: b_min, cap: allowance+savings).")
 	m.rejectsC = reg.Counter("pricepower_sensor_rejects_total",
 		"Chip power readings rejected by sensor validation (degraded mode).")
-	reg.GaugeFunc("pricepower_pool_busy_workers",
-		"Worker-pool goroutines currently running a cluster-phase job.",
-		func() float64 { return float64(PoolBusy()) })
-	reg.GaugeFunc("pricepower_pool_workers",
-		"Worker-pool size (0 until the first parallel round starts the pool).",
-		func() float64 { return float64(PoolWorkers()) })
 }
 
 // Telemetry returns the attached emitter (nil when detached).
 func (m *Market) Telemetry() *telemetry.Emitter { return m.tel }
 
-// foldTelemetry runs in the sequential tail of every round: it folds the
-// plain per-core clamp counts into the registry and publishes the market
+// foldTelemetry runs in the tail of every round: it folds the plain
+// per-core clamp counts into the registry and publishes the market
 // half of the live /state snapshot (round, allowance, smoothed power, state,
 // per-cluster constrained-core prices — the hardware half comes from the
 // platform at its own cadence).

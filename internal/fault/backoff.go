@@ -10,9 +10,9 @@ import "pricepower/internal/sim"
 // same round (the classic thundering-herd decorrelation).
 //
 // Determinism: Next derives its jitter from a stateless hash of (Seed,
-// attempt), so the same run replays the same delays even when callers sit
-// on the market's concurrent cluster phases; NextFrom draws from an
-// explicit seeded RNG instead for sequential callers that already own one.
+// attempt), so the same run replays the same delays whatever order the
+// market's cluster phases call it in; NextFrom draws from an explicit
+// seeded RNG instead for callers that already own one.
 type Backoff struct {
 	// Base is the first retry delay (required, > 0).
 	Base sim.Time

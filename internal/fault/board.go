@@ -13,7 +13,7 @@ package fault
 // Unlike the platform faults, board fault windows are measured in fleet
 // *batch barriers* (1-based, the fleet's batch counter), not market
 // rounds: the board consults the schedule once per step command, never
-// from the market's concurrent phases. RoundMS does not apply to them.
+// from the market's phases. RoundMS does not apply to them.
 
 const (
 	// BoardCrash panics the board goroutine at the start of the step for

@@ -218,10 +218,9 @@ func TestCoreUnplugEvacuatesAndRecovers(t *testing.T) {
 	}
 }
 
-// The injector must stay race-free and deterministic under the parallel
-// worker pool: a ≥16-cluster platform crosses the market's parallel
-// threshold, so the concurrent cluster phases call the injector hooks from
-// pool workers (run under -race in CI's chaos job).
+// The injector must stay deterministic on a 16-cluster platform, where
+// every round drives the reading and actuation hooks of every cluster (run
+// under -race in CI's chaos job).
 func TestChaosParallelManyCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many-cluster chaos run is seconds-long")

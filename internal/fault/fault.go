@@ -12,14 +12,12 @@
 // via Platform.AttachFaults with the same zero-cost-when-detached
 // discipline as the checker and telemetry layers.
 //
-// Determinism contract: the market's cluster phases run concurrently, so
-// every perturbation is a pure stateless hash of (scenario seed, fault
-// index, target, virtual time) — never a draw from a shared mutable RNG.
-// Same scenario + same seed therefore reproduces bit-identical replay
-// digests (see the chaos tests), and the injector is race-free under the
-// parallel worker pool by construction. The only injector state mutates in
-// BeginTick, which the platform runs sequentially at the start of each
-// tick.
+// Determinism contract: every perturbation is a pure stateless hash of
+// (scenario seed, fault index, target, virtual time) — never a draw from a
+// shared mutable RNG — so a reading does not depend on which cluster asks
+// first. Same scenario + same seed therefore reproduces bit-identical
+// replay digests (see the chaos tests). The only injector state mutates in
+// BeginTick, which the platform runs at the start of each tick.
 package fault
 
 import (

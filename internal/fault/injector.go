@@ -11,10 +11,10 @@ import (
 
 // Injector implements platform.FaultInjector over a Scenario. All mutable
 // state (window edges, stuck-sensor captures) is written only in BeginTick,
-// which the platform runs sequentially at the start of each tick; the
-// reading/actuation hooks called from the market's concurrent cluster
-// phases are pure reads plus stateless hashes, so the injector is race-free
-// and bit-reproducible under the parallel worker pool.
+// which the platform runs at the start of each tick; the reading/actuation
+// hooks called from the market's cluster phases are pure reads plus
+// stateless hashes, so the injector is bit-reproducible whatever order
+// they are called in.
 type Injector struct {
 	sc     Scenario
 	period sim.Time
@@ -131,7 +131,7 @@ func targets(f *Fault, cluster int) bool {
 }
 
 // PowerReading implements platform.FaultInjector. cluster is -1 for the
-// chip-level sensor. Pure: called concurrently from the market's phases.
+// chip-level sensor. Pure: called from the market's cluster phases.
 func (in *Injector) PowerReading(cluster int, w float64, now sim.Time) float64 {
 	for i := range in.sc.Faults {
 		if !in.active[i] {

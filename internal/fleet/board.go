@@ -77,9 +77,9 @@ var traceCaptureKinds = telemetry.Kinds(telemetry.KindDVFS, telemetry.KindMigrat
 	telemetry.KindThrottle, telemetry.KindPowerGate, telemetry.KindDegraded, telemetry.KindFault)
 
 // captureSink buffers a traced board's lifecycle events during p.Run.
-// Market phases emit from pool workers, so the append is mutex-guarded;
-// the board drains and sorts the batch into a total content order before
-// folding, which is what keeps the trace digest replay-stable.
+// The append is mutex-guarded per the Sink contract; the board drains and
+// sorts the batch into a total content order before folding, which is what
+// keeps the trace digest replay-stable.
 type captureSink struct {
 	mu  sync.Mutex
 	evs []telemetry.Event
@@ -100,8 +100,8 @@ func (c *captureSink) drain() []telemetry.Event {
 }
 
 // sortEvents imposes the total content order used before folding captured
-// events into the trace digest (pool-worker emission order is not
-// deterministic; the content order is).
+// events into the trace digest, so the digest depends on what was emitted,
+// not on the order the layers emitted it in.
 func sortEvents(evs []telemetry.Event) {
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
@@ -374,8 +374,9 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 	if b.trc != nil {
 		// Per-round fold: drain the batch's captured lifecycle events
 		// (including any caught-up batches'), sort into the total content
-		// order (pool-worker emission order is nondeterministic), and
-		// fold them as timeline points. Wall-clock step time goes only to
+		// order, so the digest depends on what was emitted rather than
+		// the order the layers emitted it in, and fold them as timeline
+		// points. Wall-clock step time goes only to
 		// the histogram, never the digest.
 		b.histStep.Record(float64(time.Since(w0).Nanoseconds()))
 		evs := b.capture.drain()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
@@ -235,7 +234,6 @@ type lane struct {
 	last     int // sticky pick, -1 before any pick (persists across barriers)
 	mine     []int32
 	deferred []int32
-	ns       int64 // local-phase wall nanos (Timing only)
 }
 
 // ShardedDispatcher routes like Dispatcher but over S disjoint board
@@ -262,9 +260,6 @@ type ShardedDispatcher struct {
 	// price floor; negative disables price-based stealing (shards then
 	// defer to the steal pass only on exhaustion).
 	StealTheta float64
-	// Timing records per-lane and steal-pass wall nanos for each Route
-	// call (LaneTimings) — benchmark instrumentation, off by default.
-	Timing bool
 
 	seed     uint64
 	shards   int
@@ -283,7 +278,6 @@ type ShardedDispatcher struct {
 	perBoard [][]int32
 	unrouted []int32
 	cursors  []int
-	stealNS  int64
 }
 
 // NewShardedDispatcher builds a dispatcher over shards price-index shards.
@@ -312,17 +306,6 @@ func (d *ShardedDispatcher) SetParallel(p bool) { d.parallel = p }
 // Shards reports the configured shard count (lanes clamp to the board
 // count per barrier).
 func (d *ShardedDispatcher) Shards() int { return d.shards }
-
-// LaneTimings returns the last Route's per-lane local-phase nanos and the
-// steal-pass nanos (valid only when Timing is set). The critical path of a
-// fully parallel barrier is max(lanes) + steal + coordinator work.
-func (d *ShardedDispatcher) LaneTimings() (lanes []int64, steal int64) {
-	out := make([]int64, len(d.lanes))
-	for i := range d.lanes {
-		out[i] = d.lanes[i].ns
-	}
-	return out, d.stealNS
-}
 
 // shardHome is the seeded, barrier-stable submission→shard key: a pure
 // hash of (seed, position in batch). Position — not spec content — keeps
@@ -419,7 +402,6 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 		addDPU[i] = 0
 	}
 	d.unrouted = d.unrouted[:0]
-	d.stealNS = 0
 
 	// Home pass: hash each submission to its lane (arrival order within a
 	// lane is preserved — appends walk si ascending). The hash depends
@@ -429,7 +411,6 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 	for s := range d.lanes {
 		ln := &d.lanes[s]
 		ln.deferred = ln.deferred[:0]
-		ln.ns = 0
 	}
 	if d.homeN != len(subs) {
 		for s := range d.lanes {
@@ -487,10 +468,6 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 	// Phase 2: the steal pass. Merge the (ascending) per-lane deferred
 	// lists back into arrival order and resolve each against the global
 	// cheapest admissible board.
-	var t0 time.Time
-	if d.Timing {
-		t0 = time.Now()
-	}
 	cur := d.cursors[:S]
 	for s := range cur {
 		cur[s] = 0
@@ -537,9 +514,6 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 			own.idx.remove(best)
 		}
 	}
-	if d.Timing {
-		d.stealNS = time.Since(t0).Nanoseconds()
-	}
 
 	// Index-bucketing pass: carve each board's pick list from one
 	// exactly-sized arena (fresh per call — boards retain their lists
@@ -582,10 +556,6 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 // linear scan's failed pick does) or when the lane's cheapest board
 // breaches the steal band (sticky unchanged: the lane made no decision).
 func (d *ShardedDispatcher) runLane(ln *lane, subs []Submission, stealOn bool, stealBar float64) {
-	var t0 time.Time
-	if d.Timing {
-		t0 = time.Now()
-	}
 	proj := d.proj[:d.boards]
 	picks, counts, addDPU := d.picks, d.counts, d.addDPU
 	ln.idx.reset(proj, ln.lo, ln.hi)
@@ -618,8 +588,5 @@ func (d *ShardedDispatcher) runLane(ln *lane, subs []Submission, stealOn bool, s
 		} else {
 			ln.idx.remove(best)
 		}
-	}
-	if d.Timing {
-		ln.ns = time.Since(t0).Nanoseconds()
 	}
 }

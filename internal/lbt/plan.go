@@ -2,6 +2,8 @@ package lbt
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"pricepower/internal/core"
 )
@@ -28,13 +30,22 @@ func (p *Planner) PlanForCluster(cluster int, kind Kind) *Move {
 	return mv
 }
 
+// planFanOutMin is the cluster count from which chip-wide planning spreads
+// the clusters over GOMAXPROCS goroutines. The value is the round pool's
+// former auto-enable threshold, kept as is rather than derived from a
+// measured crossover: on two CPUs, fanned-out plans ran ≈1.6× faster than
+// on one at 16, 32 and 64 clusters and ≈1.25× at 8. Smaller markets, such
+// as the paper's two-cluster TC2 boards, plan on one goroutine.
+const planFanOutMin = 16
+
 // plan evaluates all clusters' constrained cores and approves the single
 // best movement chip-wide. Per-cluster planning reads only the shared
-// base evaluation, so on many-cluster markets (the paper's "the task agents
-// perform performance and savings estimations in parallel, which enables
-// the computational overhead to be distributed across the entire chip")
-// the clusters plan concurrently; the chip agent's final selection reduces
-// their proposals in deterministic cluster order.
+// base evaluation and writes its own slot, so on many-cluster markets (the
+// paper's "the task agents perform performance and savings estimations in
+// parallel, which enables the computational overhead to be distributed
+// across the entire chip") the clusters plan concurrently; the chip
+// agent's final selection reduces their proposals in deterministic
+// cluster order, so the result does not depend on GOMAXPROCS.
 func (p *Planner) plan(kind Kind) *Move {
 	base := p.currentAssignment()
 	if len(base) == 0 {
@@ -45,18 +56,25 @@ func (p *Planner) plan(kind Kind) *Move {
 	clusters := p.Market.Clusters
 	moves := make([]*Move, len(clusters))
 	evals := make([]candEval, len(clusters))
-	if p.Market.Parallel() && len(clusters) > 1 {
-		// Per-cluster planning reads only shared immutable state (base,
-		// baseChip) and writes disjoint slots, so it fans out on the shared
-		// persistent worker pool instead of spawning a goroutine per cluster
-		// on every 190 ms migration epoch.
-		core.ParallelFor(len(clusters), func(i int) {
+	planStride := func(first, step int) {
+		for i := first; i < len(clusters); i += step {
 			moves[i], evals[i] = p.planCluster(clusters[i], kind, base, baseChip)
-		})
-	} else {
-		for i, v := range clusters {
-			moves[i], evals[i] = p.planCluster(v, kind, base, baseChip)
 		}
+	}
+	w := min(runtime.GOMAXPROCS(0), len(clusters))
+	if w > 1 && len(clusters) >= planFanOutMin {
+		var wg sync.WaitGroup
+		wg.Add(w - 1)
+		for k := 1; k < w; k++ {
+			go func() {
+				defer wg.Done()
+				planStride(k, w)
+			}()
+		}
+		planStride(0, w)
+		wg.Wait()
+	} else {
+		planStride(0, 1)
 	}
 
 	var best *Move

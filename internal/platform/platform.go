@@ -62,11 +62,11 @@ type TelemetryAware interface {
 // every hook site pays one nil check and the steady-state tick stays
 // allocation-free.
 //
-// BeginTick runs sequentially at the start of every platform tick; all
-// other methods may be called from the market's concurrent cluster phases
-// and therefore must be pure reads of injector state (the deterministic
-// injector derives its perturbations from a stateless hash of seed, target
-// and virtual time — never from a shared mutable RNG).
+// BeginTick runs at the start of every platform tick; all other methods
+// may be called from the market's cluster phases and must be pure reads of
+// injector state (the deterministic injector derives its perturbations
+// from a stateless hash of seed, target and virtual time — never from a
+// shared mutable RNG).
 type FaultInjector interface {
 	// BeginTick applies fault-window transitions (hot-unplug toggles,
 	// stuck-sensor captures) and emits fault telemetry.
@@ -342,8 +342,8 @@ func (p *Platform) Thermals() []*hw.ThermalModel { return p.thermals }
 
 // StepVF requests a one-rung V-F transition on a cluster (dir > 0 steps up,
 // otherwise down), routed through the fault injector when one is attached.
-// Cluster agents run concurrently within a market round, so this only
-// touches the addressed cluster and its own pending-transition slot.
+// It only touches the addressed cluster and its own pending-transition
+// slot, keeping each cluster agent's actuation cluster-local.
 func (p *Platform) StepVF(cluster, dir int) StepResult {
 	cl := p.Chip.Clusters[cluster]
 	if p.faults != nil {

@@ -639,7 +639,7 @@ func (g *Governor) estimateDemandOn(a *core.TaskAgent, cluster int) float64 {
 // refuse or defer them; refusals are retried with exponential backoff
 // (jittered per cluster) instead of hammering a failed regulator every
 // round. Each control only touches its own cluster and backoff state, so
-// the market's concurrent cluster phases stay race-free.
+// the market's cluster phases stay cluster-local.
 type clusterControl struct {
 	cl    *hw.Cluster
 	p     *platform.Platform

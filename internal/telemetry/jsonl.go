@@ -10,12 +10,12 @@ import (
 
 // JSONLSink writes one JSON object per event to a writer — the headless
 // event log behind `ppmsim -events out.jsonl`. Writes are buffered and
-// mutex-guarded (emission may come from the worker pool); call Flush (or
+// mutex-guarded (Emit may be called from any goroutine); call Flush (or
 // Close) before reading the output.
 //
 // Ordering contract: the sink writes events in Emit order — it imposes no
-// order of its own. Single-platform runs emit from the worker pool, so
-// lines land in wall-clock completion order. The fleet's per-barrier event
+// order of its own. Single-platform runs emit on one goroutine, so lines
+// land in simulation order. The fleet's per-barrier event
 // fold (Fleet.SetEventSink) is the ordered producer: it buffers each
 // board's events until the batch barrier collects, then emits the whole
 // barrier sorted by (round, board, kind) — and because boards advance the

@@ -12,7 +12,7 @@ func TestRegistryExpositionFormat(t *testing.T) {
 	reg.Counter(`pricepower_migrations_total{class="ms"}`, "Task migrations by paper cost class.").Add(1)
 	reg.Counter("pricepower_market_rounds_total", "Market bid rounds executed.").Store(1894)
 	reg.Gauge("pricepower_chip_power_watts", "Chip power at the last snapshot.").Set(4.25)
-	reg.GaugeFunc("pricepower_pool_busy_workers", "Worker-pool goroutines currently running a job.",
+	reg.GaugeFunc("pricepower_fleet_queue_len", "Admission queue length.",
 		func() float64 { return 2 })
 
 	var b strings.Builder
@@ -29,7 +29,7 @@ func TestRegistryExpositionFormat(t *testing.T) {
 		"pricepower_market_rounds_total 1894\n",
 		"# TYPE pricepower_chip_power_watts gauge\n",
 		"pricepower_chip_power_watts 4.25\n",
-		"pricepower_pool_busy_workers 2\n",
+		"pricepower_fleet_queue_len 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -25,9 +25,9 @@
 //     accumulated in plain per-agent fields and folded into the registry
 //     once per market round.
 //
-// The attached steady-state overhead is measured by cmd/bench and recorded
-// in BENCH_scale.json (budget: ≤ 10% vs detached at the 256-cluster scale
-// point; see DESIGN.md §8).
+// The attached steady-state overhead is BenchmarkMarketRoundTelemetryAttached
+// against BenchmarkMarketRoundScale/V=256 (budget: ≤ 10% vs detached; see
+// DESIGN.md §8).
 package telemetry
 
 import (
@@ -212,9 +212,9 @@ type Event struct {
 // conflated with "no core".
 func E(k Kind) Event { return Event{Kind: k, Cluster: -1, Core: -1, Task: -1} }
 
-// Sink receives emitted events. Emit may be called concurrently (the
-// market's cluster-local phases run on the worker pool), so sinks must be
-// safe for concurrent use; they must not retain pointers into the event
+// Sink receives emitted events. Emit may be called from any goroutine and
+// may race with readers of the sink, so sinks must be safe for concurrent
+// use; they must not retain pointers into the event
 // (it is a value copy).
 type Sink interface {
 	Emit(ev Event)

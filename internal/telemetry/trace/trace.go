@@ -9,7 +9,7 @@
 //
 // The layer honours the zero-cost-detached contract: nothing in this
 // package is touched from bid or route loops. Spans ride the per-round
-// fold after the pool barrier — boards hand their events back with the
+// fold after the step barrier — boards hand their events back with the
 // step reply and the fleet folds them single-threaded at collect time.
 package trace
 
