@@ -34,9 +34,10 @@
 package lbt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pricepower/internal/core"
 )
@@ -120,8 +121,6 @@ type Planner struct {
 	// free — cross-cluster migration costs milliseconds — so marginal wins
 	// are not worth churn. Zero accepts any strict reduction.
 	MinSpendGain float64
-
-	coreToCluster map[int]int
 }
 
 // NewPlanner builds a planner for the market with the given profile
@@ -150,20 +149,236 @@ const (
 	minGain    = 0.02
 )
 
-// assignment maps every task agent to a core ID.
-type assignment map[*core.TaskAgent]int
+// plan is one planning invocation's inputs, built once and only read while
+// candidates are evaluated (concurrently, on many-cluster markets): the
+// market's mapping as per-core task slices, every agent's estimated demand
+// on its own cluster, the base mapping's evaluation, and each cluster's
+// migration target. Agents are addressed by their index k into the
+// parallel slices. Core c's tasks are k ∈ [first[c], first[c+1]) in
+// ascending agent-ID order, which is the order every order-sensitive float
+// sum (core demand, consumed supply, water-filling) sees, so a replay
+// evaluates bit-identically.
+type plan struct {
+	*Planner
+	clusters []*core.ClusterAgent
+	wtdp     float64
 
-// currentAssignment snapshots the market's mapping.
-func (p *Planner) currentAssignment() assignment {
-	a := make(assignment)
-	for _, v := range p.Market.Clusters {
+	agents []*core.TaskAgent
+	ids    []int     // ids[k] = k: the base mapping's per-core index lists
+	prio   []int     // agents[k].Priority
+	own    []float64 // agents[k]'s estimated demand on its own cluster
+	first  []int     // per global core ID, plus a final end index
+	cstart []int     // cluster ci's tasks start at cstart[ci]
+
+	maxCoreTasks int
+
+	evs   []clusterEval // base mapping, per cluster
+	cores []coreEval    // base mapping, per global core ID
+	ratio []float64     // base mapping's supply/demand ratio of agent k
+	res   evalResult
+	// lowMins are the three smallest cluster minimum ratios of the base
+	// mapping, with their clusters (-1: none).
+	lowMins [3]clusterMin
+
+	// migrateTo is each cluster's most over-supplied unconstrained core
+	// (-1: none), filled for migration plans.
+	migrateTo []int
+}
+
+// newPlan snapshots the market and evaluates its current mapping. The
+// returned scratch is free for the calling goroutine's candidates.
+func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
+	clusters := p.Market.Clusters
+	pl := &plan{Planner: p, clusters: clusters, wtdp: p.Market.Config().Wtdp}
+	n, nCores := 0, 0
+	for _, v := range clusters {
+		nCores += len(v.Cores)
 		for _, c := range v.Cores {
-			for _, t := range c.Tasks {
-				a[t] = c.ID
-			}
+			n += len(c.Tasks)
 		}
 	}
-	return a
+	pl.agents = make([]*core.TaskAgent, 0, n)
+	pl.ids, pl.prio, pl.own = make([]int, n), make([]int, n), make([]float64, n)
+	pl.first = make([]int, nCores+1)
+	pl.cstart = make([]int, len(clusters)+1)
+	for ci, v := range clusters {
+		pl.cstart[ci] = len(pl.agents)
+		for _, c := range v.Cores {
+			pl.first[c.ID] = len(pl.agents)
+			pl.maxCoreTasks = max(pl.maxCoreTasks, len(c.Tasks))
+			pl.agents = append(pl.agents, c.Tasks...)
+			slices.SortFunc(pl.agents[pl.first[c.ID]:], func(a, b *core.TaskAgent) int {
+				return cmp.Compare(a.ID, b.ID)
+			})
+		}
+		for k := pl.cstart[ci]; k < len(pl.agents); k++ {
+			pl.ids[k], pl.prio[k] = k, pl.agents[k].Priority
+			pl.own[k] = p.Est.DemandOn(pl.agents[k], ci)
+		}
+	}
+	pl.first[nCores], pl.cstart[len(clusters)] = n, n
+
+	sc := pl.newScratch()
+	pl.evs = make([]clusterEval, len(clusters))
+	pl.cores = make([]coreEval, nCores)
+	pl.ratio = make([]float64, n)
+	pl.res = pl.evaluate(sc, nil, pl.evs, pl.cores, pl.ratio)
+	pl.lowMins = lowestMins(pl.evs)
+
+	if kind == Migrate {
+		pl.migrateTo = make([]int, len(clusters))
+		for ci, v := range clusters {
+			pl.migrateTo[ci] = bestTargetIn(v, nil)
+		}
+	}
+	return pl, sc
+}
+
+// scratch is one planning goroutine's reusable candidate state.
+type scratch struct {
+	from, to taskList      // the candidate's source and destination core lists
+	cores    []coreEval    // re-evaluated cores, per global core ID
+	ratios   []float64     // re-evaluated tasks' ratios
+	evs      []clusterEval // whole-mapping re-evaluation, per cluster
+	caps     []int         // whole-mapping V-F level caps, per cluster
+	after    []ratioPair   // every affected task's ratio under the candidate
+	// srcK >= 0: src, srcMin and sc.after[:srcPairs] hold the source side
+	// of agent srcK's migration.
+	srcK     int
+	src      candEval
+	srcMin   float64
+	srcPairs int
+	rem      []int // water-filling work lists
+	next     []int
+	targets  []int
+}
+
+// newScratch sizes a scratch so that no candidate grows it.
+func (pl *plan) newScratch() *scratch {
+	m := pl.maxCoreTasks + 1
+	return &scratch{
+		srcK:    -1,
+		from:    newTaskList(m),
+		to:      newTaskList(m),
+		cores:   make([]coreEval, len(pl.first)-1),
+		ratios:  make([]float64, len(pl.agents)),
+		evs:     make([]clusterEval, len(pl.clusters)),
+		caps:    make([]int, len(pl.clusters)),
+		after:   make([]ratioPair, 0, len(pl.agents)),
+		rem:     make([]int, 0, m),
+		next:    make([]int, 0, m),
+		targets: make([]int, 0, len(pl.clusters)),
+	}
+}
+
+// taskList is one core's tasks as parallel slices: plan index, estimated
+// demand on the core's cluster, priority.
+type taskList struct {
+	k    []int
+	d    []float64
+	prio []int
+}
+
+func newTaskList(n int) taskList {
+	return taskList{make([]int, 0, n), make([]float64, 0, n), make([]int, 0, n)}
+}
+
+func (l *taskList) reset() { l.k, l.d, l.prio = l.k[:0], l.d[:0], l.prio[:0] }
+
+func (l *taskList) add(k int, d float64, prio int) {
+	l.k, l.d, l.prio = append(l.k, k), append(l.d, d), append(l.prio, prio)
+}
+
+// candMove is a candidate relocation of agent k from core `from` (cluster
+// src) to core `to` (cluster dst); d is k's estimated demand on dst.
+type candMove struct {
+	k, from, to, src, dst int
+	d                     float64
+}
+
+// move describes relocating agent k from core `from` to core `to`. The
+// mover's demand on another cluster is estimated here, by the goroutine
+// planning the move, so cross-cluster estimates stay O(movers × clusters).
+func (pl *plan) move(k, from, to int) candMove {
+	mv := candMove{k: k, from: from, to: to, src: pl.clusterOf(from), dst: pl.clusterOf(to), d: pl.own[k]}
+	if mv.dst != mv.src {
+		mv.d = pl.Est.DemandOn(pl.agents[k], mv.dst)
+	}
+	return mv
+}
+
+// indexOf finds agent t's plan index among core c's tasks.
+func (pl *plan) indexOf(t *core.TaskAgent, c int) int {
+	for k := pl.first[c]; k < pl.first[c+1]; k++ {
+		if pl.agents[k] == t {
+			return k
+		}
+	}
+	panic(fmt.Sprintf("lbt: task %d is not on core %d", t.ID, c))
+}
+
+func (pl *plan) clusterOf(coreID int) int {
+	v, _ := pl.Market.CoreByID(coreID)
+	return v.ID
+}
+
+// setFrom builds the candidate's source core list: the base list without
+// the mover.
+func (sc *scratch) setFrom(pl *plan, mv *candMove) {
+	sc.from.reset()
+	for k := pl.first[mv.from]; k < pl.first[mv.from+1]; k++ {
+		if k != mv.k {
+			sc.from.add(k, pl.own[k], pl.prio[k])
+		}
+	}
+}
+
+// setTo builds the candidate's destination core list: the base list with
+// the mover appended last, or, when byID, at its agent-ID position (a
+// regrouped whole mapping).
+func (sc *scratch) setTo(pl *plan, mv *candMove, byID bool) {
+	sc.to.reset()
+	inserted := false
+	for k := pl.first[mv.to]; k < pl.first[mv.to+1]; k++ {
+		if byID && !inserted && pl.agents[k].ID > pl.agents[mv.k].ID {
+			sc.to.add(mv.k, mv.d, pl.prio[mv.k])
+			inserted = true
+		}
+		sc.to.add(k, pl.own[k], pl.prio[k])
+	}
+	if !inserted {
+		sc.to.add(mv.k, mv.d, pl.prio[mv.k])
+	}
+}
+
+// tasksOn lists core c's tasks under the base mapping with move mv applied
+// (nil: the base mapping itself).
+func (pl *plan) tasksOn(c int, mv *candMove, sc *scratch) taskList {
+	if mv != nil {
+		switch c {
+		case mv.from:
+			return sc.from
+		case mv.to:
+			return sc.to
+		}
+	}
+	a, b := pl.first[c], pl.first[c+1]
+	return taskList{pl.ids[a:b], pl.own[a:b], pl.prio[a:b]}
+}
+
+// offset is the position of cluster ci's first task when the mapping with
+// move mv applied is laid out cluster by cluster.
+func (pl *plan) offset(ci int, mv *candMove) int {
+	o := pl.cstart[ci]
+	if mv != nil {
+		if mv.src < ci {
+			o--
+		}
+		if mv.dst < ci {
+			o++
+		}
+	}
+	return o
 }
 
 // coreEval is the steady-state estimate for one core under a mapping.
@@ -172,11 +387,10 @@ type coreEval struct {
 	consumed float64 // Σ allocated supply
 	unsat    int
 	minRatio float64
-	ratios   map[*core.TaskAgent]float64
+	ratios   []float64 // parallel to the core's task list; empty: no tasks
 }
 
-// clusterEval is the steady-state estimate for one cluster under a mapping,
-// with the per-core breakdown candidate moves patch incrementally.
+// clusterEval is the steady-state estimate for one cluster under a mapping.
 type clusterEval struct {
 	spend    float64
 	level    int
@@ -184,47 +398,37 @@ type clusterEval struct {
 	unsat    int
 	minRatio float64
 	consumed float64
-	cores    map[int]*coreEval
+	occupied int // cores with tasks
 	// maxDemand/secondMax/maxCore support O(1) level recomputation when one
 	// core's demand changes.
 	maxDemand, secondMax float64
 	maxCore              int
 }
 
-// ratios flattens the per-core ratio maps (used by the whole-chip paths).
-func (ev *clusterEval) allRatios(into map[*core.TaskAgent]float64) {
-	for _, ce := range ev.cores {
-		for t, r := range ce.ratios {
-			into[t] = r
-		}
-	}
-}
-
-// evalCore estimates one core's steady state at the given per-core supply:
-// satisfied tasks get s = d; an overloaded core splits supply by priority,
-// never giving a task more than its demand (water-filling).
-func (p *Planner) evalCore(cluster int, ts []*core.TaskAgent, supply float64) *coreEval {
-	ce := &coreEval{minRatio: 1, ratios: make(map[*core.TaskAgent]float64, len(ts))}
-	demand := func(t *core.TaskAgent) float64 { return p.Est.DemandOn(t, cluster) }
-	for _, t := range ts {
-		ce.demand += demand(t)
+// evalCore estimates one core's steady state at the given per-core supply,
+// writing each task's supply/demand ratio to ratios: satisfied tasks get
+// s = d; an overloaded core splits supply by priority, never giving a task
+// more than its demand (water-filling).
+func (sc *scratch) evalCore(l taskList, supply float64, ratios []float64) coreEval {
+	ce := coreEval{minRatio: 1, ratios: ratios[:len(l.d)]}
+	for _, d := range l.d {
+		ce.demand += d
 	}
 	if ce.demand <= supply+eps {
-		for _, t := range ts {
-			ce.ratios[t] = 1
-			ce.consumed += demand(t)
+		for i, d := range l.d {
+			ce.ratios[i] = 1
+			ce.consumed += d
 		}
 		return ce
 	}
-	sup := splitByPriority(ts, demand, supply)
-	for _, t := range ts {
-		d := demand(t)
-		s := sup[t]
+	sc.splitByPriority(l.d, l.prio, supply, ce.ratios)
+	for i, d := range l.d {
+		s := ce.ratios[i]
 		r := 1.0
 		if d > 0 {
 			r = s / d
 		}
-		ce.ratios[t] = r
+		ce.ratios[i] = r
 		ce.consumed += s
 		if r < satisfiedRatio {
 			ce.unsat++
@@ -236,42 +440,38 @@ func (p *Planner) evalCore(cluster int, ts []*core.TaskAgent, supply float64) *c
 	return ce
 }
 
-// evalCluster estimates cluster v's steady state given the tasks mapped to
-// each of its cores, with the V-F level capped at maxLevel (the TDP-aware
+// evalCluster estimates cluster ci's steady state under the base mapping
+// with move mv applied, with the V-F level capped at maxLevel (the TDP-aware
 // evaluation pass lowers caps until the mapping's power fits the budget).
-func (p *Planner) evalCluster(v *core.ClusterAgent, tasksOf map[int][]*core.TaskAgent, maxLevel int) clusterEval {
-	ev := clusterEval{minRatio: 1, cores: make(map[int]*coreEval, len(tasksOf))}
-	ctl := v.Control
+// Core estimates land in cores (per global core ID), task ratios in ratios
+// from the cluster's first task on.
+func (pl *plan) evalCluster(sc *scratch, ci int, mv *candMove, maxLevel int, cores []coreEval, ratios []float64) clusterEval {
+	v := pl.clusters[ci]
+	ev := clusterEval{minRatio: 1}
 
-	// Demands per core (profiled demand on this cluster). Cores are
-	// walked in ID order: float accumulation and max-demand tie-breaks
-	// must not depend on map iteration order, or two identical runs
-	// diverge at the ULP level and the divergence is amplified by the
-	// market feedback loop into different plans.
-	coreIDs := sortedCoreIDs(tasksOf)
+	// Constrained demand: cores are walked in ID order so float sums and
+	// max-demand tie-breaks never depend on anything but the mapping.
 	var dMax, dSecond float64
 	maxCore := -1
-	occupied := false
-	demands := make(map[int]float64, len(tasksOf))
-	for _, coreID := range coreIDs {
-		ts := tasksOf[coreID]
-		if len(ts) == 0 {
+	for _, c := range v.Cores {
+		l := pl.tasksOn(c.ID, mv, sc)
+		if len(l.k) == 0 {
+			cores[c.ID] = coreEval{}
 			continue
 		}
-		occupied = true
+		ev.occupied++
 		var dc float64
-		for _, t := range ts {
-			dc += p.Est.DemandOn(t, v.ID)
+		for _, d := range l.d {
+			dc += d
 		}
-		demands[coreID] = dc
 		switch {
 		case dc > dMax:
-			dSecond, dMax, maxCore = dMax, dc, coreID
+			dSecond, dMax, maxCore = dMax, dc, c.ID
 		case dc > dSecond:
 			dSecond = dc
 		}
 	}
-	if !occupied {
+	if ev.occupied == 0 {
 		// Empty cluster: powered down, no spending (§2 "if there are no
 		// active tasks in an entire cluster, then we can power down").
 		return ev
@@ -280,27 +480,25 @@ func (p *Planner) evalCluster(v *core.ClusterAgent, tasksOf map[int][]*core.Task
 
 	// Supply: demand of the constrained core rounded up to the next rung,
 	// capped by the TDP pass.
-	level := levelForSupply(ctl, dMax)
-	if level > maxLevel {
-		level = maxLevel
-	}
-	ev.level = level
-	ev.supply = ctl.SupplyAt(level)
+	ev.level = min(levelForSupply(v.Control, dMax), maxLevel)
+	ev.supply = v.Control.SupplyAt(ev.level)
 
-	for _, coreID := range coreIDs {
-		ts := tasksOf[coreID]
-		if len(ts) == 0 {
+	off := 0
+	for _, c := range v.Cores {
+		l := pl.tasksOn(c.ID, mv, sc)
+		if len(l.k) == 0 {
 			continue
 		}
-		ce := p.evalCore(v.ID, ts, ev.supply)
-		ev.cores[coreID] = ce
+		ce := sc.evalCore(l, ev.supply, ratios[off:])
+		off += len(l.k)
+		cores[c.ID] = ce
 		ev.consumed += ce.consumed
 		ev.unsat += ce.unsat
 		if ce.minRatio < ev.minRatio {
 			ev.minRatio = ce.minRatio
 		}
 	}
-	ev.spend = p.clusterSpend(v, ev.level, ev.consumed)
+	ev.spend = clusterSpend(v, ev.level, ev.consumed)
 	return ev
 }
 
@@ -310,7 +508,7 @@ func (p *Planner) evalCluster(v *core.ClusterAgent, tasksOf map[int][]*core.Task
 // makes aggregate bids track cluster power, and pricing the estimate in
 // power units directly keeps mappings on different cluster types comparable
 // (see package comment and DESIGN.md).
-func (p *Planner) clusterSpend(v *core.ClusterAgent, level int, consumed float64) float64 {
+func clusterSpend(v *core.ClusterAgent, level int, consumed float64) float64 {
 	ctl := v.Control
 	util := 0.0
 	if cap := ctl.SupplyAt(level) * float64(len(v.Cores)); cap > 0 {
@@ -324,48 +522,47 @@ func (p *Planner) clusterSpend(v *core.ClusterAgent, level int, consumed float64
 	return idle + (busy-idle)*util
 }
 
-// splitByPriority water-fills `supply` PUs over the tasks proportionally to
-// priority, capping each task at its demand and redistributing slack.
-func splitByPriority(ts []*core.TaskAgent, demand func(*core.TaskAgent) float64, supply float64) map[*core.TaskAgent]float64 {
-	out := make(map[*core.TaskAgent]float64, len(ts))
-	remainingTasks := append([]*core.TaskAgent(nil), ts...)
+// splitByPriority water-fills `supply` PUs over a core's tasks (demands d,
+// priorities prio) proportionally to priority, capping each task at its
+// demand and redistributing slack. Task i's share lands in out[i].
+func (sc *scratch) splitByPriority(d []float64, prio []int, supply float64, out []float64) {
+	rem, next := sc.rem[:0], sc.next[:0]
+	for i := range d {
+		out[i] = 0
+		rem = append(rem, i)
+	}
 	remaining := supply
-	for len(remainingTasks) > 0 && remaining > eps {
+	for len(rem) > 0 && remaining > eps {
 		var rSum float64
-		for _, t := range remainingTasks {
-			rSum += float64(t.Priority)
+		for _, i := range rem {
+			rSum += float64(prio[i])
 		}
 		if rSum <= 0 {
 			break
 		}
-		var next []*core.TaskAgent
-		progressed := false
-		for _, t := range remainingTasks {
-			share := remaining * float64(t.Priority) / rSum
-			need := demand(t) - out[t]
+		next = next[:0]
+		for _, i := range rem {
+			share := remaining * float64(prio[i]) / rSum
+			need := d[i] - out[i]
 			if share >= need-eps {
-				out[t] += need
-				progressed = progressed || need > 0
+				out[i] += need
 			} else {
-				out[t] += share
-				next = append(next, t)
+				out[i] += share
+				next = append(next, i)
 			}
 		}
 		var given float64
-		for _, t := range ts {
-			given += out[t]
+		for _, s := range out {
+			given += s
 		}
 		remaining = supply - given
-		if len(next) == len(remainingTasks) && !progressed {
-			break
-		}
-		if len(next) == len(remainingTasks) {
+		if len(next) == len(rem) {
 			// Nobody capped: proportional split is final.
 			break
 		}
-		remainingTasks = next
+		rem, next = next, rem
 	}
-	return out
+	sc.rem, sc.next = rem, next
 }
 
 // levelForSupply returns the lowest rung supplying at least `want` PUs
@@ -383,7 +580,6 @@ func levelForSupply(ctl core.ClusterControl, want float64) int {
 // evalResult is the whole-chip estimate for a mapping.
 type evalResult struct {
 	spend  float64
-	ratios map[*core.TaskAgent]float64
 	allSat bool
 	// unsat counts tasks below satisfiedRatio. The performance branch never
 	// accepts a movement that increases it: with equal task priorities the
@@ -398,400 +594,275 @@ type evalResult struct {
 	minRatio float64
 }
 
-// chipEval caches the per-cluster evaluations of a base mapping so that
-// single-move candidates can be evaluated incrementally: without a TDP
-// budget only the source and destination clusters of a move change, which
-// turns candidate evaluation from O(all tasks) into O(two clusters) and
-// keeps the Table 7 scalability sweep (256 clusters, 131k tasks) tractable.
-type chipEval struct {
-	evs []clusterEval
-	// grouped caches each cluster's coreID → tasks mapping so candidate
-	// moves copy only the two affected clusters' groups.
-	grouped []map[int][]*core.TaskAgent
-	res     evalResult
-}
-
-// evalChip evaluates a full mapping and keeps the per-cluster breakdown.
-// It also warms the core→cluster cache so the (possibly concurrent)
-// candidate evaluations never write shared planner state.
-func (p *Planner) evalChip(a assignment) chipEval {
-	p.clusterIndexOfCore(0)
-	clusters := p.Market.Clusters
-	ce := chipEval{
-		evs:     make([]clusterEval, len(clusters)),
-		grouped: p.groupAll(a),
-	}
-	if p.Market.Config().Wtdp > 0 {
-		// TDP couples the clusters; use the capped whole-chip pass.
-		ce.res = p.evaluate(a)
-		for i, v := range clusters {
-			ce.evs[i] = p.evalCluster(v, ce.grouped[i], v.Control.NumLevels()-1)
-		}
-		return ce
-	}
-	ce.res = evalResult{ratios: make(map[*core.TaskAgent]float64), allSat: true, minRatio: 1}
-	for i, v := range clusters {
-		ev := p.evalCluster(v, ce.grouped[i], v.Control.NumLevels()-1)
-		ce.evs[i] = ev
-		ce.res.spend += ev.spend
-		ce.res.unsat += ev.unsat
-		if ev.minRatio < ce.res.minRatio {
-			ce.res.minRatio = ev.minRatio
-		}
-		ev.allRatios(ce.res.ratios)
-	}
-	ce.res.allSat = ce.res.unsat == 0
-	return ce
-}
-
-// candEval is the incremental evaluation of one candidate move: global
-// aggregates plus the ratio maps restricted to the affected clusters (all
-// other tasks' ratios are unchanged by construction).
-type candEval struct {
-	spend    float64
-	unsat    int
-	minRatio float64
-	// oldAffected/newAffected hold ratios of tasks in the move's source and
-	// destination clusters, before and after.
-	oldAffected, newAffected map[*core.TaskAgent]float64
-}
-
-// evalMove evaluates base + (agent → toCore) incrementally.
-func (p *Planner) evalMove(base chipEval, baseAssign assignment, agent *core.TaskAgent, toCore int) candEval {
-	clusters := p.Market.Clusters
-	srcCluster := p.clusterIndexOfCore(baseAssign[agent])
-	dstCluster := p.clusterIndexOfCore(toCore)
-
-	if p.Market.Config().Wtdp > 0 {
-		// Coupled evaluation: recompute the whole chip under the cap.
-		res := p.evaluate(p.withMove(baseAssign, &Move{Agent: agent, ToCore: toCore}))
-		return candEval{
-			spend: res.spend, unsat: res.unsat, minRatio: res.minRatio,
-			oldAffected: base.res.ratios, newAffected: res.ratios,
-		}
+// evaluate estimates the steady state of the base mapping with move mv
+// applied. When the market carries a TDP budget, supply is additionally
+// constrained ("the steady-state supply of a cluster is ... the steady-state
+// demand, unless the supply is constrained by the TDP constraint", §3.3):
+// cluster levels are capped, hungriest first, until the estimated chip
+// power fits under Wtdp. Task ratios land in ratios, laid out cluster by
+// cluster.
+func (pl *plan) evaluate(sc *scratch, mv *candMove, evs []clusterEval, cores []coreEval, ratios []float64) evalResult {
+	caps := sc.caps
+	for ci, v := range pl.clusters {
+		caps[ci] = v.Control.NumLevels() - 1
+		evs[ci] = pl.evalCluster(sc, ci, mv, caps[ci], cores, ratios[pl.offset(ci, mv):])
 	}
 
-	cand := candEval{
-		spend:       base.res.spend,
-		unsat:       base.res.unsat,
-		minRatio:    math.Inf(1),
-		oldAffected: make(map[*core.TaskAgent]float64),
-		newAffected: make(map[*core.TaskAgent]float64),
-	}
-	fromCore := baseAssign[agent]
-	affected := []int{srcCluster}
-	if dstCluster != srcCluster {
-		affected = append(affected, dstCluster)
-	}
-	minFromCluster := make(map[int]float64, 2)
-	for _, ci := range affected {
-		v := clusters[ci]
-		old := &base.evs[ci]
-
-		// Incremental per-core patch: one core's task set changes; the
-		// cluster's V-F level changes only when its constrained demand
-		// does. Compute the new constrained demand in O(1) from the cached
-		// max/second-max.
-		changedCore := fromCore
-		var changedTasks []*core.TaskAgent
-		var dDelta float64
-		d := p.Est.DemandOn(agent, ci)
-		if ci == srcCluster {
-			for _, t := range base.grouped[ci][fromCore] {
-				if t != agent {
-					changedTasks = append(changedTasks, t)
-				}
-			}
-			dDelta = -d
-		} else {
-			changedCore = toCore
-			changedTasks = append(changedTasks, base.grouped[ci][toCore]...)
-			changedTasks = append(changedTasks, agent)
-			dDelta = +d
-		}
-		if srcCluster == dstCluster {
-			// Intra-cluster move touches two cores; fall back to the full
-			// cluster recompute (load balancing is O(one cluster) anyway).
-			nev := p.reEvalClusterWithMove(v, base.grouped[ci], agent, fromCore, toCore)
-			p.applyClusterDelta(&cand, old, &nev, minFromCluster, ci)
-			continue
-		}
-
-		oldCore := old.cores[changedCore]
-		var oldCoreDemand float64
-		if oldCore != nil {
-			oldCoreDemand = oldCore.demand
-		}
-		newCoreDemand := oldCoreDemand + dDelta
-
-		// New constrained demand of the cluster.
-		newMax := old.maxDemand
-		if changedCore == old.maxCore {
-			newMax = math.Max(old.secondMax, newCoreDemand)
-		} else {
-			newMax = math.Max(old.maxDemand, newCoreDemand)
-		}
-		newLevel := levelForSupply(v.Control, newMax)
-		if len(changedTasks) == 0 && len(old.cores) == 1 && ci == srcCluster {
-			// Cluster empties: powers down, spends nothing.
-			cand.spend -= old.spend
-			cand.unsat -= old.unsat
-			if oldCore != nil {
-				for t, r := range oldCore.ratios {
-					cand.oldAffected[t] = r
-				}
-			}
-			minFromCluster[ci] = math.Inf(1)
-			continue
-		}
-		if newLevel != old.level {
-			// Level change affects every core: full cluster recompute.
-			nev := p.reEvalClusterWithMove(v, base.grouped[ci], agent, fromCore, toCore)
-			p.applyClusterDelta(&cand, old, &nev, minFromCluster, ci)
-			continue
-		}
-
-		// Fast path: same level — only the changed core's allocation moves.
-		newCore := p.evalCore(ci, changedTasks, old.supply)
-		if oldCore != nil {
-			cand.unsat -= oldCore.unsat
-			for t, r := range oldCore.ratios {
-				cand.oldAffected[t] = r
-			}
-		}
-		cand.unsat += newCore.unsat
-		for t, r := range newCore.ratios {
-			cand.newAffected[t] = r
-		}
-		var oldConsumed float64
-		if oldCore != nil {
-			oldConsumed = oldCore.consumed
-		}
-		newSpend := p.clusterSpend(v, old.level, old.consumed-oldConsumed+newCore.consumed)
-		cand.spend += newSpend - old.spend
-		// Cluster minimum: the other cores' cached minima plus the new core.
-		m := newCore.minRatio
-		for coreID, ce := range old.cores {
-			if coreID == changedCore {
-				continue
-			}
-			if ce.minRatio < m {
-				m = ce.minRatio
-			}
-		}
-		minFromCluster[ci] = m
-	}
-
-	// Global minRatio: affected clusters' new minima vs every other
-	// cluster's cached minimum.
-	for ci := range clusters {
-		m, ok := minFromCluster[ci]
-		if !ok {
-			m = base.evs[ci].minRatio
-		}
-		if m < cand.minRatio {
-			cand.minRatio = m
-		}
-	}
-	return cand
-}
-
-// reEvalClusterWithMove fully re-evaluates one cluster with the move
-// applied to its grouping (slow path: level changes or intra-cluster move).
-func (p *Planner) reEvalClusterWithMove(v *core.ClusterAgent, grouped map[int][]*core.TaskAgent, agent *core.TaskAgent, fromCore, toCore int) clusterEval {
-	group := make(map[int][]*core.TaskAgent, len(grouped)+1)
-	for coreID, ts := range grouped {
-		if coreID == fromCore {
-			kept := make([]*core.TaskAgent, 0, len(ts))
-			for _, x := range ts {
-				if x != agent {
-					kept = append(kept, x)
-				}
-			}
-			if len(kept) > 0 {
-				group[coreID] = kept
-			}
-			continue
-		}
-		group[coreID] = ts
-	}
-	if p.clusterIndexOfCore(toCore) == v.ID {
-		ts := group[toCore]
-		withAgent := make([]*core.TaskAgent, 0, len(ts)+1)
-		withAgent = append(withAgent, ts...)
-		group[toCore] = append(withAgent, agent)
-	}
-	return p.evalCluster(v, group, v.Control.NumLevels()-1)
-}
-
-// applyClusterDelta folds a fully recomputed cluster eval into a candidate.
-func (p *Planner) applyClusterDelta(cand *candEval, old, nev *clusterEval, minFromCluster map[int]float64, ci int) {
-	cand.spend += nev.spend - old.spend
-	cand.unsat += nev.unsat - old.unsat
-	old.allRatios(cand.oldAffected)
-	nev.allRatios(cand.newAffected)
-	minFromCluster[ci] = nev.minRatio
-}
-
-// clusterIndexOfCore maps a global core ID to its cluster index (cached).
-func (p *Planner) clusterIndexOfCore(coreID int) int {
-	if p.coreToCluster == nil {
-		p.coreToCluster = make(map[int]int)
-		for i, v := range p.Market.Clusters {
-			for _, c := range v.Cores {
-				p.coreToCluster[c.ID] = i
-			}
-		}
-	}
-	return p.coreToCluster[coreID]
-}
-
-// evaluate estimates the steady state of a full mapping. When the market
-// carries a TDP budget, supply is additionally constrained ("the
-// steady-state supply of a cluster is ... the steady-state demand, unless
-// the supply is constrained by the TDP constraint", §3.3): cluster levels
-// are capped, hungriest first, until the estimated chip power fits under
-// Wtdp.
-func (p *Planner) evaluate(a assignment) evalResult {
-	clusters := p.Market.Clusters
-	evs := make([]clusterEval, len(clusters))
-	caps := make([]int, len(clusters))
-	grouped := make([]map[int][]*core.TaskAgent, len(clusters))
-	for i, v := range clusters {
-		caps[i] = v.Control.NumLevels() - 1
-		grouped[i] = p.tasksOfCluster(v, a)
-		evs[i] = p.evalCluster(v, grouped[i], caps[i])
-	}
-
-	if budget := p.Market.Config().Wtdp; budget > 0 {
+	if pl.wtdp > 0 {
 		for iter := 0; iter < 64; iter++ {
 			total := 0.0
-			for _, ev := range evs {
-				total += ev.spend
+			for i := range evs {
+				total += evs[i].spend
 			}
-			if total <= budget {
+			if total <= pl.wtdp {
 				break
 			}
 			// Lower the hungriest cluster that still has headroom.
 			worst := -1
 			for i := range evs {
-				if evs[i].level > 0 && evs[i].level <= caps[i] &&
+				if evs[i].level > 0 && evs[i].level <= caps[i] && evs[i].occupied > 0 &&
 					(worst < 0 || evs[i].spend > evs[worst].spend) {
-					if len(grouped[i]) > 0 {
-						worst = i
-					}
+					worst = i
 				}
 			}
 			if worst < 0 {
 				break
 			}
 			caps[worst] = evs[worst].level - 1
-			evs[worst] = p.evalCluster(clusters[worst], grouped[worst], caps[worst])
+			evs[worst] = pl.evalCluster(sc, worst, mv, caps[worst], cores, ratios[pl.offset(worst, mv):])
 		}
 	}
 
-	res := evalResult{ratios: make(map[*core.TaskAgent]float64), allSat: true, minRatio: 1}
+	res := evalResult{minRatio: 1}
 	for i := range evs {
 		res.spend += evs[i].spend
 		res.unsat += evs[i].unsat
 		if evs[i].minRatio < res.minRatio {
 			res.minRatio = evs[i].minRatio
 		}
-		evs[i].allRatios(res.ratios)
 	}
 	res.allSat = res.unsat == 0
 	return res
 }
 
-// tasksOfCluster groups the agents assigned to cluster v's cores.
-func (p *Planner) tasksOfCluster(v *core.ClusterAgent, a assignment) map[int][]*core.TaskAgent {
-	ids := make(map[int]bool, len(v.Cores))
+// ratioPair is one task's supply/demand ratio under a candidate mapping.
+type ratioPair struct {
+	k int
+	r float64
+}
+
+// emit appends cluster ci's task ratios under move mv (core estimates in
+// cores) to sc.after.
+func (pl *plan) emit(sc *scratch, ci int, mv *candMove, cores []coreEval) {
+	for _, c := range pl.clusters[ci].Cores {
+		for i, k := range pl.tasksOn(c.ID, mv, sc).k {
+			sc.after = append(sc.after, ratioPair{k, cores[c.ID].ratios[i]})
+		}
+	}
+}
+
+// candEval is the evaluation of one candidate move: global aggregates plus
+// the verdicts of the two Figure-3 branches.
+type candEval struct {
+	spend    float64
+	unsat    int
+	minRatio float64
+	// perfOK: no task's ratio meaningfully degrades (the perf(M′) ≥ perf(M)
+	// requirement of the power-efficiency branch). A satisfied task staying
+	// satisfied does not count as degradation.
+	perfOK bool
+	// ben is the witness of perf(M′) > perf(M) (the performance branch):
+	// the highest-priority unsatisfied task whose ratio improves by gain
+	// while no task of strictly higher priority degrades; nil if none.
+	ben  *core.TaskAgent
+	gain float64
+}
+
+// judge fills cand's verdicts from the affected tasks' ratios in sc.after
+// against their base ratios. Every other task's ratio is unchanged, so it
+// can neither degrade nor benefit. Ties between beneficiaries are broken
+// by gain, then agent ID, so the witness is a total-order maximum and does
+// not depend on the order the pairs were produced in.
+func (pl *plan) judge(sc *scratch, cand candEval) candEval {
+	cand.perfOK = true
+	hurtPrio := math.MinInt
+	var ben *core.TaskAgent
+	var gain float64
+	for _, a := range sc.after {
+		t, o, n := pl.agents[a.k], pl.ratio[a.k], a.r
+		if (n < satisfiedRatio || o < satisfiedRatio) && n < o-ratioSlack {
+			cand.perfOK = false
+			hurtPrio = max(hurtPrio, t.Priority)
+		}
+		// Only an unsatisfied task that meaningfully improves counts as a
+		// beneficiary — already-in-range tasks are not worth migrations.
+		if o >= satisfiedRatio || n <= o+minGain {
+			continue
+		}
+		if ben == nil || t.Priority > ben.Priority ||
+			(t.Priority == ben.Priority && (n-o > gain ||
+				(n-o == gain && t.ID < ben.ID))) {
+			ben, gain = t, n-o
+		}
+	}
+	if ben != nil && hurtPrio <= ben.Priority {
+		cand.ben, cand.gain = ben, gain
+	}
+	return cand
+}
+
+// evalMove evaluates the base mapping with move mv applied. Without a TDP
+// budget only the source and destination clusters change, and their
+// cached evaluations are patched (see patchCluster): candidate evaluation
+// is O(two clusters) rather than O(all tasks), which keeps the Table 7
+// scalability sweep (256 clusters, 131k tasks) tractable.
+func (pl *plan) evalMove(sc *scratch, mv *candMove) candEval {
+	if pl.wtdp > 0 {
+		// TDP couples the clusters: re-evaluate the whole chip under the cap.
+		return pl.evalWhole(sc, mv)
+	}
+	if mv.src == mv.dst {
+		// Load balancing touches two cores of one cluster: re-evaluate it.
+		sc.srcK = -1
+		sc.setFrom(pl, mv)
+		sc.setTo(pl, mv, false)
+		sc.after = sc.after[:0]
+		cand := candEval{spend: pl.res.spend, unsat: pl.res.unsat}
+		m := pl.reEvalCluster(sc, mv, mv.src, &cand)
+		cand.minRatio = pl.minWith(mv, m, m)
+		return pl.judge(sc, cand)
+	}
+	// The source side of a migration depends only on the mover, so every
+	// target of one mover shares it.
+	if sc.srcK != mv.k {
+		sc.setFrom(pl, mv)
+		sc.after = sc.after[:0]
+		sc.src = candEval{spend: pl.res.spend, unsat: pl.res.unsat}
+		sc.srcMin = pl.patchCluster(sc, mv, mv.src, &sc.src)
+		sc.srcK, sc.srcPairs = mv.k, len(sc.after)
+	}
+	sc.setTo(pl, mv, false)
+	sc.after = sc.after[:sc.srcPairs]
+	cand := sc.src
+	dstMin := pl.patchCluster(sc, mv, mv.dst, &cand)
+	cand.minRatio = pl.minWith(mv, sc.srcMin, dstMin)
+	return pl.judge(sc, cand)
+}
+
+// clusterMin is one cluster's minimum supply/demand ratio.
+type clusterMin struct {
+	ci int
+	m  float64
+}
+
+// lowestMins returns the three smallest cluster minimum ratios, smallest
+// first, padded with cluster -1 at +Inf.
+func lowestMins(evs []clusterEval) [3]clusterMin {
+	low := [3]clusterMin{{-1, math.Inf(1)}, {-1, math.Inf(1)}, {-1, math.Inf(1)}}
+	for ci := range evs {
+		m := evs[ci].minRatio
+		for j := range low {
+			if m < low[j].m {
+				copy(low[j+1:], low[j:2])
+				low[j] = clusterMin{ci, m}
+				break
+			}
+		}
+	}
+	return low
+}
+
+// minWith is a candidate's global minimum ratio: the new minima of the
+// clusters it moves between, and every other cluster's base minimum. At
+// most two clusters are excluded, so the three smallest base minima hold
+// the rest's minimum.
+func (pl *plan) minWith(mv *candMove, srcMin, dstMin float64) float64 {
+	m := math.Inf(1)
+	for _, low := range pl.lowMins {
+		if low.ci != mv.src && low.ci != mv.dst {
+			m = low.m
+			break
+		}
+	}
+	for _, x := range [2]float64{srcMin, dstMin} {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// evalWhole evaluates the whole mapping with move mv applied, regrouped by
+// agent ID, and judges it over every task.
+func (pl *plan) evalWhole(sc *scratch, mv *candMove) candEval {
+	sc.srcK = -1
+	sc.setFrom(pl, mv)
+	sc.setTo(pl, mv, true)
+	res := pl.evaluate(sc, mv, sc.evs, sc.cores, sc.ratios)
+	sc.after = sc.after[:0]
+	for ci := range pl.clusters {
+		pl.emit(sc, ci, mv, sc.cores)
+	}
+	return pl.judge(sc, candEval{spend: res.spend, unsat: res.unsat, minRatio: res.minRatio})
+}
+
+// patchCluster folds cluster ci's change under the cross-cluster move mv
+// into cand, appends its affected tasks' ratios to sc.after, and returns
+// the cluster's new minimum ratio. One core's task set changes here; the
+// cluster's V-F level changes only when its constrained demand does, which
+// the cached max/second-max give in O(1). Otherwise only that core is
+// re-estimated; a level change re-evaluates the whole cluster.
+func (pl *plan) patchCluster(sc *scratch, mv *candMove, ci int, cand *candEval) float64 {
+	v, old := pl.clusters[ci], &pl.evs[ci]
+	changed, l, delta := mv.from, sc.from, -pl.own[mv.k]
+	if ci == mv.dst {
+		changed, l, delta = mv.to, sc.to, mv.d
+	}
+	oldCore := &pl.cores[changed]
+	newCoreDemand := oldCore.demand + delta
+
+	// New constrained demand of the cluster.
+	newMax := math.Max(old.maxDemand, newCoreDemand)
+	if changed == old.maxCore {
+		newMax = math.Max(old.secondMax, newCoreDemand)
+	}
+	newLevel := levelForSupply(v.Control, newMax)
+	if len(l.k) == 0 && old.occupied == 1 && ci == mv.src {
+		// Cluster empties: powers down, spends nothing.
+		cand.spend -= old.spend
+		cand.unsat -= old.unsat
+		return math.Inf(1)
+	}
+	if newLevel != old.level {
+		return pl.reEvalCluster(sc, mv, ci, cand)
+	}
+
+	// Same level: only the changed core's allocation moves.
+	newCore := sc.evalCore(l, old.supply, sc.ratios)
+	cand.unsat += newCore.unsat - oldCore.unsat
+	for i, k := range l.k {
+		sc.after = append(sc.after, ratioPair{k, newCore.ratios[i]})
+	}
+	newSpend := clusterSpend(v, old.level, old.consumed-oldCore.consumed+newCore.consumed)
+	cand.spend += newSpend - old.spend
+	// Cluster minimum: the other cores' cached minima plus the new core.
+	m := newCore.minRatio
 	for _, c := range v.Cores {
-		ids[c.ID] = true
-	}
-	out := make(map[int][]*core.TaskAgent)
-	for _, t := range agentsByID(a) {
-		if coreID := a[t]; ids[coreID] {
-			out[coreID] = append(out[coreID], t)
+		if ce := &pl.cores[c.ID]; c.ID != changed && len(ce.ratios) > 0 && ce.minRatio < m {
+			m = ce.minRatio
 		}
 	}
-	return out
+	return m
 }
 
-// groupAll groups the whole assignment per cluster in one pass.
-func (p *Planner) groupAll(a assignment) []map[int][]*core.TaskAgent {
-	out := make([]map[int][]*core.TaskAgent, len(p.Market.Clusters))
-	for i := range out {
-		out[i] = make(map[int][]*core.TaskAgent)
-	}
-	for _, t := range agentsByID(a) {
-		coreID := a[t]
-		ci := p.clusterIndexOfCore(coreID)
-		out[ci][coreID] = append(out[ci][coreID], t)
-	}
-	return out
-}
-
-// agentsByID lists an assignment's agents in ascending agent-ID order.
-// Grouping must not inherit map iteration order: the per-core slices feed
-// water-filling and float sums whose results are order-sensitive, and a
-// replay is only bit-identical if every evaluation sees the same order.
-func agentsByID(a assignment) []*core.TaskAgent {
-	out := make([]*core.TaskAgent, 0, len(a))
-	for t := range a {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// sortedCoreIDs lists a grouping's core IDs in ascending order.
-func sortedCoreIDs(tasksOf map[int][]*core.TaskAgent) []int {
-	out := make([]int, 0, len(tasksOf))
-	for id := range tasksOf {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// perfNotWorse reports whether no task's ratio meaningfully degrades from
-// old to new (the perf(M′) ≥ perf(M) requirement of the power-efficiency
-// branch). A satisfied task staying satisfied does not count as
-// degradation.
-func perfNotWorse(newR, oldR map[*core.TaskAgent]float64) bool {
-	for t, o := range oldR {
-		n, ok := newR[t]
-		if !ok {
-			continue
-		}
-		if n >= satisfiedRatio && o >= satisfiedRatio {
-			continue
-		}
-		if n < o-ratioSlack {
-			return false
-		}
-	}
-	return true
-}
-
-// noHigherPriorityHurt reports whether every task with priority strictly
-// above `prio` keeps its ratio (the performance branch's constraint).
-func noHigherPriorityHurt(newR, oldR map[*core.TaskAgent]float64, prio int) bool {
-	for t, o := range oldR {
-		if t.Priority <= prio {
-			continue
-		}
-		n, ok := newR[t]
-		if !ok {
-			continue
-		}
-		if n >= satisfiedRatio && o >= satisfiedRatio {
-			continue
-		}
-		if n < o-ratioSlack {
-			return false
-		}
-	}
-	return true
+// reEvalCluster fully re-evaluates cluster ci under move mv (slow path:
+// level changes or intra-cluster move), folds it into cand, appends its
+// tasks' ratios to sc.after, and returns its new minimum ratio.
+func (pl *plan) reEvalCluster(sc *scratch, mv *candMove, ci int, cand *candEval) float64 {
+	old := &pl.evs[ci]
+	nev := pl.evalCluster(sc, ci, mv, pl.clusters[ci].Control.NumLevels()-1, sc.cores, sc.ratios)
+	cand.spend += nev.spend - old.spend
+	cand.unsat += nev.unsat - old.unsat
+	pl.emit(sc, ci, mv, sc.cores)
+	return nev.minRatio
 }

@@ -182,39 +182,29 @@ func TestPerformanceBranchProtectsHighPriority(t *testing.T) {
 	// go to the *other* big core (core 1), which is fine — but if it must
 	// share with hi, the move is rejected. Either way hi's ratio must stay 1.
 	if mv != nil {
-		cand := p.withMove(p.currentAssignment(), mv)
-		ev := p.evaluate(cand)
-		if ev.ratios[hi] < 1-1e-6 {
-			t.Errorf("move %v degrades the high-priority task to %v", mv, ev.ratios[hi])
+		pl, sc := p.newPlan(Migrate)
+		cand := pl.move(pl.indexOf(mv.Agent, mv.FromCore), mv.FromCore, mv.ToCore)
+		pl.evalWhole(sc, &cand)
+		r, ok := ratiosByAgent(pl, sc.after)[hi]
+		if !ok || r < 1-1e-6 {
+			t.Errorf("move %v degrades the high-priority task to %v", mv, r)
 		}
 	}
 }
 
 // In an overloaded core, estimated supply splits by priority.
 func TestSplitByPriorityWaterFill(t *testing.T) {
-	m, _, _ := tc2ish()
-	a := m.AddTask(3, 2)
-	b := m.AddTask(1, 2)
-	demand := func(t *core.TaskAgent) float64 {
-		if t == a {
-			return 900
-		}
-		return 900
+	var sc scratch
+	got := make([]float64, 2)
+	sc.splitByPriority([]float64{900, 900}, []int{3, 1}, 1000, got)
+	if math.Abs(got[0]-750) > 1e-6 || math.Abs(got[1]-250) > 1e-6 {
+		t.Errorf("split = %v/%v, want 750/250", got[0], got[1])
 	}
-	got := splitByPriority([]*core.TaskAgent{a, b}, demand, 1000)
-	if math.Abs(got[a]-750) > 1e-6 || math.Abs(got[b]-250) > 1e-6 {
-		t.Errorf("split = %v/%v, want 750/250", got[a], got[b])
-	}
-	// Capping: a's demand below its share redistributes to b.
-	demand2 := func(t *core.TaskAgent) float64 {
-		if t == a {
-			return 100
-		}
-		return 2000
-	}
-	got2 := splitByPriority([]*core.TaskAgent{a, b}, demand2, 1000)
-	if math.Abs(got2[a]-100) > 1e-6 || math.Abs(got2[b]-900) > 1e-6 {
-		t.Errorf("capped split = %v/%v, want 100/900", got2[a], got2[b])
+	// Capping: the first task's demand below its share redistributes to
+	// the second.
+	sc.splitByPriority([]float64{100, 2000}, []int{3, 1}, 1000, got)
+	if math.Abs(got[0]-100) > 1e-6 || math.Abs(got[1]-900) > 1e-6 {
+		t.Errorf("capped split = %v/%v, want 100/900", got[0], got[1])
 	}
 }
 
@@ -223,18 +213,21 @@ func TestEvaluateEmptyClusterSpendsNothing(t *testing.T) {
 	a := m.AddTask(1, 2)
 	a.Demand = 400
 	p := NewPlanner(m, est(map[int][2]float64{a.ID: {200, 400}}))
-	ev := p.evaluate(p.currentAssignment())
+	pl, _ := p.newPlan(Migrate)
 	// Only the LITTLE cluster should contribute spend.
-	if ev.spend <= 0 {
+	if pl.res.spend <= 0 {
 		t.Error("no spend at all")
 	}
-	base := ev.spend
+	if pl.evs[0].spend != 0 {
+		t.Errorf("empty big cluster spends %v", pl.evs[0].spend)
+	}
+	base := pl.res.spend
 	// Adding a big-cluster task increases spend.
 	b := m.AddTask(1, 0)
 	b.Demand = 400
 	p2 := NewPlanner(m, est(map[int][2]float64{a.ID: {200, 400}, b.ID: {400, 800}}))
-	if ev2 := p2.evaluate(p2.currentAssignment()); ev2.spend <= base {
-		t.Errorf("spend %v not above %v after adding big task", ev2.spend, base)
+	if pl2, _ := p2.newPlan(Migrate); pl2.res.spend <= base {
+		t.Errorf("spend %v not above %v after adding big task", pl2.res.spend, base)
 	}
 }
 

@@ -24,41 +24,47 @@ func (p *Planner) PlanBalance() *Move {
 // unit of work the paper's Table 7 measures: one constrained core evaluating
 // its tasks against every other cluster).
 func (p *Planner) PlanForCluster(cluster int, kind Kind) *Move {
-	base := p.currentAssignment()
-	baseChip := p.evalChip(base)
-	mv, _ := p.planCluster(p.Market.Clusters[cluster], kind, base, baseChip)
-	return mv
+	pl, sc := p.newPlan(kind)
+	mv, _ := pl.planCluster(sc, pl.clusters[cluster], kind)
+	if mv.Agent == nil {
+		return nil
+	}
+	return &mv
 }
 
 // planFanOutMin is the cluster count from which chip-wide planning spreads
 // the clusters over GOMAXPROCS goroutines. The value is the round pool's
-// former auto-enable threshold, kept as is rather than derived from a
-// measured crossover: on two CPUs, fanned-out plans ran ≈1.6× faster than
-// on one at 16, 32 and 64 clusters and ≈1.25× at 8. Smaller markets, such
-// as the paper's two-cluster TC2 boards, plan on one goroutine.
+// former auto-enable threshold, not a measured crossover: the fan-out's
+// gain depends on the work per cluster more than on the cluster count. On
+// two CPUs (BenchmarkChipWidePlan shapes, cut-off lowered for the
+// measurement), 8 cores × 8 tasks per cluster gained 1.3× at 8 clusters and
+// 1.95× at 16; 4 cores × 2 tasks gained nothing up to 8 clusters, ran 8%
+// slower at 16 and gained 1.25× at 32. Smaller markets, such as the
+// paper's two-cluster TC2 boards, plan on one goroutine.
 const planFanOutMin = 16
 
 // plan evaluates all clusters' constrained cores and approves the single
-// best movement chip-wide. Per-cluster planning reads only the shared
-// base evaluation and writes its own slot, so on many-cluster markets (the
-// paper's "the task agents perform performance and savings estimations in
-// parallel, which enables the computational overhead to be distributed
-// across the entire chip") the clusters plan concurrently; the chip
-// agent's final selection reduces their proposals in deterministic
-// cluster order, so the result does not depend on GOMAXPROCS.
+// best movement chip-wide. The plan's inputs are built once, before any
+// candidate is evaluated, and only read afterwards; each planning goroutine
+// owns its scratch and writes only its clusters' result slots. So on
+// many-cluster markets (the paper's "the task agents perform performance
+// and savings estimations in parallel, which enables the computational
+// overhead to be distributed across the entire chip") the clusters plan
+// concurrently; the chip agent's final selection reduces their proposals
+// in deterministic cluster order, so the result does not depend on
+// GOMAXPROCS.
 func (p *Planner) plan(kind Kind) *Move {
-	base := p.currentAssignment()
-	if len(base) == 0 {
+	pl, sc := p.newPlan(kind)
+	if len(pl.agents) == 0 {
 		return nil
 	}
-	baseChip := p.evalChip(base)
 
-	clusters := p.Market.Clusters
-	moves := make([]*Move, len(clusters))
+	clusters := pl.clusters
+	moves := make([]Move, len(clusters))
 	evals := make([]candEval, len(clusters))
-	planStride := func(first, step int) {
+	planStride := func(sc *scratch, first, step int) {
 		for i := first; i < len(clusters); i += step {
-			moves[i], evals[i] = p.planCluster(clusters[i], kind, base, baseChip)
+			moves[i], evals[i] = pl.planCluster(sc, clusters[i], kind)
 		}
 	}
 	w := min(runtime.GOMAXPROCS(0), len(clusters))
@@ -68,73 +74,84 @@ func (p *Planner) plan(kind Kind) *Move {
 		for k := 1; k < w; k++ {
 			go func() {
 				defer wg.Done()
-				planStride(k, w)
+				planStride(pl.newScratch(), k, w)
 			}()
 		}
-		planStride(0, w)
+		planStride(sc, 0, w)
 		wg.Wait()
 	} else {
-		planStride(0, 1)
+		planStride(sc, 0, 1)
 	}
 
-	var best *Move
-	var bestEval candEval
+	best := -1
 	for i := range moves {
-		if moves[i] == nil {
+		if moves[i].Agent == nil {
 			continue
 		}
-		if best == nil || p.better(baseChip, evals[i], bestEval) {
-			best, bestEval = moves[i], evals[i]
+		if best < 0 || pl.better(evals[i], evals[best]) {
+			best = i
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return &moves[best]
 }
 
 // planCluster proposes the best movement out of cluster v's constrained
-// core, together with its incremental evaluation.
-func (p *Planner) planCluster(v *core.ClusterAgent, kind Kind, base assignment, baseChip chipEval) (*Move, candEval) {
+// core, together with its evaluation; a zero Move (nil Agent) proposes
+// nothing.
+func (pl *plan) planCluster(sc *scratch, v *core.ClusterAgent, kind Kind) (Move, candEval) {
 	cc := v.ConstrainedCore()
 	if cc == nil {
-		return nil, candEval{}
+		return Move{}, candEval{}
 	}
 	// Figure 3 branch: if every task meets its demand in steady state, aim
 	// for power efficiency; otherwise look for performance.
-	if baseChip.res.allSat {
-		return p.planPower(v, cc, kind, base, baseChip)
+	if pl.res.allSat {
+		return pl.planPower(sc, v, cc, kind)
 	}
-	return p.planPerformance(v, cc, kind, base, baseChip)
+	return pl.planPerformance(sc, v, cc, kind)
+}
+
+// eachCandidate evaluates every eligible task of the constrained core cc
+// against every target core, in task-then-target order, and hands each
+// evaluation to visit.
+func (pl *plan) eachCandidate(sc *scratch, v *core.ClusterAgent, cc *core.CoreAgent, kind Kind, visit func(t *core.TaskAgent, target int, ev candEval)) {
+	targets := pl.targets(sc, v, cc, kind)
+	for _, t := range cc.Tasks {
+		if !pl.eligible(t) {
+			continue
+		}
+		k := pl.indexOf(t, cc.ID)
+		for _, target := range targets {
+			mv := pl.move(k, cc.ID, target)
+			visit(t, target, pl.evalMove(sc, &mv))
+		}
+	}
 }
 
 // planPower: all demands met — pick the movement with the lowest estimated
 // spend among those that keep perf (no task's ratio degrades).
-func (p *Planner) planPower(v *core.ClusterAgent, cc *core.CoreAgent, kind Kind, base assignment, baseChip chipEval) (*Move, candEval) {
-	var best *Move
+func (pl *plan) planPower(sc *scratch, v *core.ClusterAgent, cc *core.CoreAgent, kind Kind) (Move, candEval) {
+	var best Move
 	var bestEval candEval
-	bestSpend := baseChip.res.spend * (1 - p.MinSpendGain)
-	if p.MinSpendGain == 0 {
-		bestSpend = baseChip.res.spend - eps
+	bestSpend := pl.res.spend * (1 - pl.MinSpendGain)
+	if pl.MinSpendGain == 0 {
+		bestSpend = pl.res.spend - eps
 	}
-	targets := p.targets(v, cc, kind)
-	for _, t := range cc.Tasks {
-		if !p.eligible(t) {
-			continue
+	pl.eachCandidate(sc, v, cc, kind, func(t *core.TaskAgent, target int, ev candEval) {
+		if !ev.perfOK || ev.spend >= bestSpend {
+			return
 		}
-		for _, target := range targets {
-			ev := p.evalMove(baseChip, base, t, target)
-			if !perfNotWorse(ev.newAffected, ev.oldAffected) {
-				continue
-			}
-			if ev.spend < bestSpend {
-				bestSpend = ev.spend
-				bestEval = ev
-				best = &Move{
-					Agent: t, FromCore: cc.ID, ToCore: target, Kind: kind,
-					SpendBefore: baseChip.res.spend, SpendAfter: ev.spend,
-					Reason: "power-efficiency",
-				}
-			}
+		bestSpend = ev.spend
+		bestEval = ev
+		best = Move{
+			Agent: t, FromCore: cc.ID, ToCore: target, Kind: kind,
+			SpendBefore: pl.res.spend, SpendAfter: ev.spend,
+			Reason: "power-efficiency",
 		}
-	}
+	})
 	return best, bestEval
 }
 
@@ -147,111 +164,67 @@ func (p *Planner) planPower(v *core.ClusterAgent, cc *core.CoreAgent, kind Kind,
 // tasks (cycle breaking) nor deepen the worst miss (maximin floor), and
 // are ranked by the beneficiary's priority, then its ratio gain, then spend
 // (§3.3: equal performance → better spending).
-func (p *Planner) planPerformance(v *core.ClusterAgent, cc *core.CoreAgent, kind Kind, base assignment, baseChip chipEval) (*Move, candEval) {
-	var best *Move
+func (pl *plan) planPerformance(sc *scratch, v *core.ClusterAgent, cc *core.CoreAgent, kind Kind) (Move, candEval) {
+	var best Move
 	var bestEval candEval
 	bestUnsat := math.MaxInt32
 	bestPrio := math.MinInt32
 	bestGain := 0.0
 	bestSpend := math.Inf(1)
-	targets := p.targets(v, cc, kind)
-	for _, t := range cc.Tasks {
-		if !p.eligible(t) {
-			continue
+	pl.eachCandidate(sc, v, cc, kind, func(t *core.TaskAgent, target int, ev candEval) {
+		if ev.unsat > pl.res.unsat {
+			return // never increase the number of missing tasks
 		}
-		for _, target := range targets {
-			ev := p.evalMove(baseChip, base, t, target)
-			if ev.unsat > baseChip.res.unsat {
-				continue // never increase the number of missing tasks
-			}
-			if ev.unsat == baseChip.res.unsat && ev.minRatio < baseChip.res.minRatio-ratioSlack {
-				continue // maximin floor: don't deepen the worst miss
-			}
-			ben, gain := beneficiary(ev.newAffected, ev.oldAffected)
-			if ben == nil {
-				continue
-			}
-			better := false
-			switch {
-			case ev.unsat < bestUnsat:
-				better = true
-			case ev.unsat == bestUnsat && ben.Priority > bestPrio:
-				better = true
-			case ev.unsat == bestUnsat && ben.Priority == bestPrio && gain > bestGain+1e-9:
-				better = true
-			case ev.unsat == bestUnsat && ben.Priority == bestPrio &&
-				math.Abs(gain-bestGain) <= 1e-9 && ev.spend < bestSpend-eps:
-				better = true
-			}
-			if better {
-				bestUnsat, bestPrio, bestGain, bestSpend = ev.unsat, ben.Priority, gain, ev.spend
-				bestEval = ev
-				best = &Move{
-					Agent: t, FromCore: cc.ID, ToCore: target, Kind: kind,
-					SpendBefore: baseChip.res.spend, SpendAfter: ev.spend,
-					Reason: "performance",
-				}
+		if ev.unsat == pl.res.unsat && ev.minRatio < pl.res.minRatio-ratioSlack {
+			return // maximin floor: don't deepen the worst miss
+		}
+		ben, gain := ev.ben, ev.gain
+		if ben == nil {
+			return
+		}
+		better := false
+		switch {
+		case ev.unsat < bestUnsat:
+			better = true
+		case ev.unsat == bestUnsat && ben.Priority > bestPrio:
+			better = true
+		case ev.unsat == bestUnsat && ben.Priority == bestPrio && gain > bestGain+1e-9:
+			better = true
+		case ev.unsat == bestUnsat && ben.Priority == bestPrio &&
+			math.Abs(gain-bestGain) <= 1e-9 && ev.spend < bestSpend-eps:
+			better = true
+		}
+		if better {
+			bestUnsat, bestPrio, bestGain, bestSpend = ev.unsat, ben.Priority, gain, ev.spend
+			bestEval = ev
+			best = Move{
+				Agent: t, FromCore: cc.ID, ToCore: target, Kind: kind,
+				SpendBefore: pl.res.spend, SpendAfter: ev.spend,
+				Reason: "performance",
 			}
 		}
-	}
+	})
 	return best, bestEval
-}
-
-// beneficiary finds the highest-priority task whose ratio improves from old
-// to new while no task of strictly higher priority degrades — the witness
-// of the paper's perf(M′) > perf(M) condition. It returns nil when the
-// condition fails. Only tasks in the affected clusters need inspecting:
-// every other ratio is unchanged by a single move.
-func beneficiary(newR, oldR map[*core.TaskAgent]float64) (*core.TaskAgent, float64) {
-	var ben *core.TaskAgent
-	var gain float64
-	for t, o := range oldR {
-		n, ok := newR[t]
-		if !ok {
-			continue
-		}
-		// Only an unsatisfied task that meaningfully improves counts as a
-		// beneficiary — already-in-range tasks are not worth migrations.
-		if o >= satisfiedRatio || n <= o+minGain {
-			continue
-		}
-		// Ties broken by gain, then agent ID, so the witness — and the
-		// gain the candidate ranking sees — never depends on map order.
-		if ben == nil || t.Priority > ben.Priority ||
-			(t.Priority == ben.Priority && (n-o > gain ||
-				(n-o == gain && t.ID < ben.ID))) {
-			ben, gain = t, n-o
-		}
-	}
-	if ben == nil {
-		return nil, 0
-	}
-	if !noHigherPriorityHurt(newR, oldR, ben.Priority) {
-		return nil, 0
-	}
-	return ben, gain
 }
 
 // targets lists the candidate destination cores for a task leaving
 // cluster v's constrained core cc: for load balancing, the most
 // over-supplied unconstrained core of v itself; for migration, that core in
 // every other cluster.
-func (p *Planner) targets(v *core.ClusterAgent, cc *core.CoreAgent, kind Kind) []int {
-	var out []int
+func (pl *plan) targets(sc *scratch, v *core.ClusterAgent, cc *core.CoreAgent, kind Kind) []int {
+	out := sc.targets[:0]
 	if kind == Balance {
-		if c := p.bestTargetIn(v, cc); c >= 0 {
+		if c := bestTargetIn(v, cc); c >= 0 {
 			out = append(out, c)
 		}
-		return out
-	}
-	for _, other := range p.Market.Clusters {
-		if other == v {
-			continue
-		}
-		if c := p.bestTargetIn(other, nil); c >= 0 {
-			out = append(out, c)
+	} else {
+		for ci, c := range pl.migrateTo {
+			if ci != v.ID && c >= 0 {
+				out = append(out, c)
+			}
 		}
 	}
+	sc.targets = out
 	return out
 }
 
@@ -259,7 +232,7 @@ func (p *Planner) targets(v *core.ClusterAgent, cc *core.CoreAgent, kind Kind) [
 // v, excluding core `skip`; -1 if the cluster offers no target. A cluster
 // whose every core is constrained (e.g. a single-core cluster) offers its
 // least-loaded core, so single-core clusters remain reachable.
-func (p *Planner) bestTargetIn(v *core.ClusterAgent, skip *core.CoreAgent) int {
+func bestTargetIn(v *core.ClusterAgent, skip *core.CoreAgent) int {
 	constrained := v.ConstrainedCore()
 	supply := v.Control.SupplyPU()
 	best, bestOver := -1, math.Inf(-1)
@@ -277,20 +250,11 @@ func (p *Planner) bestTargetIn(v *core.ClusterAgent, skip *core.CoreAgent) int {
 	return best
 }
 
-// withMove returns a copy of the assignment with the move applied.
-func (p *Planner) withMove(base assignment, mv *Move) assignment {
-	out := make(assignment, len(base))
-	for t, c := range base {
-		out[t] = c
-	}
-	out[mv.Agent] = mv.ToCore
-	return out
-}
-
 // better ranks two candidate evaluations for the chip agent's final
-// selection across clusters.
-func (p *Planner) better(baseChip chipEval, ev, best candEval) bool {
-	if baseChip.res.allSat {
+// selection across clusters. In performance mode both carry a beneficiary:
+// planPerformance proposes no move without one.
+func (pl *plan) better(ev, best candEval) bool {
+	if pl.res.allSat {
 		return ev.spend < best.spend-eps
 	}
 	// Performance mode: fewest missing tasks first, then the
@@ -298,19 +262,11 @@ func (p *Planner) better(baseChip chipEval, ev, best candEval) bool {
 	if ev.unsat != best.unsat {
 		return ev.unsat < best.unsat
 	}
-	benNew, gainNew := beneficiary(ev.newAffected, ev.oldAffected)
-	benOld, gainOld := beneficiary(best.newAffected, best.oldAffected)
-	if benNew == nil {
-		return false
+	if ev.ben.Priority != best.ben.Priority {
+		return ev.ben.Priority > best.ben.Priority
 	}
-	if benOld == nil {
-		return true
-	}
-	if benNew.Priority != benOld.Priority {
-		return benNew.Priority > benOld.Priority
-	}
-	if math.Abs(gainNew-gainOld) > 1e-9 {
-		return gainNew > gainOld
+	if math.Abs(ev.gain-best.gain) > 1e-9 {
+		return ev.gain > best.gain
 	}
 	return ev.spend < best.spend-eps
 }

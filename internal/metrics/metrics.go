@@ -94,18 +94,19 @@ type Probe struct {
 	p      *platform.Platform
 	warmup sim.Time
 
-	samples       int
-	anyBelow      int
-	belowByTask   map[*task.Task]int
-	outsideByTask map[*task.Task]int
-	taskSamples   map[*task.Task]int
+	samples  int
+	anyBelow int
+	// records holds one record per task, in first-seen order; index finds
+	// a task's record, and slot[i] the record of the task at position i of
+	// the last tick's task list, so an unchanged list needs no lookup.
+	records []taskRecord
+	index   map[*task.Task]int
+	slot    []int
 
 	powerSum   float64
 	powerPeak  float64
 	energyJ    float64
 	lastEnergy float64
-	hbBase     map[*task.Task]float64
-	hbLast     map[*task.Task]float64
 
 	// PowerSeries and HRSeries are optional high-resolution traces enabled
 	// by EnableSeries (Figures 7/8 need per-task normalized heart rates).
@@ -115,19 +116,41 @@ type Probe struct {
 	nextSeries  sim.Time
 }
 
+// taskRecord is one task's measurements over the measured interval.
+type taskRecord struct {
+	t       *task.Task
+	samples int
+	below   int // ticks below the minimum heart rate
+	outside int // ticks outside the reference range
+	hbBase  float64
+	hbLast  float64
+}
+
 // NewProbe builds a probe for the platform that starts measuring after
 // warmup (letting HRM windows fill and the market settle, as the paper's
 // measurements do after boot).
 func NewProbe(p *platform.Platform, warmup sim.Time) *Probe {
-	return &Probe{
-		p:             p,
-		warmup:        warmup,
-		belowByTask:   make(map[*task.Task]int),
-		outsideByTask: make(map[*task.Task]int),
-		taskSamples:   make(map[*task.Task]int),
-		hbBase:        make(map[*task.Task]float64),
-		hbLast:        make(map[*task.Task]float64),
+	return &Probe{p: p, warmup: warmup, index: make(map[*task.Task]int)}
+}
+
+// record returns the record of t, the task at position i of this tick's
+// task list, creating it when t is first seen.
+func (pr *Probe) record(i int, t *task.Task) *taskRecord {
+	if i < len(pr.slot) {
+		if r := &pr.records[pr.slot[i]]; r.t == t {
+			return r
+		}
+	} else {
+		pr.slot = append(pr.slot, 0)
 	}
+	ri, ok := pr.index[t]
+	if !ok {
+		ri = len(pr.records)
+		pr.records = append(pr.records, taskRecord{t: t, hbBase: t.Heartbeats()})
+		pr.index[t] = ri
+	}
+	pr.slot[i] = ri
+	return &pr.records[ri]
 }
 
 // EnableSeries turns on time-series capture with the given sampling period.
@@ -152,19 +175,17 @@ func (pr *Probe) tick(now sim.Time) {
 	}
 	pr.samples++
 	below := false
-	for _, t := range pr.p.Tasks() {
-		pr.taskSamples[t]++
-		if _, ok := pr.hbBase[t]; !ok {
-			pr.hbBase[t] = t.Heartbeats()
-		}
-		pr.hbLast[t] = t.Heartbeats()
+	for i, t := range pr.p.Tasks() {
+		r := pr.record(i, t)
+		r.samples++
+		r.hbLast = t.Heartbeats()
 		hr := t.HeartRate(now)
 		if hr < t.MinHR {
 			below = true
-			pr.belowByTask[t]++
-			pr.outsideByTask[t]++
+			r.below++
+			r.outside++
 		} else if hr > t.MaxHR {
-			pr.outsideByTask[t]++
+			r.outside++
 		}
 	}
 	if below {
@@ -203,21 +224,23 @@ func (pr *Probe) AnyBelowFrac() float64 {
 
 // BelowFrac reports the fraction of time one task spent below its minimum.
 func (pr *Probe) BelowFrac(t *task.Task) float64 {
-	n := pr.taskSamples[t]
-	if n == 0 {
+	ri, ok := pr.index[t]
+	if !ok {
 		return 0
 	}
-	return float64(pr.belowByTask[t]) / float64(n)
+	r := &pr.records[ri]
+	return float64(r.below) / float64(r.samples)
 }
 
 // OutsideFrac reports the fraction of time one task spent outside its
 // reference range (below min or above max) — the Figure 7 metric.
 func (pr *Probe) OutsideFrac(t *task.Task) float64 {
-	n := pr.taskSamples[t]
-	if n == 0 {
+	ri, ok := pr.index[t]
+	if !ok {
 		return 0
 	}
-	return float64(pr.outsideByTask[t]) / float64(n)
+	r := &pr.records[ri]
+	return float64(r.outside) / float64(r.samples)
 }
 
 // AveragePower reports the mean chip power over the measured interval.
@@ -239,11 +262,12 @@ func (pr *Probe) Samples() int { return pr.samples }
 
 // HeartbeatsDelivered reports the total application progress (heartbeats
 // across all tasks) during the measured interval — the numerator of the
-// energy-efficiency view "joules per unit of delivered work".
+// energy-efficiency view "joules per unit of delivered work". The sum runs
+// in first-seen task order, so one run always reports the same bits.
 func (pr *Probe) HeartbeatsDelivered() float64 {
 	var total float64
-	for t, last := range pr.hbLast {
-		total += last - pr.hbBase[t]
+	for i := range pr.records {
+		total += pr.records[i].hbLast - pr.records[i].hbBase
 	}
 	return total
 }

@@ -188,3 +188,32 @@ func TestProbeUnknownTaskZero(t *testing.T) {
 		t.Error("unknown task has non-zero fractions")
 	}
 }
+
+// HeartbeatsDelivered sums in a fixed task order: probes attached to one
+// multi-task run report bitwise-equal totals. (A sum in map order differs
+// in the last bits from probe to probe.)
+func TestProbeHeartbeatsDeterministic(t *testing.T) {
+	p := platform.NewTC2()
+	for i := 0; i < 8; i++ {
+		p.AddTask(task.Spec{
+			Name: "t", Priority: 1 + i%3, MinHR: 24, MaxHR: 30, Loop: true,
+			Phases: []task.Phase{{HBCostLittle: 7.3 + 3.1*float64(i), SpeedupBig: 1.7}},
+		}, i%5)
+	}
+	probes := make([]*Probe, 16)
+	for i := range probes {
+		probes[i] = NewProbe(p, 100*sim.Millisecond)
+		probes[i].Attach()
+	}
+	p.Run(2 * sim.Second)
+	want := probes[0].HeartbeatsDelivered()
+	if want <= 0 {
+		t.Fatalf("no heartbeats delivered: %v", want)
+	}
+	for i, pr := range probes[1:] {
+		if got := pr.HeartbeatsDelivered(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("probe %d: %v (%016x), probe 0: %v (%016x)",
+				i+1, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

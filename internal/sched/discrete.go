@@ -57,6 +57,7 @@ func (q *Queue) runTickDiscrete(supplyPU float64, dt sim.Time) ([]Allocation, fl
 	var allocs []Allocation
 	used := 0.0
 	minV := -1.0
+	decay := q.peltDecay(dt)
 	for _, e := range q.entities {
 		if g := got[e]; g > 0 {
 			allocs = append(allocs, Allocation{Entity: e, WorkPU: g})
@@ -66,7 +67,7 @@ func (q *Queue) runTickDiscrete(supplyPU float64, dt sim.Time) ([]Allocation, fl
 		if want[e] > 1e-9 {
 			runnable = 1
 		}
-		e.Load.Update(runnable, dt)
+		e.Load.update(runnable, decay)
 		if minV < 0 || e.vruntime < minV {
 			minV = e.vruntime
 		}

@@ -23,8 +23,19 @@ type LoadTracker struct {
 // peltHalfLife is the decay half-life of the tracked average.
 const peltHalfLife = 32 * sim.Millisecond
 
+// peltDecay is the factor a tick of length dt keeps of the old average.
+func peltDecay(dt sim.Time) float64 {
+	return math.Exp2(-float64(dt) / float64(peltHalfLife))
+}
+
 // Update folds one tick's runnable fraction (in [0,1]) into the average.
 func (l *LoadTracker) Update(runnable float64, dt sim.Time) {
+	l.update(runnable, peltDecay(dt))
+}
+
+// update folds a runnable fraction in with a precomputed peltDecay factor
+// (run queues compute it once per tick length, not once per entity).
+func (l *LoadTracker) update(runnable, decay float64) {
 	if runnable < 0 {
 		runnable = 0
 	}
@@ -36,7 +47,6 @@ func (l *LoadTracker) Update(runnable float64, dt sim.Time) {
 		l.initialized = true
 		return
 	}
-	decay := math.Exp2(-float64(dt) / float64(peltHalfLife))
 	l.avg = l.avg*decay + runnable*(1-decay)
 }
 

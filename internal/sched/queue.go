@@ -19,6 +19,11 @@ type Queue struct {
 	scratch []fillState
 	allocs  []Allocation
 
+	// decayDt/decay cache peltDecay for the last tick length: ticks are
+	// fixed-size, so the factor is computed once, not per entity per tick.
+	decayDt sim.Time
+	decay   float64
+
 	// Granularity selects the scheduling model. Zero (the default) is the
 	// fluid model: capacity flows to all runnable entities at once in
 	// weight proportion (CFS in the limit of infinitesimal re-picking) —
@@ -28,6 +33,14 @@ type Queue struct {
 	// like the kernel with that scheduling granularity — bursty at the
 	// tick scale, proportional over longer windows.
 	Granularity sim.Time
+}
+
+// peltDecay returns the load-tracking decay for a tick of length dt.
+func (q *Queue) peltDecay(dt sim.Time) float64 {
+	if dt != q.decayDt || q.decay == 0 {
+		q.decayDt, q.decay = dt, peltDecay(dt)
+	}
+	return q.decay
 }
 
 // NewQueue returns an empty run queue.
@@ -109,8 +122,9 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 	seconds := dt.Seconds()
 	capacity := supplyPU * seconds
 	if len(q.entities) == 0 || capacity <= 0 {
+		decay := q.peltDecay(dt)
 		for _, e := range q.entities {
-			e.Load.Update(0, dt)
+			e.Load.update(0, decay)
 		}
 		return nil, 0
 	}
@@ -169,6 +183,7 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 	}
 
 	// Account vruntime, load tracking, and build the result.
+	decay := q.peltDecay(dt)
 	allocs := q.allocs[:0]
 	used := 0.0
 	minV := -1.0
@@ -189,7 +204,7 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 		if s.want > 1e-9 {
 			runnable = 1
 		}
-		s.e.Load.Update(runnable, dt)
+		s.e.Load.update(runnable, decay)
 		if minV < 0 || s.e.vruntime < minV {
 			minV = s.e.vruntime
 		}
