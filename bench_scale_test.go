@@ -49,12 +49,16 @@ func newLoadedPlatform(n int) *platform.Platform {
 
 // TestTickAllocationFree pins the tentpole invariant: once the platform is
 // in steady state (no add/remove/migrate in flight), a tick allocates
-// nothing — the per-core index, the per-entity receive slots, and the
-// scheduler's scratch buffers are all reused.
+// nothing — the per-core index, the entities' delivered-work fields, the
+// per-cluster power samples and the scheduler's scratch buffers are all
+// reused, under the fluid and the discrete scheduling model alike.
 func TestTickAllocationFree(t *testing.T) {
-	p := newLoadedPlatform(24)
-	if allocs := testing.AllocsPerRun(200, func() { p.Engine.StepOnce() }); allocs != 0 {
-		t.Errorf("steady-state tick allocates %.1f objects/op, want 0", allocs)
+	for _, g := range []sim.Time{0, 250 * sim.Microsecond} {
+		p := newLoadedPlatform(24)
+		p.SetSchedGranularity(g)
+		if allocs := testing.AllocsPerRun(200, func() { p.Engine.StepOnce() }); allocs != 0 {
+			t.Errorf("granularity %v: steady-state tick allocates %.1f objects/op, want 0", g, allocs)
+		}
 	}
 }
 

@@ -57,6 +57,8 @@ type Market struct {
 	round       int
 	nextID      int
 
+	shares []allowanceShare // distributeAllowance's reusable scratch
+
 	// Sensor-health bookkeeping (graceful degradation, DESIGN.md §9). The
 	// chip agent validates each power reading before classification; while
 	// readings are untrusted it holds the last good value (bounded by
@@ -506,11 +508,7 @@ func (m *Market) taskCount() int {
 // the paper's formula is already normalized), then recurses down the
 // hierarchy.
 func (m *Market) distributeAllowance(w float64) {
-	type share struct {
-		v      *ClusterAgent
-		weight float64
-	}
-	var shares []share
+	shares := m.shares[:0]
 	var sum float64
 	for _, v := range m.Clusters {
 		if v.TaskCount() == 0 {
@@ -525,9 +523,10 @@ func (m *Market) distributeAllowance(w float64) {
 				weight = 1e-6 // a cluster drawing all chip power still gets a sliver
 			}
 		}
-		shares = append(shares, share{v, weight})
+		shares = append(shares, allowanceShare{v, weight})
 		sum += weight
 	}
+	m.shares = shares
 	if len(shares) == 0 {
 		m.distributed = 0
 		return
@@ -549,6 +548,12 @@ func (m *Market) distributeAllowance(w float64) {
 			v.distributeAllowance()
 		}
 	}
+}
+
+// allowanceShare is one occupied cluster's unnormalized allowance weight.
+type allowanceShare struct {
+	v      *ClusterAgent
+	weight float64
 }
 
 // Stable reports whether the last round left every cluster un-frozen and no

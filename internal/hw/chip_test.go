@@ -207,11 +207,16 @@ func TestChipPowerIsSumOfClusters(t *testing.T) {
 	for _, c := range chip.Cores {
 		c.Utilization = 0.5
 	}
+	clusters := make([]float64, len(chip.Clusters))
+	got := ChipPower(chip, clusters)
 	var sum float64
-	for _, cl := range chip.Clusters {
-		sum += ClusterPower(cl)
+	for i, cl := range chip.Clusters {
+		if w := ClusterPower(cl); clusters[i] != w {
+			t.Errorf("cluster %d sampled at %v, ClusterPower %v", i, clusters[i], w)
+		}
+		sum += clusters[i]
 	}
-	if got := ChipPower(chip); got != sum {
+	if got != sum {
 		t.Errorf("ChipPower = %v, sum of clusters = %v", got, sum)
 	}
 }
@@ -276,7 +281,7 @@ func TestPowerBoundsProperty(t *testing.T) {
 		for _, cl := range chip.Clusters {
 			cl.SetLevel(int(level) % cl.NumLevels())
 		}
-		p := ChipPower(chip)
+		p := ChipPower(chip, make([]float64, len(chip.Clusters)))
 		max := MaxClusterPower(chip.Clusters[0]) + MaxClusterPower(chip.Clusters[1])
 		return p > 0 && p <= max+1e-9
 	}

@@ -35,11 +35,16 @@ func ClusterPower(cl *Cluster) float64 {
 	return p
 }
 
-// ChipPower returns the whole-chip power in watts (the paper's W).
-func ChipPower(c *Chip) float64 {
+// ChipPower returns the whole-chip power in watts (the paper's W): the
+// cluster powers summed in cluster order. Each cluster's power is also
+// written to clusters[i], which needs one slot per cluster, so one sample
+// serves the chip total and per-cluster consumers alike.
+func ChipPower(c *Chip, clusters []float64) float64 {
 	var p float64
-	for _, cl := range c.Clusters {
-		p += ClusterPower(cl)
+	for i, cl := range c.Clusters {
+		w := ClusterPower(cl)
+		clusters[i] = w
+		p += w
 	}
 	return p
 }

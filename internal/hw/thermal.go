@@ -66,13 +66,13 @@ func NewThermalModel(chip *Chip, params []ThermalParams, ambient float64) *Therm
 	return m
 }
 
-// Update advances every cluster's temperature by dt using the cluster's
-// current power draw (explicit Euler; the platform's 1 ms tick is far
-// below the ~10 s thermal time constant).
-func (m *ThermalModel) Update(dt sim.Time) {
+// Update advances every cluster's temperature by dt given each cluster's
+// power draw over the step, in watts, indexed by cluster (explicit Euler;
+// the platform's 1 ms tick is far below the ~10 s thermal time constant).
+// The platform passes the samples it already took for its meters.
+func (m *ThermalModel) Update(powers []float64, dt sim.Time) {
 	sec := dt.Seconds()
-	for i, cl := range m.chip.Clusters {
-		p := ClusterPower(cl)
+	for i, p := range powers[:len(m.temps)] {
 		pr := m.params[i]
 		dT := (p - (m.temps[i]-m.ambient)/pr.Rth) / pr.Cth
 		m.temps[i] += dT * sec

@@ -33,9 +33,7 @@ func TestThermalConvergesToSteadyState(t *testing.T) {
 		c.Utilization = 1
 	}
 	// Run well past the R·C time constant (~10 s).
-	for i := 0; i < 100_000; i++ {
-		m.Update(sim.Millisecond)
-	}
+	advance(m, chip, 100_000)
 	want := m.SteadyState(0) // 25 + 7 K/W × ~6 W ≈ 67 °C
 	if math.Abs(m.Temp(0)-want) > 0.5 {
 		t.Errorf("big cluster temp = %.1f, want ≈%.1f", m.Temp(0), want)
@@ -60,9 +58,7 @@ func TestThermalTimeConstant(t *testing.T) {
 	// covers 1−1/e ≈ 63 % of the way to steady state.
 	tau := DefaultThermalParams().Rth * DefaultThermalParams().Cth
 	steps := int(tau * 1000)
-	for i := 0; i < steps; i++ {
-		m.Update(sim.Millisecond)
-	}
+	advance(m, chip, steps)
 	frac := (m.Temp(0) - 25) / (m.SteadyState(0) - 25)
 	if math.Abs(frac-0.632) > 0.02 {
 		t.Errorf("step response after τ = %.3f of final, want ≈0.632", frac)
@@ -76,14 +72,10 @@ func TestThermalCoolsAfterLoadDrops(t *testing.T) {
 	for _, c := range big.Cores {
 		c.Utilization = 1
 	}
-	for i := 0; i < 30_000; i++ {
-		m.Update(sim.Millisecond)
-	}
+	advance(m, chip, 30_000)
 	hot := m.Temp(0)
 	big.PowerOff()
-	for i := 0; i < 60_000; i++ {
-		m.Update(sim.Millisecond)
-	}
+	advance(m, chip, 60_000)
 	if m.Temp(0) >= hot-20 {
 		t.Errorf("cluster did not cool: %.1f → %.1f", hot, m.Temp(0))
 	}
@@ -101,12 +93,22 @@ func TestThermalCustomParams(t *testing.T) {
 			c.Utilization = 1
 		}
 	}
-	for i := 0; i < 200_000; i++ {
-		m.Update(sim.Millisecond)
-	}
+	advance(m, chip, 200_000)
 	// Cluster 1's high Rth makes it hotter despite drawing less power.
 	if m.Temp(1) <= m.Temp(0) {
 		t.Errorf("badly-cooled LITTLE %.1f not above well-cooled big %.1f",
 			m.Temp(1), m.Temp(0))
+	}
+}
+
+// advance steps the model n times by 1 ms on the chip's live cluster
+// powers, sampled each step as the platform tick samples them.
+func advance(m *ThermalModel, chip *Chip, n int) {
+	powers := make([]float64, len(chip.Clusters))
+	for i := 0; i < n; i++ {
+		for j, cl := range chip.Clusters {
+			powers[j] = ClusterPower(cl)
+		}
+		m.Update(powers, sim.Millisecond)
 	}
 }

@@ -113,6 +113,9 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 		m, est, _ := randomMarketWith(rng, cfg, 2+rng.Intn(3), 1+rng.Intn(3))
 		p := NewPlanner(m, est)
 		pl, sc := p.newPlan(Migrate)
+		// Plans reuse their planner's tables, so the reference plans come
+		// from a second planner while pl stays live.
+		ref := NewPlanner(m, est)
 		baseR := make(map[*core.TaskAgent]float64, len(pl.agents))
 		for k, a := range pl.agents {
 			baseR[a] = pl.ratio[k]
@@ -136,7 +139,7 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 			incR := ratiosByAgent(pl, sc.after)
 
 			m.MoveTask(agent, toCore)
-			full, _ := p.newPlan(Migrate)
+			full, _ := ref.newPlan(Migrate)
 			m.MoveTask(agent, from)
 			fullR := make(map[*core.TaskAgent]float64, len(full.agents))
 			for fk, a := range full.agents {
@@ -184,16 +187,17 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 }
 
 // planAllocsBound caps PlanMigrate's allocations on the market below.
-// The measured count is 29, all per plan: the plan's input slices and base
-// tables, one goroutine's scratch, and the reduction's result slots. The
-// market offers a few hundred candidates, so one allocation per candidate
-// would exceed the bound many times over; the headroom of 3 absorbs
-// runtime changes, not per-candidate work.
-const planAllocsBound = 32
+// The measured count is 1: the caller's copy of the chosen move. The plan's
+// tables, its scratch and the per-cluster proposal slots are the planner's
+// own, reused from plan to plan. The market offers a few hundred
+// candidates, so one allocation per candidate — or per cluster — would
+// exceed the bound many times over; the headroom of 2 absorbs runtime
+// changes, not per-candidate work.
+const planAllocsBound = 3
 
 // PlanMigrate allocates per plan, never per candidate. (AllocsPerRun runs
 // at GOMAXPROCS 1, so this is the single-goroutine path; the fan-out adds
-// one scratch per extra goroutine.)
+// its goroutines, and one scratch per extra goroutine the first time.)
 func TestPlanMigrateAllocations(t *testing.T) {
 	m, est, _ := randomMarket(sim.NewRand(7), 16, 2)
 	p := NewPlanner(m, est)

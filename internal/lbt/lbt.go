@@ -121,6 +121,14 @@ type Planner struct {
 	// free — cross-cluster migration costs milliseconds — so marginal wins
 	// are not worth churn. Zero accepts any strict reduction.
 	MinSpendGain float64
+
+	// Storage reused by every plan, regrown only when the market grows:
+	// the plan's tables, one scratch per planning goroutine, and the
+	// per-cluster proposals. A plan is valid until the next one starts.
+	pl        plan
+	scratches []*scratch
+	moves     []Move
+	evals     []candEval
 }
 
 // NewPlanner builds a planner for the market with the given profile
@@ -185,11 +193,13 @@ type plan struct {
 	migrateTo []int
 }
 
-// newPlan snapshots the market and evaluates its current mapping. The
-// returned scratch is free for the calling goroutine's candidates.
+// newPlan snapshots the market into the planner's plan tables and
+// evaluates its current mapping. The returned scratch is free for the
+// calling goroutine's candidates. The plan and scratch are the planner's
+// own storage: the next newPlan overwrites them.
 func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
 	clusters := p.Market.Clusters
-	pl := &plan{Planner: p, clusters: clusters, wtdp: p.Market.Config().Wtdp}
+	pl := &p.pl
 	n, nCores := 0, 0
 	for _, v := range clusters {
 		nCores += len(v.Cores)
@@ -197,10 +207,21 @@ func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
 			n += len(c.Tasks)
 		}
 	}
-	pl.agents = make([]*core.TaskAgent, 0, n)
-	pl.ids, pl.prio, pl.own = make([]int, n), make([]int, n), make([]float64, n)
-	pl.first = make([]int, nCores+1)
-	pl.cstart = make([]int, len(clusters)+1)
+	*pl = plan{
+		Planner:   p,
+		clusters:  clusters,
+		wtdp:      p.Market.Config().Wtdp,
+		agents:    pl.agents[:0],
+		ids:       resize(pl.ids, n),
+		prio:      resize(pl.prio, n),
+		own:       resize(pl.own, n),
+		first:     resize(pl.first, nCores+1),
+		cstart:    resize(pl.cstart, len(clusters)+1),
+		evs:       resize(pl.evs, len(clusters)),
+		cores:     resize(pl.cores, nCores),
+		ratio:     resize(pl.ratio, n),
+		migrateTo: pl.migrateTo,
+	}
 	for ci, v := range clusters {
 		pl.cstart[ci] = len(pl.agents)
 		for _, c := range v.Cores {
@@ -218,15 +239,12 @@ func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
 	}
 	pl.first[nCores], pl.cstart[len(clusters)] = n, n
 
-	sc := pl.newScratch()
-	pl.evs = make([]clusterEval, len(clusters))
-	pl.cores = make([]coreEval, nCores)
-	pl.ratio = make([]float64, n)
+	sc := pl.scratch(0)
 	pl.res = pl.evaluate(sc, nil, pl.evs, pl.cores, pl.ratio)
 	pl.lowMins = lowestMins(pl.evs)
 
 	if kind == Migrate {
-		pl.migrateTo = make([]int, len(clusters))
+		pl.migrateTo = resize(pl.migrateTo, len(clusters))
 		for ci, v := range clusters {
 			pl.migrateTo[ci] = bestTargetIn(v, nil)
 		}
@@ -253,22 +271,38 @@ type scratch struct {
 	targets  []int
 }
 
-// newScratch sizes a scratch so that no candidate grows it.
-func (pl *plan) newScratch() *scratch {
-	m := pl.maxCoreTasks + 1
-	return &scratch{
-		srcK:    -1,
-		from:    newTaskList(m),
-		to:      newTaskList(m),
-		cores:   make([]coreEval, len(pl.first)-1),
-		ratios:  make([]float64, len(pl.agents)),
-		evs:     make([]clusterEval, len(pl.clusters)),
-		caps:    make([]int, len(pl.clusters)),
-		after:   make([]ratioPair, 0, len(pl.agents)),
-		rem:     make([]int, 0, m),
-		next:    make([]int, 0, m),
-		targets: make([]int, 0, len(pl.clusters)),
+// scratch returns planning goroutine w's scratch, sized so that no
+// candidate of this plan grows it.
+func (pl *plan) scratch(w int) *scratch {
+	for len(pl.scratches) <= w {
+		pl.scratches = append(pl.scratches, &scratch{})
 	}
+	sc := pl.scratches[w]
+	m := pl.maxCoreTasks + 1
+	*sc = scratch{
+		srcK:    -1,
+		from:    sc.from.resize(m),
+		to:      sc.to.resize(m),
+		cores:   resize(sc.cores, len(pl.first)-1),
+		ratios:  resize(sc.ratios, len(pl.agents)),
+		evs:     resize(sc.evs, len(pl.clusters)),
+		caps:    resize(sc.caps, len(pl.clusters)),
+		after:   resize(sc.after, len(pl.agents))[:0],
+		rem:     resize(sc.rem, m)[:0],
+		next:    resize(sc.next, m)[:0],
+		targets: resize(sc.targets, len(pl.clusters))[:0],
+	}
+	return sc
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Entries up to n may hold the previous plan's values; every user
+// overwrites them before reading.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // taskList is one core's tasks as parallel slices: plan index, estimated
@@ -279,8 +313,9 @@ type taskList struct {
 	prio []int
 }
 
-func newTaskList(n int) taskList {
-	return taskList{make([]int, 0, n), make([]float64, 0, n), make([]int, 0, n)}
+// resize returns an empty list with room for n tasks, reusing l's storage.
+func (l taskList) resize(n int) taskList {
+	return taskList{resize(l.k, n)[:0], resize(l.d, n)[:0], resize(l.prio, n)[:0]}
 }
 
 func (l *taskList) reset() { l.k, l.d, l.prio = l.k[:0], l.d[:0], l.prio[:0] }

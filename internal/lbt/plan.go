@@ -9,7 +9,8 @@ import (
 )
 
 // PlanMigrate proposes at most one cross-cluster task migration following
-// Figure 3, or nil when no candidate improves on the current mapping.
+// Figure 3, or nil when no candidate improves on the current mapping. The
+// returned move is the caller's own copy.
 func (p *Planner) PlanMigrate() *Move {
 	return p.plan(Migrate)
 }
@@ -60,27 +61,23 @@ func (p *Planner) plan(kind Kind) *Move {
 	}
 
 	clusters := pl.clusters
-	moves := make([]Move, len(clusters))
-	evals := make([]candEval, len(clusters))
-	planStride := func(sc *scratch, first, step int) {
-		for i := first; i < len(clusters); i += step {
-			moves[i], evals[i] = pl.planCluster(sc, clusters[i], kind)
-		}
-	}
+	p.moves, p.evals = resize(p.moves, len(clusters)), resize(p.evals, len(clusters))
+	moves, evals := p.moves, p.evals
 	w := min(runtime.GOMAXPROCS(0), len(clusters))
 	if w > 1 && len(clusters) >= planFanOutMin {
 		var wg sync.WaitGroup
 		wg.Add(w - 1)
 		for k := 1; k < w; k++ {
+			sc := pl.scratch(k) // sized here: the goroutines only read pl
 			go func() {
 				defer wg.Done()
-				planStride(pl.newScratch(), k, w)
+				pl.planStride(sc, kind, k, w)
 			}()
 		}
-		planStride(sc, 0, w)
+		pl.planStride(sc, kind, 0, w)
 		wg.Wait()
 	} else {
-		planStride(sc, 0, 1)
+		pl.planStride(sc, kind, 0, 1)
 	}
 
 	best := -1
@@ -95,7 +92,16 @@ func (p *Planner) plan(kind Kind) *Move {
 	if best < 0 {
 		return nil
 	}
-	return &moves[best]
+	mv := moves[best]
+	return &mv
+}
+
+// planStride plans clusters first, first+step, … into the planner's
+// per-cluster proposal slots.
+func (pl *plan) planStride(sc *scratch, kind Kind, first, step int) {
+	for i := first; i < len(pl.clusters); i += step {
+		pl.moves[i], pl.evals[i] = pl.planCluster(sc, pl.clusters[i], kind)
+	}
 }
 
 // planCluster proposes the best movement out of cluster v's constrained

@@ -14,9 +14,10 @@
 //
 // The tick is the simulation's hottest path: it maintains a per-core task
 // index (updated on AddTask/RemoveTask/Migrate) so no tick ever scans the
-// global task list per core, and delivered work flows through a per-task
-// slot instead of a freshly allocated map — the steady-state tick performs
-// zero heap allocations (see TestTickAllocationFree and
+// global task list per core, delivered work is written into each scheduler
+// entity, and each cluster's power is computed once per tick for the chip
+// total, the meters and the thermal models — the steady-state tick
+// performs zero heap allocations (see TestTickAllocationFree and
 // BenchmarkTickThroughput at the repository root).
 package platform
 
@@ -119,7 +120,6 @@ type taskState struct {
 	core   int
 	frozen bool // mid-migration: not runnable
 	gone   bool // removed from the platform; cancels in-flight migration completion
-	recv   float64
 	total  float64
 	lastPU float64 // PUs consumed over the last tick (work/dt)
 }
@@ -130,16 +130,15 @@ type Platform struct {
 	Chip   *hw.Chip
 
 	queues []*sched.Queue
-	states map[*task.Task]*taskState
 	tasks  []*task.Task
 	live   []*taskState // parallel to tasks: live states in creation order
 
 	// byCore indexes the live task states per core (ascending task ID, the
-	// creation order the old full-scan TasksOnCore reported); byEntity maps
-	// a scheduler entity ID back to its task state so tick-time allocation
-	// results resolve without a map.
-	byCore   [][]*taskState
-	byEntity []*taskState
+	// creation order the old full-scan TasksOnCore reported); byID maps a
+	// task ID (equal to its scheduler entity's ID) to the task's state, nil
+	// once removed.
+	byCore [][]*taskState
+	byID   []*taskState
 
 	gov      Governor
 	checkers []Checker
@@ -160,6 +159,7 @@ type Platform struct {
 
 	meter         hw.EnergyMeter
 	clusterMeters []hw.EnergyMeter
+	clusterPower  []float64 // per cluster, sampled once per tick
 	lastPower     float64
 	lastUtil      []float64
 
@@ -175,9 +175,9 @@ func New(chip *hw.Chip, step sim.Time) *Platform {
 	p := &Platform{
 		Engine:        sim.NewEngine(step),
 		Chip:          chip,
-		states:        make(map[*task.Task]*taskState),
 		byCore:        make([][]*taskState, len(chip.Cores)),
 		clusterMeters: make([]hw.EnergyMeter, len(chip.Clusters)),
+		clusterPower:  make([]float64, len(chip.Clusters)),
 		lastUtil:      make([]float64, len(chip.Cores)),
 	}
 	for range chip.Cores {
@@ -258,7 +258,8 @@ func (p *Platform) AttachChecker(c Checker) {
 	p.checkers = append(p.checkers, c)
 }
 
-// AttachThermal registers a thermal model to advance once per platform tick.
+// AttachThermal registers a thermal model, built over the platform's chip,
+// to advance once per platform tick on the tick's cluster power samples.
 // The platform owns thermal time: observers (trace recorders, thermal
 // governors) read temperatures but never advance the model themselves, so
 // attaching several consumers cannot double-step the thermal state.
@@ -389,10 +390,9 @@ func (p *Platform) AddTask(spec task.Spec, core int) *task.Task {
 	e := &sched.Entity{ID: p.nextEntityID, Weight: sched.NiceToWeight(0)}
 	p.nextEntityID++
 	st := &taskState{task: t, entity: e, core: core}
-	p.states[t] = st
 	p.tasks = append(p.tasks, t)
 	p.live = append(p.live, st)
-	p.byEntity = append(p.byEntity, st)
+	p.byID = append(p.byID, st)
 	p.byCore[core] = insertByID(p.byCore[core], st)
 	p.queues[core].Add(e)
 	return t
@@ -403,8 +403,8 @@ func (p *Platform) AddTask(spec task.Spec, core int) *task.Task {
 // the dead entity must never be re-enqueued on the destination core, where
 // it would silently absorb scheduler supply forever.
 func (p *Platform) RemoveTask(t *task.Task) {
-	st, ok := p.states[t]
-	if !ok {
+	st := p.state(t)
+	if st == nil {
 		return
 	}
 	if !st.frozen {
@@ -412,8 +412,7 @@ func (p *Platform) RemoveTask(t *task.Task) {
 	}
 	st.gone = true
 	p.byCore[st.core] = removeState(p.byCore[st.core], st)
-	p.byEntity[st.entity.ID] = nil
-	delete(p.states, t)
+	p.byID[t.ID] = nil
 	for i, x := range p.tasks {
 		if x == t {
 			p.tasks = append(p.tasks[:i], p.tasks[i+1:]...)
@@ -666,9 +665,21 @@ func (p *Platform) Run(d sim.Time) { p.Engine.RunFor(d) }
 // Now reports the current virtual time.
 func (p *Platform) Now() sim.Time { return p.Engine.Now() }
 
+// state finds a live task's state by its ID; nil if t is not a live task of
+// this platform.
+func (p *Platform) state(t *task.Task) *taskState {
+	if t.ID < 0 || t.ID >= len(p.byID) {
+		return nil
+	}
+	if st := p.byID[t.ID]; st != nil && st.task == t {
+		return st
+	}
+	return nil
+}
+
 func (p *Platform) mustState(t *task.Task) *taskState {
-	st, ok := p.states[t]
-	if !ok {
+	st := p.state(t)
+	if st == nil {
 		panic(fmt.Sprintf("platform: unknown task %q", t.Name))
 	}
 	return st
@@ -695,8 +706,8 @@ func (p *Platform) tick(now sim.Time) {
 	}
 
 	// 1. Scheduling: deliver work per core. Delivered work lands in each
-	// task state's recv slot (consumed and reset in step 2) — no per-tick
-	// map, no per-core scan of the global task list.
+	// scheduler entity (a frozen task's dequeued entity reads zero) — no
+	// per-tick list, no per-core scan of the global task list.
 	for coreID, q := range p.queues {
 		core := p.Chip.Cores[coreID]
 		ct := core.Type()
@@ -706,35 +717,31 @@ func (p *Platform) tick(now sim.Time) {
 			}
 			st.entity.WantPU = st.task.WantPU(ct)
 		}
-		allocs, util := q.RunTick(core.SupplyPU(), dt)
+		util := q.Step(core.SupplyPU(), dt)
 		core.Utilization = util
 		p.lastUtil[coreID] = util
-		for _, a := range allocs {
-			p.byEntity[a.Entity.ID].recv = a.WorkPU
-		}
 	}
 
 	// 2. Task progression (all tasks advance, including idle/frozen ones).
 	for _, st := range p.live {
-		work := st.recv
-		st.recv = 0
+		work := st.entity.Work()
 		ct := p.Chip.Cores[st.core].Type()
 		st.task.Advance(work, ct, dt, now)
 		st.total += work
 		st.lastPU = work / seconds
 	}
 
-	// 3. Power accounting.
-	p.lastPower = hw.ChipPower(p.Chip)
+	// 3. Power accounting: one power sample per cluster.
+	p.lastPower = hw.ChipPower(p.Chip, p.clusterPower)
 	p.meter.Accumulate(p.lastPower, dt)
-	for i, cl := range p.Chip.Clusters {
-		p.clusterMeters[i].Accumulate(hw.ClusterPower(cl), dt)
+	for i, w := range p.clusterPower {
+		p.clusterMeters[i].Accumulate(w, dt)
 	}
 
-	// 3b. Thermal models advance under the platform's clock (observers only
-	// read them; see AttachThermal).
+	// 3b. Thermal models advance under the platform's clock on the same
+	// samples (observers only read them; see AttachThermal).
 	for _, th := range p.thermals {
-		th.Update(dt)
+		th.Update(p.clusterPower, dt)
 	}
 
 	// 4. Governor.

@@ -130,14 +130,16 @@ type Governor struct {
 	planner *lbt.Planner
 	tel     *telemetry.Emitter
 
-	agents  map[*task.Task]*core.TaskAgent
-	byAgent map[*core.TaskAgent]*task.Task
+	// recs holds one record per live task, in the platform's creation
+	// (ascending task ID) order; spare is the merge buffer syncTasks swaps
+	// with it. byTask and byAgent index the records by task ID and by
+	// agent ID (both assigned in sequence: Platform.AddTask,
+	// Market.AddTask), nil once removed.
+	recs, spare []*taskRec
+	byTask      []*taskRec
+	byAgent     []*taskRec
 
-	lastTotal  map[*task.Task]float64
-	lastDemand map[*task.Task]float64
-	lbtDemand  map[*task.Task]*demandWindow // windowed peak demand for LBT
-	holdUntil  map[*task.Task]sim.Time      // observation hold after a migration
-	movedAt    map[*task.Task]sim.Time      // migration cooldown bookkeeping
+	counts []int // powerGateEmptyClusters' per-cluster task counts
 
 	nextBid sim.Time
 	now     sim.Time
@@ -153,18 +155,31 @@ type Governor struct {
 	evacuations int
 }
 
+// taskRec is the governor's state for one live task.
+type taskRec struct {
+	t *task.Task
+	a *core.TaskAgent
+
+	lastTotal  float64 // cumulative work at the previous observation
+	lastDemand float64 // smoothed demand; 0 until first observed
+
+	// lbt is the windowed peak demand the LBT estimator reads, once
+	// lbtSeen (the task's first demand observation).
+	lbt     demandWindow
+	lbtSeen bool
+
+	// holdUntil is the observation hold after a migration, while held.
+	holdUntil sim.Time
+	held      bool
+
+	// movedAt is the last movement's time (cooldown), once moved.
+	movedAt sim.Time
+	moved   bool
+}
+
 // New builds a PPM governor with the given configuration.
 func New(cfg Config) *Governor {
-	return &Governor{
-		cfg:        cfg.withDefaults(),
-		agents:     make(map[*task.Task]*core.TaskAgent),
-		byAgent:    make(map[*core.TaskAgent]*task.Task),
-		lastTotal:  make(map[*task.Task]float64),
-		lastDemand: make(map[*task.Task]float64),
-		lbtDemand:  make(map[*task.Task]*demandWindow),
-		holdUntil:  make(map[*task.Task]sim.Time),
-		movedAt:    make(map[*task.Task]sim.Time),
-	}
+	return &Governor{cfg: cfg.withDefaults()}
 }
 
 // Name implements platform.Governor.
@@ -174,8 +189,36 @@ func (g *Governor) Name() string { return "PPM" }
 // state, savings, allowances).
 func (g *Governor) Market() *core.Market { return g.market }
 
-// AgentOf returns the market agent representing a task.
-func (g *Governor) AgentOf(t *task.Task) *core.TaskAgent { return g.agents[t] }
+// AgentOf returns the market agent representing a task (nil if the
+// governor does not track it).
+func (g *Governor) AgentOf(t *task.Task) *core.TaskAgent {
+	if r := g.recOfTask(t); r != nil {
+		return r.a
+	}
+	return nil
+}
+
+// recOfTask finds a live task's record; nil if untracked.
+func (g *Governor) recOfTask(t *task.Task) *taskRec {
+	if t.ID < 0 || t.ID >= len(g.byTask) {
+		return nil
+	}
+	if r := g.byTask[t.ID]; r != nil && r.t == t {
+		return r
+	}
+	return nil
+}
+
+// recOfAgent finds a live agent's record; nil if untracked.
+func (g *Governor) recOfAgent(a *core.TaskAgent) *taskRec {
+	if a.ID < 0 || a.ID >= len(g.byAgent) {
+		return nil
+	}
+	if r := g.byAgent[a.ID]; r != nil && r.a == a {
+		return r
+	}
+	return nil
+}
 
 // Moves reports how many load-balancing and migration movements the
 // governor has performed.
@@ -214,12 +257,11 @@ func (g *Governor) Attach(p *platform.Platform) {
 	g.planner = lbt.NewPlanner(g.market, lbt.EstimatorFunc(g.estimateDemandOn))
 	g.planner.MinSpendGain = g.cfg.MinSpendGain
 	g.planner.Eligible = func(a *core.TaskAgent) bool {
-		t := g.byAgent[a]
-		if t == nil {
+		r := g.recOfAgent(a)
+		if r == nil {
 			return false
 		}
-		last, moved := g.movedAt[t]
-		return !moved || g.now-last >= g.cfg.MigrationCooldown
+		return !r.moved || g.now-r.movedAt >= g.cfg.MigrationCooldown
 	}
 	g.syncTasks()
 	g.nextBid = g.cfg.BidPeriod
@@ -275,44 +317,66 @@ func (g *Governor) Tick(now sim.Time) {
 	}
 }
 
-// syncTasks reconciles market agents with the platform's live tasks.
+// syncTasks reconciles the records (and market agents) with the platform's
+// live tasks: an ordered merge of two ascending-ID lists. Records of removed
+// tasks are dropped and their agents removed, in creation order; new tasks
+// get an agent and a record.
 func (g *Governor) syncTasks() {
-	live := make(map[*task.Task]bool)
+	old, recs := g.recs, g.spare[:0]
+	i := 0
 	for _, t := range g.p.Tasks() {
-		live[t] = true
-		if _, ok := g.agents[t]; !ok {
-			a := g.market.AddTask(t.Priority, g.p.CoreOf(t))
-			g.agents[t] = a
-			g.byAgent[a] = t
-			g.lastTotal[t] = g.p.TotalWork(t)
+		for i < len(old) && old[i].t.ID < t.ID {
+			g.drop(old[i])
+			i++
 		}
-	}
-	for t, a := range g.agents {
-		if !live[t] {
-			g.market.RemoveTask(a)
-			delete(g.byAgent, a)
-			delete(g.agents, t)
-			delete(g.lastTotal, t)
-			delete(g.lastDemand, t)
+		if i < len(old) && old[i].t == t {
+			recs = append(recs, old[i])
+			i++
+			continue
 		}
+		recs = append(recs, g.track(t))
 	}
+	for ; i < len(old); i++ {
+		g.drop(old[i])
+	}
+	clear(old) // the spare buffer must not pin dropped records
+	g.recs, g.spare = recs, old[:0]
+}
+
+// track registers a new live task with the market and indexes its record.
+func (g *Governor) track(t *task.Task) *taskRec {
+	r := &taskRec{t: t, a: g.market.AddTask(t.Priority, g.p.CoreOf(t)), lastTotal: g.p.TotalWork(t)}
+	g.byTask = setAt(g.byTask, t.ID, r)
+	g.byAgent = setAt(g.byAgent, r.a.ID, r)
+	return r
+}
+
+// drop removes a departed task's agent from the market and unindexes its
+// record.
+func (g *Governor) drop(r *taskRec) {
+	g.market.RemoveTask(r.a)
+	g.byTask[r.t.ID] = nil
+	g.byAgent[r.a.ID] = nil
+}
+
+// setAt stores r at index i of an ID-indexed slice, growing it as needed.
+func setAt(s []*taskRec, i int, r *taskRec) []*taskRec {
+	for len(s) <= i {
+		s = append(s, nil)
+	}
+	s[i] = r
+	return s
 }
 
 // observe feeds each agent the demand and supply observations for the round
 // that just elapsed (Table 4's conversion).
 func (g *Governor) observe(now sim.Time) {
 	period := g.cfg.BidPeriod.Seconds()
-	// Iterate the platform's creation-ordered task slice, not g.agents:
-	// per-task observation is order-independent today, but any future
-	// shared accumulation (or trace line) must not inherit map order.
-	for _, t := range g.p.Tasks() {
-		a := g.agents[t]
-		if a == nil {
-			continue
-		}
+	for _, r := range g.recs {
+		t, a := r.t, r.a
 		total := g.p.TotalWork(t)
-		consumed := (total - g.lastTotal[t]) / period
-		g.lastTotal[t] = total
+		consumed := (total - r.lastTotal) / period
+		r.lastTotal = total
 		a.Observed = consumed
 
 		if t.Finished() {
@@ -320,14 +384,14 @@ func (g *Governor) observe(now sim.Time) {
 			continue
 		}
 		settling := false
-		if hold, ok := g.holdUntil[t]; ok {
-			if now < hold {
+		if r.held {
+			if now < r.holdUntil {
 				// Right after a migration the HRM window mixes rates from
 				// two core types; hold the profile-seeded demand until it
 				// drains.
 				continue
 			}
-			delete(g.holdUntil, t)
+			r.held = false
 			settling = true
 		}
 		hr := t.HeartRate(now)
@@ -340,7 +404,7 @@ func (g *Governor) observe(now sim.Time) {
 		if d <= 0 {
 			// No observation yet (cold start or frozen mid-migration): keep
 			// the last known demand, or seed from the profile.
-			d = g.lastDemand[t]
+			d = r.lastDemand
 			if d <= 0 {
 				if g.cfg.Profiles != nil {
 					if pd, ok := g.cfg.Profiles(t.Name, g.p.ClusterOf(t).Spec.Type); ok {
@@ -351,23 +415,19 @@ func (g *Governor) observe(now sim.Time) {
 					d = 100
 				}
 			}
-		} else if prev := g.lastDemand[t]; prev > 0 {
+		} else if prev := r.lastDemand; prev > 0 {
 			// Smooth against heart-rate-window noise.
 			d = g.cfg.DemandSmoothing*d + (1-g.cfg.DemandSmoothing)*prev
 		}
-		g.lastDemand[t] = d
+		r.lastDemand = d
 		a.Demand = d
 		// The LBT planner sees the *windowed peak* demand: a placement is
 		// only worth a multi-millisecond migration if it survives the
 		// task's program phases, so feasibility is judged against the worst
 		// demand of the recent past, not an instantaneous (or averaged)
 		// observation.
-		w, ok := g.lbtDemand[t]
-		if !ok {
-			w = &demandWindow{}
-			g.lbtDemand[t] = w
-		}
-		w.add(now, d)
+		r.lbtSeen = true
+		r.lbt.add(now, d)
 	}
 }
 
@@ -419,16 +479,12 @@ func (w *demandWindow) scale(f float64) {
 // applyPurchases turns each agent's purchased supply into a scheduler share
 // (the paper's nice-value manipulation).
 func (g *Governor) applyPurchases() {
-	for _, t := range g.p.Tasks() {
-		a := g.agents[t]
-		if a == nil {
-			continue
-		}
-		w := a.Purchased()
+	for _, r := range g.recs {
+		w := r.a.Purchased()
 		if w <= 0 || math.IsNaN(w) {
 			w = 1
 		}
-		g.p.SetWeight(t, w)
+		g.p.SetWeight(r.t, w)
 	}
 }
 
@@ -466,10 +522,8 @@ func (g *Governor) evacuateCore(core int) {
 		return
 	}
 	wasCluster := g.p.Chip.Cores[core].Cluster
-	// TasksOnCore returns the live per-core slice; migrating mutates it, so
-	// iterate over a copy.
-	evac := append([]*task.Task(nil), tasks...)
-	for _, t := range evac {
+	// TasksOnCore returns a copy, so migrating cannot disturb the walk.
+	for _, t := range tasks {
 		dst := g.evacTarget(core)
 		if dst < 0 {
 			return
@@ -477,20 +531,14 @@ func (g *Governor) evacuateCore(core int) {
 		if !g.p.Migrate(t, dst) {
 			continue // frozen mid-migration; retry next round
 		}
-		if a := g.agents[t]; a != nil {
+		if r := g.recOfTask(t); r != nil {
 			newType := g.p.Chip.Cores[dst].Cluster.Spec.Type
 			if newType != wasCluster.Spec.Type {
-				d := g.estimateDemandOnType(t, a.Demand, wasCluster.Spec.Type, newType)
-				g.lastDemand[t] = d
-				if w, ok := g.lbtDemand[t]; ok && a.Demand > 0 {
-					w.scale(d / a.Demand)
-				}
-				a.Demand = d
-				g.holdUntil[t] = g.now + task.DefaultHRMWindow
+				g.translateDemand(r, wasCluster.Spec.Type, newType)
 			}
-			g.market.MoveTask(a, dst)
+			g.market.MoveTask(r.a, dst)
+			r.movedAt, r.moved = g.now, true
 		}
-		g.movedAt[t] = g.now
 		g.evacuations++
 		if g.cfg.Trace != nil {
 			g.cfg.Trace("t=%v evacuated task %s: core %d offline -> core %d", g.now, t.Name, core, dst)
@@ -525,10 +573,11 @@ func (g *Governor) evacTarget(from int) int {
 // applyMove performs an approved LBT movement on both the market and the
 // platform.
 func (g *Governor) applyMove(mv *lbt.Move) {
-	t := g.byAgent[mv.Agent]
-	if t == nil {
+	r := g.recOfAgent(mv.Agent)
+	if r == nil {
 		return
 	}
+	t := r.t
 	if !g.p.CoreOnline(mv.ToCore) {
 		return // LBT planned onto a core that hot-unplugged this round
 	}
@@ -537,10 +586,10 @@ func (g *Governor) applyMove(mv *lbt.Move) {
 		return
 	}
 	if g.cfg.Trace != nil {
-		g.cfg.Trace("t=%v %s (task %s, lbtPeak=%.0f)", g.now, mv, t.Name, g.lbtDemand[t].peak(g.now))
+		g.cfg.Trace("t=%v %s (task %s, lbtPeak=%.0f)", g.now, mv, t.Name, r.lbt.peak(g.now))
 	}
 	g.market.MoveTask(mv.Agent, mv.ToCore)
-	g.movedAt[t] = g.now
+	r.movedAt, r.moved = g.now, true
 	// Demand on the new core type: translate the current observation by the
 	// profiled ratio (falling back to the raw profile), and hold it until
 	// the HRM window has drained the pre-migration rates.
@@ -549,14 +598,23 @@ func (g *Governor) applyMove(mv *lbt.Move) {
 		if g.cfg.Online != nil {
 			g.cfg.Online.BeginMigration(t.Name, wasCluster.Spec.Type, mv.Agent.Demand)
 		}
-		d := g.estimateDemandOnType(t, mv.Agent.Demand, wasCluster.Spec.Type, newType)
-		g.lastDemand[t] = d
-		if w, ok := g.lbtDemand[t]; ok && mv.Agent.Demand > 0 {
-			w.scale(d / mv.Agent.Demand)
-		}
-		mv.Agent.Demand = d
-		g.holdUntil[t] = g.now + task.DefaultHRMWindow
+		g.translateDemand(r, wasCluster.Spec.Type, newType)
 	}
+}
+
+// translateDemand carries a task's demand across a move between core
+// types: the agent's demand, the smoothing history and the LBT window are
+// rescaled by the profiled ratio, and observation holds until the HRM
+// window has drained the pre-migration rates.
+func (g *Governor) translateDemand(r *taskRec, from, to hw.CoreType) {
+	a := r.a
+	d := g.estimateDemandOnType(r.t, a.Demand, from, to)
+	r.lastDemand = d
+	if r.lbtSeen && a.Demand > 0 {
+		r.lbt.scale(d / a.Demand)
+	}
+	a.Demand = d
+	r.holdUntil, r.held = g.now+task.DefaultHRMWindow, true
 }
 
 // estimateDemandOnType translates a demand observed on core type `from`
@@ -577,7 +635,11 @@ func (g *Governor) estimateDemandOnType(t *task.Task, d float64, from, to hw.Cor
 // back up when they do (§2: "if there are no active tasks in an entire
 // cluster, then we can power down that cluster").
 func (g *Governor) powerGateEmptyClusters() {
-	counts := make([]int, len(g.p.Chip.Clusters))
+	if g.counts == nil {
+		g.counts = make([]int, len(g.p.Chip.Clusters))
+	}
+	counts := g.counts
+	clear(counts)
 	for _, t := range g.p.Tasks() {
 		counts[g.p.ClusterOf(t).ID]++
 	}
@@ -611,13 +673,14 @@ func (g *Governor) emitGate(cluster int, dir string) {
 // types (the off-line profiling step). Without a profile the observed
 // demand is used as-is — no heterogeneity speculation.
 func (g *Governor) estimateDemandOn(a *core.TaskAgent, cluster int) float64 {
-	t := g.byAgent[a]
-	if t == nil {
+	r := g.recOfAgent(a)
+	if r == nil {
 		return a.Demand
 	}
+	t := r.t
 	d := a.Demand
-	if w, ok := g.lbtDemand[t]; ok {
-		if peak := w.peak(g.now); peak > 0 {
+	if r.lbtSeen {
+		if peak := r.lbt.peak(g.now); peak > 0 {
 			d = peak
 		}
 	}

@@ -6,65 +6,69 @@ import "pricepower/internal/sim"
 // entity runs for up to Granularity (or until its want is exhausted), then
 // the queue re-picks, until the tick's capacity is spent or nobody wants
 // more. Matches kernel CFS with sched_min_granularity = Granularity.
-func (q *Queue) runTickDiscrete(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
+// Vruntime moves within the tick, so no fill is reused across ticks; the
+// per-entity want and work live in the queue's scratch, parallel to its
+// entities.
+func (q *Queue) runTickDiscrete(supplyPU float64, dt sim.Time) float64 {
 	seconds := dt.Seconds()
 	capacity := supplyPU * seconds
 
 	// Remaining want per entity for this tick, in PU·s.
-	want := make(map[*Entity]float64, len(q.entities))
-	got := make(map[*Entity]float64, len(q.entities))
-	for _, e := range q.entities {
+	q.fillOK = false
+	states := q.scratch()
+	for i, e := range q.entities {
 		w := capacity
 		if e.WantPU >= 0 {
 			w = e.WantPU * seconds
 		}
-		want[e] = w
+		states[i] = fillState{want: w}
 	}
 
 	sliceWork := supplyPU * q.Granularity.Seconds()
 	remaining := capacity
 	for remaining > 1e-12 {
 		// Pick-next: minimum vruntime among entities still wanting work.
-		var next *Entity
-		for _, e := range q.entities {
-			if want[e] <= 1e-12 {
+		next := -1
+		for i, e := range q.entities {
+			if states[i].want <= 1e-12 {
 				continue
 			}
-			if next == nil || e.vruntime < next.vruntime {
-				next = e
+			if next < 0 || e.vruntime < q.entities[next].vruntime {
+				next = i
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			break
 		}
+		s, e := &states[next], q.entities[next]
 		run := sliceWork
-		if run > want[next] {
-			run = want[next]
+		if run > s.want {
+			run = s.want
 		}
 		if run > remaining {
 			run = remaining
 		}
-		got[next] += run
-		want[next] -= run
+		s.got += run
+		s.want -= run
 		remaining -= run
-		w := next.Weight
+		w := e.Weight
 		if w <= 0 {
 			w = 1
 		}
-		next.vruntime += run / w
+		e.vruntime += run / w
 	}
 
-	var allocs []Allocation
 	used := 0.0
 	minV := -1.0
 	decay := q.peltDecay(dt)
-	for _, e := range q.entities {
-		if g := got[e]; g > 0 {
-			allocs = append(allocs, Allocation{Entity: e, WorkPU: g})
-			used += g
+	for i, e := range q.entities {
+		s := &states[i]
+		e.work = s.got
+		if s.got > 0 {
+			used += s.got
 		}
-		runnable := minf(got[e]/capacity, 1)
-		if want[e] > 1e-9 {
+		runnable := minf(s.got/capacity, 1)
+		if s.want > 1e-9 {
 			runnable = 1
 		}
 		e.Load.update(runnable, decay)
@@ -75,5 +79,5 @@ func (q *Queue) runTickDiscrete(supplyPU float64, dt sim.Time) ([]Allocation, fl
 	if minV > q.minVruntime {
 		q.minVruntime = minV
 	}
-	return allocs, used / capacity
+	return used / capacity
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"pricepower/internal/sim"
 )
 
@@ -12,12 +14,23 @@ type Queue struct {
 	entities    []*Entity
 	minVruntime float64
 
-	// scratch and allocs are reusable per-tick buffers: the steady-state
-	// RunTick must not allocate (the platform tick runs once per core per
-	// simulated millisecond, and the allocation-free invariant is enforced by
-	// TestTickAllocationFree / BenchmarkTickThroughput at the root).
-	scratch []fillState
-	allocs  []Allocation
+	// fill is the per-entity scratch of the last tick, parallel to
+	// entities: the fill's inputs and results. The steady-state Step must
+	// not allocate (the platform tick runs once per core per simulated
+	// millisecond; TestTickAllocationFree / BenchmarkTickThroughput at the
+	// root enforce it).
+	fill []fillState
+
+	// fillOK reports that fill holds the fluid water-fill of the current
+	// entities for fillSupply and fillDt, with fillUtil its utilization.
+	// Add, Remove and discrete ticks clear it, and Step checks every
+	// entity's WantPU and Weight against the inputs recorded in fill: the
+	// fill is a pure function of those inputs, so while they are unchanged
+	// (between bid rounds) its reuse is exact.
+	fillOK     bool
+	fillSupply float64
+	fillDt     sim.Time
+	fillUtil   float64
 
 	// decayDt/decay cache peltDecay for the last tick length: ticks are
 	// fixed-size, so the factor is computed once, not per entity per tick.
@@ -69,6 +82,7 @@ func (q *Queue) Add(e *Entity) {
 	e.queue = q
 	e.qpos = len(q.entities)
 	q.entities = append(q.entities, e)
+	q.fillOK = false
 }
 
 // Remove dequeues an entity; it reports whether the entity was present.
@@ -88,6 +102,8 @@ func (q *Queue) Remove(e *Entity) bool {
 	}
 	e.queue = nil
 	e.qpos = 0
+	e.work = 0 // a dequeued entity receives nothing until re-enqueued
+	q.fillOK = false
 	return true
 }
 
@@ -99,49 +115,98 @@ func (q *Queue) Contains(e *Entity) bool { return e.queue == q }
 // lifetime (the invariant checker pins this).
 func (q *Queue) MinVruntime() float64 { return q.minVruntime }
 
-// fillState is the per-entity progressive-filling scratch state.
+// fillState is one entity's tick scratch: the fill's inputs (wantPU and
+// weight, as the entity carried them) and results.
 type fillState struct {
-	e      *Entity
-	want   float64 // remaining work the entity will accept this tick
-	got    float64
-	active bool
+	wantPU, weight float64
+	want           float64 // remaining work the entity would still accept
+	got            float64 // work delivered this tick, in PU·s
+	runnable       float64 // PELT runnable fraction over the tick
+	active         bool
 }
 
-// RunTick plays out one scheduler tick of length dt on a core supplying
-// supplyPU processing units. It returns the work delivered to each entity
-// that ran, and the core utilization over the tick in [0,1]. The returned
-// slice is a reusable buffer owned by the queue — it is valid until the next
-// RunTick call; callers must consume it immediately (or copy it).
+// Step plays out one scheduler tick of length dt on a core supplying
+// supplyPU processing units. Each enqueued entity's delivered work lands in
+// the entity (Work); Step returns the core utilization over the tick in
+// [0,1].
 //
 // Within the tick the queue behaves like CFS with infinitesimal re-pick:
 // capacity flows to the minimum-vruntime entity; when an entity's WantPU cap
 // is reached it yields the remainder (work conservation). The result over
 // the tick is the classic progressive-filling ("water-filling") allocation:
 // proportional to weight, capped by want, with slack redistributed.
-func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
-	seconds := dt.Seconds()
-	capacity := supplyPU * seconds
+func (q *Queue) Step(supplyPU float64, dt sim.Time) float64 {
+	capacity := supplyPU * dt.Seconds()
 	if len(q.entities) == 0 || capacity <= 0 {
 		decay := q.peltDecay(dt)
 		for _, e := range q.entities {
+			e.work = 0
 			e.Load.update(0, decay)
 		}
-		return nil, 0
+		return 0
 	}
 	if q.Granularity > 0 {
 		return q.runTickDiscrete(supplyPU, dt)
 	}
-
-	if cap(q.scratch) < len(q.entities) {
-		q.scratch = make([]fillState, len(q.entities))
+	if !q.fillCurrent(supplyPU, dt) {
+		q.waterFill(supplyPU, dt)
 	}
-	states := q.scratch[:len(q.entities)]
+
+	// Account vruntime and load tracking.
+	decay := q.peltDecay(dt)
+	minV := -1.0
+	for i, e := range q.entities {
+		s := &q.fill[i]
+		e.work = s.got
+		if s.got > 0 {
+			w := e.Weight
+			if w <= 0 {
+				w = 1
+			}
+			e.vruntime += s.got / w
+		}
+		e.Load.update(s.runnable, decay)
+		if minV < 0 || e.vruntime < minV {
+			minV = e.vruntime
+		}
+	}
+	if minV > q.minVruntime {
+		q.minVruntime = minV
+	}
+	return q.fillUtil
+}
+
+// fillCurrent reports whether the last fill was computed from exactly this
+// tick's inputs: the same entities in the same order (fillOK), the same
+// supply and tick length, and every entity's WantPU and Weight unchanged
+// bit for bit.
+func (q *Queue) fillCurrent(supplyPU float64, dt sim.Time) bool {
+	if !q.fillOK || dt != q.fillDt ||
+		math.Float64bits(supplyPU) != math.Float64bits(q.fillSupply) {
+		return false
+	}
+	for i, e := range q.entities {
+		s := &q.fill[i]
+		if math.Float64bits(e.WantPU) != math.Float64bits(s.wantPU) ||
+			math.Float64bits(e.Weight) != math.Float64bits(s.weight) {
+			return false
+		}
+	}
+	return true
+}
+
+// waterFill computes the fluid allocation of one tick into q.fill and
+// records its inputs for fillCurrent.
+func (q *Queue) waterFill(supplyPU float64, dt sim.Time) {
+	seconds := dt.Seconds()
+	capacity := supplyPU * seconds
+	states := q.scratch()
 	for i, e := range q.entities {
 		want := capacity // unbounded ≙ can absorb the whole tick
 		if e.WantPU >= 0 {
 			want = e.WantPU * seconds
 		}
-		states[i] = fillState{e: e, want: want, active: want > 0}
+		states[i] = fillState{wantPU: e.WantPU, weight: e.Weight, want: want, active: want > 0}
 	}
 
 	// Progressive filling: distribute remaining capacity proportionally to
@@ -152,7 +217,7 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 		var totalW float64
 		for i := range states {
 			if states[i].active {
-				totalW += states[i].e.Weight
+				totalW += states[i].weight
 			}
 		}
 		if totalW <= 0 {
@@ -165,7 +230,7 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 			if !s.active {
 				continue
 			}
-			share := remaining * s.e.Weight / totalW
+			share := remaining * s.weight / totalW
 			if share >= s.want-1e-12 {
 				share = s.want
 				s.active = false
@@ -182,50 +247,29 @@ func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
 		}
 	}
 
-	// Account vruntime, load tracking, and build the result.
-	decay := q.peltDecay(dt)
-	allocs := q.allocs[:0]
 	used := 0.0
-	minV := -1.0
 	for i := range states {
 		s := &states[i]
 		if s.got > 0 {
-			w := s.e.Weight
-			if w <= 0 {
-				w = 1
-			}
-			s.e.vruntime += s.got / w
-			allocs = append(allocs, Allocation{Entity: s.e, WorkPU: s.got})
 			used += s.got
 		}
 		// PELT tracks *runnable* time: an entity still wanting work at the
 		// end of the tick was runnable (running or waiting) throughout.
-		runnable := minf(s.got/capacity, 1)
+		s.runnable = minf(s.got/capacity, 1)
 		if s.want > 1e-9 {
-			runnable = 1
-		}
-		s.e.Load.update(runnable, decay)
-		if minV < 0 || s.e.vruntime < minV {
-			minV = s.e.vruntime
+			s.runnable = 1
 		}
 	}
-	if minV > q.minVruntime {
-		q.minVruntime = minV
-	}
-	sortAllocs(allocs)
-	q.allocs = allocs
-	return allocs, used / capacity
+	q.fillOK, q.fillSupply, q.fillDt, q.fillUtil = true, supplyPU, dt, used/capacity
 }
 
-// sortAllocs orders allocations by entity ID (deterministic output across
-// queue-order churn). Insertion sort: run queues are small and the input is
-// near-sorted, and unlike sort.Slice it does not allocate.
-func sortAllocs(a []Allocation) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].Entity.ID < a[j-1].Entity.ID; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// scratch returns the per-entity tick scratch, sized to the queue.
+func (q *Queue) scratch() []fillState {
+	if cap(q.fill) < len(q.entities) {
+		q.fill = make([]fillState, len(q.entities))
 	}
+	q.fill = q.fill[:len(q.entities)]
+	return q.fill
 }
 
 func minf(a, b float64) float64 {

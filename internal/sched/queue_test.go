@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,42 @@ import (
 )
 
 const tick = sim.Millisecond
+
+// Allocation reports the work one entity received during a tick.
+type Allocation struct {
+	Entity *Entity
+	// WorkPU is the work received, in PU·s (millions of cycles).
+	WorkPU float64
+}
+
+func (a Allocation) String() string {
+	return fmt.Sprintf("entity %d: %.3f PU·s", a.Entity.ID, a.WorkPU)
+}
+
+// RunTick is the tests' view of Step: it runs one tick and lists the
+// entities that received work, by ascending entity ID (nil when none did),
+// with the core utilization.
+func (q *Queue) RunTick(supplyPU float64, dt sim.Time) ([]Allocation, float64) {
+	util := q.Step(supplyPU, dt)
+	var allocs []Allocation
+	for _, e := range q.entities {
+		if e.Work() > 0 {
+			allocs = append(allocs, Allocation{Entity: e, WorkPU: e.Work()})
+		}
+	}
+	sortAllocs(allocs)
+	return allocs, util
+}
+
+// sortAllocs orders allocations by entity ID (insertion sort: run queues
+// are small).
+func sortAllocs(a []Allocation) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j].Entity.ID < a[j-1].Entity.ID; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
 
 func runTicks(q *Queue, supply float64, n int) map[int]float64 {
 	total := make(map[int]float64)

@@ -13,8 +13,6 @@
 // cycles (the paper's Processing Unit integrated over a second).
 package sched
 
-import "fmt"
-
 // niceToWeight is the kernel's prio_to_weight table: nice 0 = 1024, and each
 // nice step changes CPU share by ≈1.25×.
 var niceToWeight = [40]int64{
@@ -65,7 +63,15 @@ type Entity struct {
 
 	// Load tracks the entity's recent runnable fraction (PELT-style).
 	Load LoadTracker
+
+	// work is what the entity received in its queue's last tick, in PU·s
+	// (zero while dequeued).
+	work float64
 }
+
+// Work reports the work the entity received in its queue's last tick, in
+// PU·s (millions of cycles); zero while it is not enqueued.
+func (e *Entity) Work() float64 { return e.work }
 
 // Queued reports whether the entity is currently enqueued on some run queue.
 func (e *Entity) Queued() bool { return e.queue != nil }
@@ -73,14 +79,3 @@ func (e *Entity) Queued() bool { return e.queue != nil }
 // VRuntime exposes the entity's current virtual runtime (useful in tests and
 // diagnostics).
 func (e *Entity) VRuntime() float64 { return e.vruntime }
-
-// Allocation reports the work one entity received during a tick.
-type Allocation struct {
-	Entity *Entity
-	// WorkPU is the work received, in PU·s (millions of cycles).
-	WorkPU float64
-}
-
-func (a Allocation) String() string {
-	return fmt.Sprintf("entity %d: %.3f PU·s", a.Entity.ID, a.WorkPU)
-}

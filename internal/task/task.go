@@ -94,6 +94,11 @@ type Task struct {
 	heartbeats   float64
 	finished     bool
 	hrm          Window
+
+	// cost and want cache the active phase's HBCost and WantPU per core
+	// type (indexed by hw.CoreType), refreshed on every phase change: the
+	// platform reads them per task per tick.
+	cost, want [2]float64
 }
 
 // New instantiates a task. It panics if the spec is invalid (specs are
@@ -102,7 +107,23 @@ func New(id int, spec Spec) *Task {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Task{Spec: spec, ID: id, hrm: NewWindow(DefaultHRMWindow)}
+	t := &Task{Spec: spec, ID: id, hrm: NewWindow(DefaultHRMWindow)}
+	t.enterPhase()
+	return t
+}
+
+// enterPhase refreshes the per-core-type cost and want caches from the
+// active phase. Spec.Phases is read here, at phase entry only.
+func (t *Task) enterPhase() {
+	p := &t.Spec.Phases[t.phase]
+	for _, ct := range [2]hw.CoreType{hw.Little, hw.Big} {
+		t.cost[ct] = p.HBCost(ct)
+		if p.SelfCapHR <= 0 {
+			t.want[ct] = -1
+		} else {
+			t.want[ct] = p.SelfCapHR * t.cost[ct]
+		}
+	}
 }
 
 // Phase returns the active phase.
@@ -118,7 +139,7 @@ func (t *Task) Finished() bool { return t.finished }
 func (t *Task) Heartbeats() float64 { return t.heartbeats }
 
 // HBCost returns the current phase's per-heartbeat work on ct.
-func (t *Task) HBCost(ct hw.CoreType) float64 { return t.Phase().HBCost(ct) }
+func (t *Task) HBCost(ct hw.CoreType) float64 { return t.cost[ct] }
 
 // WantPU returns the task's self-imposed consumption cap on a core of type
 // ct, in PUs; negative means unbounded (CPU-bound phase).
@@ -126,11 +147,7 @@ func (t *Task) WantPU(ct hw.CoreType) float64 {
 	if t.finished {
 		return 0
 	}
-	p := t.Phase()
-	if p.SelfCapHR <= 0 {
-		return -1
-	}
-	return p.SelfCapHR * p.HBCost(ct)
+	return t.want[ct]
 }
 
 // DemandPU is the oracle demand of the task on core type ct: the supply that
@@ -157,11 +174,11 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 	t.hrm.Sample(now, t.heartbeats)
 	t.phaseElapsed += dt
 	for {
-		p := t.Spec.Phases[t.phase]
-		if p.Duration <= 0 || t.phaseElapsed < p.Duration {
+		d := t.Spec.Phases[t.phase].Duration
+		if d <= 0 || t.phaseElapsed < d {
 			return
 		}
-		t.phaseElapsed -= p.Duration
+		t.phaseElapsed -= d
 		t.phase++
 		if t.phase >= len(t.Spec.Phases) {
 			if t.Spec.Loop {
@@ -172,6 +189,7 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 				return
 			}
 		}
+		t.enterPhase()
 	}
 }
 
