@@ -8,8 +8,10 @@ FUZZTIME ?= 30s
 build:
 	$(GO) build ./...
 
+# Vet, then fail on any file gofmt would rewrite (listing them).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt needed on:"; echo "$$unformatted"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -21,12 +23,13 @@ check:
 
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
 # scheduling contract, the sharded dispatcher against the linear routing
-# oracle, and the electricity-price trace decode→validate→lookup
-# pipeline. FUZZTIME bounds each target.
+# oracle, the board checkpoint codec round trip, and the electricity-price
+# trace decode→validate→lookup pipeline. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run=^$$ -fuzz=FuzzRouteShardedVsLinear -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
 
 # Regenerate the pinned experiment digests after an intentional numerical

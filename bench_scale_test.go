@@ -50,14 +50,56 @@ func newLoadedPlatform(n int) *platform.Platform {
 // TestTickAllocationFree pins the tentpole invariant: once the platform is
 // in steady state (no add/remove/migrate in flight), a tick allocates
 // nothing — the per-core index, the entities' delivered-work fields, the
-// per-cluster power samples and the scheduler's scratch buffers are all
-// reused, under the fluid and the discrete scheduling model alike.
+// per-cluster power samples, the scheduler's scratch buffers and the
+// completion report are all reused, under the fluid and the discrete
+// scheduling model alike, and in ticks where tasks exit (drained after
+// every tick, as a fleet board drains at its barrier). Each case measures
+// a whole 200-tick window as one run, so a single allocation anywhere in
+// it fails the test.
 func TestTickAllocationFree(t *testing.T) {
-	for _, g := range []sim.Time{0, 250 * sim.Microsecond} {
+	for _, c := range []struct {
+		name  string
+		g     sim.Time
+		exits bool
+	}{
+		{"fluid", 0, false},
+		{"discrete", 250 * sim.Microsecond, false},
+		{"exits", 0, true},
+	} {
 		p := newLoadedPlatform(24)
-		p.SetSchedGranularity(g)
-		if allocs := testing.AllocsPerRun(200, func() { p.Engine.StepOnce() }); allocs != 0 {
-			t.Errorf("granularity %v: steady-state tick allocates %.1f objects/op, want 0", g, allocs)
+		p.SetSchedGranularity(c.g)
+		if c.exits {
+			// One exit inside the warm-up run sizes the completion report;
+			// eight more, one per tick, land in the measured run.
+			exit := func(name string, d sim.Time, core int) {
+				p.AddTask(task.Spec{Name: name, Priority: 1, MinHR: 24, MaxHR: 30,
+					Phases: []task.Phase{{Duration: d, HBCostLittle: 10, SpeedupBig: 2}}}, core)
+			}
+			exit("warm", 50*sim.Millisecond, 0)
+			for i := 0; i < 8; i++ {
+				exit(fmt.Sprintf("x%d", i), sim.Time(210+20*i)*sim.Millisecond, i%5)
+			}
+		}
+		p.Engine.StepOnce() // settle: a new task's first tick may grow scratch
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 200; i++ {
+				p.Engine.StepOnce()
+				p.TakeFinished()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: 200 steady-state ticks allocate %.0f objects, want 0", c.name, allocs)
+		}
+		if c.exits {
+			n := 0
+			for _, tk := range p.Tasks() {
+				if tk.Finished() {
+					n++
+				}
+			}
+			if n != 9 {
+				t.Errorf("exits: %d tasks finished, want 9", n)
+			}
 		}
 	}
 }

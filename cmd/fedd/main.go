@@ -208,9 +208,9 @@ func printSummary(f *federation.Federation) {
 		if r.Down {
 			status = "DOWN"
 		}
-		fmt.Printf("  region %s: %s  elec $%.4f/kWh  eff %.6f  served %.3f  rev $%.4f  cost $%.4f  viol %d  queued %d  live %d  shed %d\n",
+		fmt.Printf("  region %s: %s  elec $%.4f/kWh  eff %.6f  served %.3f  rev $%.4f  cost $%.4f  viol %d  queued %d  live %d  completed %d  shed %d\n",
 			r.Name, status, r.ElecPrice, r.EffPrice, r.Served,
-			r.RevenueUSD, r.CostUSD, r.Violations, r.QueueLen, r.Live, r.Counters.Shed)
+			r.RevenueUSD, r.CostUSD, r.Violations, r.QueueLen, r.Live, r.Completed, r.Counters.Shed)
 	}
 	fmt.Printf("  digests: %s\n", joinDigests(st.Digests))
 }

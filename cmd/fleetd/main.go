@@ -254,8 +254,8 @@ func printSummary(f *fleet.Fleet) {
 	st := f.StateSnapshot()
 	fmt.Printf("fleet: %d boards, %d batches collected (%d issued), t=%.1f s\n",
 		len(st.Boards), st.Batch, st.Issued, st.Time.Seconds())
-	fmt.Printf("  submitted %d  routed %d  live %d  in-flight %d  queued %d  shed %d  drained %d  redrains %d\n",
-		st.Counters.Submitted, st.Counters.Routed, st.Live(), st.InFlight, st.QueueLen, st.Counters.Shed,
+	fmt.Printf("  submitted %d  routed %d  live %d  completed %d  in-flight %d  queued %d  shed %d  drained %d  redrains %d\n",
+		st.Counters.Submitted, st.Counters.Routed, st.Live(), st.Completed, st.InFlight, st.QueueLen, st.Counters.Shed,
 		st.Counters.Drained, st.Counters.Redrained)
 	if st.Counters.Crashes > 0 || st.Counters.Stalls > 0 {
 		fmt.Printf("  failures: crashes %d  stalls %d  restarts %d  orphaned %d (held %d)  replaced %d\n",

@@ -1,14 +1,13 @@
 package check
 
-import "fmt"
-
 // Federation conservation
 //
 // The fleet's zero-loss invariant lifts across regions: a task accepted
 // at federation admission (submitted − shed) must be exactly one of
 //
-//   - inside some region's fleet ledger — live, queued, in-flight, or
-//     orphaned there (the fleet's own invariant covers the breakdown), or
+//   - inside some region's fleet ledger — live, queued, in-flight,
+//     orphaned, or completed there (the fleet's own invariant covers the
+//     breakdown), or
 //   - in migration: evicted from a source region and not yet delivered
 //     to its destination (the federation's transit ledger).
 //
@@ -22,19 +21,12 @@ import "fmt"
 // accounting. Structural — implemented by federation.Federation — so
 // the federation does not have to be imported here.
 type FederationLedger interface {
-	FederationAccounting() (accepted, live, queued, inflight, orphaned, migrating uint64)
+	FederationAccounting() Ledger
 }
 
 // CheckFederationConservation asserts the cross-region zero-loss
-// identity: accepted == Σ_regions(live + queued + in-flight + orphaned)
-// + in-migration.
+// identity: accepted == Σ_regions(live + queued + in-flight + orphaned +
+// completed) + in-migration.
 func CheckFederationConservation(l FederationLedger) error {
-	accepted, live, queued, inflight, orphaned, migrating := l.FederationAccounting()
-	if live+queued+inflight+orphaned+migrating != accepted {
-		return fmt.Errorf(
-			"check: federation conservation violated: live %d + queued %d + in-flight %d + orphaned %d + migrating %d = %d, want accepted (submitted-shed) %d",
-			live, queued, inflight, orphaned, migrating,
-			live+queued+inflight+orphaned+migrating, accepted)
-	}
-	return nil
+	return l.FederationAccounting().Err("federation")
 }

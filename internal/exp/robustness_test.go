@@ -103,7 +103,7 @@ func TestFuzzChurn(t *testing.T) {
 			})
 		}
 		p.Engine.At(sim.FromSeconds(8), func(now sim.Time) {
-			p.RemoveTask(live[0])
+			p.RemoveTasks(live[0])
 		})
 		p.Run(25 * sim.Second)
 		if len(p.Tasks()) == 0 {

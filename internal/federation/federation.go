@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"pricepower/internal/check"
 	"pricepower/internal/fault"
 	"pricepower/internal/fleet"
 	"pricepower/internal/sim"
@@ -521,34 +522,36 @@ func (f *Federation) releaseLocked(epoch int) {
 
 // FederationAccounting implements check.FederationLedger: accepted =
 // external submissions − every region's sheds; the placement terms sum
-// each fleet's ledger plus the in-migration count.
-func (f *Federation) FederationAccounting() (accepted, live, queued, inflight, orphaned, migrating uint64) {
+// each fleet's ledger (live, queued, in-flight, orphaned, completed)
+// plus the in-migration count.
+func (f *Federation) FederationAccounting() check.Ledger {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.accountingLocked()
 }
 
-func (f *Federation) accountingLocked() (accepted, live, queued, inflight, orphaned, migrating uint64) {
+func (f *Federation) accountingLocked() check.Ledger {
+	var l check.Ledger
 	var shed uint64
 	for _, r := range f.regions {
-		_, l, q, inf, orp := r.fl.FleetAccounting()
-		live += l
-		queued += q
-		inflight += inf
-		orphaned += orp
+		fl := r.fl.FleetAccounting()
+		l.Live += fl.Live
+		l.Queued += fl.Queued
+		l.InFlight += fl.InFlight
+		l.Orphaned += fl.Orphaned
+		l.Completed += fl.Completed
 		shed += r.fl.StateSnapshot().Counters.Shed
 	}
-	return f.counters.Submitted - shed, live, queued, inflight, orphaned, uint64(f.inTransit)
+	l.Accepted = f.counters.Submitted - shed
+	l.Migrating = uint64(f.inTransit)
+	return l
 }
 
 // checkConservationLocked is the epoch-path checker: same identity as
 // check.CheckFederationConservation without re-taking f.mu.
 func checkConservationLocked(f *Federation) error {
-	accepted, live, queued, inflight, orphaned, migrating := f.accountingLocked()
-	if live+queued+inflight+orphaned+migrating != accepted {
-		return fmt.Errorf(
-			"federation: conservation violated at epoch %d: live %d + queued %d + in-flight %d + orphaned %d + migrating %d != accepted %d",
-			f.epoch, live, queued, inflight, orphaned, migrating, accepted)
+	if err := f.accountingLocked().Err("federation"); err != nil {
+		return fmt.Errorf("federation: epoch %d: %w", f.epoch, err)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"pricepower/internal/check"
 	"pricepower/internal/fault"
 	"pricepower/internal/fleet"
+	"pricepower/internal/sim"
 	"pricepower/internal/task"
 )
 
@@ -388,5 +389,60 @@ func TestFederationMetricsStackLabels(t *testing.T) {
 	// HELP/TYPE dedup must survive the merge of R region fleets.
 	if strings.Count(out, "# TYPE pricepower_fleet_submitted_total") != 1 {
 		t.Error("fleet series TYPE header duplicated across regions")
+	}
+}
+
+// TestFederationCountsCompletions: finite tasks finish and retire on the
+// region boards (one of which crashes and restarts mid-run), and the
+// cross-region ledger closes at every epoch with each region's completed
+// count taken from its boards.
+func TestFederationCountsCompletions(t *testing.T) {
+	finite := func(name string, d sim.Time) task.Spec {
+		s := fedSpec(name, 2)
+		s.Loop = false
+		s.Phases[0].Duration = d
+		return s
+	}
+	cfg := Config{Seed: 77, Check: true}
+	for i := 0; i < 2; i++ {
+		fc := fleet.Config{Boards: 2}
+		if i == 0 {
+			fc.RestartAfter = 1
+			fc.Faults = map[int]fault.Scenario{1: {Faults: []fault.Fault{{Type: fault.BoardCrash, Start: 6, Rounds: 1}}}}
+		}
+		cfg.Regions = append(cfg.Regions, RegionConfig{Name: "c" + itoa(i), Fleet: fc, Price: flat(0.05 + 0.1*float64(i))})
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	submitted := 0
+	for epoch := 1; epoch <= 10; epoch++ {
+		f.Submit(finite("short", 300*sim.Millisecond), finite("long", 700*sim.Millisecond), fedSpec("loop", 1))
+		if _, err := f.SubmitTo(1, finite("pinned", 300*sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		submitted += 4
+		mustStep(t, f)
+		if err := check.CheckFederationConservation(f); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+	}
+	st := f.StateSnapshot()
+	completed, live := 0, 0
+	for _, r := range st.Regions {
+		completed += r.Completed
+		live += r.Live
+	}
+	if st.Counters.BoardCrashes != 1 {
+		t.Fatalf("board crashes = %d, want 1", st.Counters.BoardCrashes)
+	}
+	// 30 finite tasks, all but the last two epochs' worth long done.
+	if completed < 20 || completed > 30 {
+		t.Fatalf("completed = %d, want 20..30 of the 30 finite tasks", completed)
+	}
+	if live+completed > submitted {
+		t.Fatalf("live %d + completed %d exceeds the %d submitted", live, completed, submitted)
 	}
 }

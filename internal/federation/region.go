@@ -193,6 +193,7 @@ func (r *Region) account(epoch int, epochH, elec float64) {
 		math.Float64bits(served), math.Float64bits(energy), math.Float64bits(revenue),
 		c.Submitted, c.Routed, c.Shed, c.Evicted, c.Orphaned, c.Crashes, c.Stalls, c.Restarts,
 		uint64(st.QueueLen), uint64(st.Live()), uint64(st.InFlight), uint64(st.Orphaned),
+		uint64(st.Completed),
 	)
 }
 
@@ -220,6 +221,7 @@ type RegionState struct {
 	Tiers      map[string]uint64 `json:"tier_tasks"`
 	QueueLen   int               `json:"queue_len"`
 	Live       int               `json:"live"`
+	Completed  int               `json:"completed"` // tasks finished and retired in the region
 	Counters   fleet.Counters    `json:"counters"`
 	Digest     string            `json:"digest"`
 }
@@ -235,7 +237,7 @@ func (r *Region) state() RegionState {
 		ElecPrice: r.elecPrice, EffPrice: r.effPrice, Served: r.served,
 		EnergyKWh: r.energyKWh, CostUSD: r.costUSD, RevenueUSD: r.revenueUSD,
 		Violations: r.violations, Tiers: tiers,
-		QueueLen: st.QueueLen, Live: st.Live(), Counters: st.Counters,
+		QueueLen: st.QueueLen, Live: st.Live(), Completed: st.Completed, Counters: st.Counters,
 		Digest: hex16(r.digest),
 	}
 }

@@ -43,6 +43,11 @@ type Board struct {
 	rr     int   // persistent round-robin cursor over little
 
 	draining bool
+	// completed counts the tasks that finished and were retired on this
+	// board, cumulative across restart epochs (a restarted board resumes
+	// from its crashed predecessor's checkpoint). Snapshot and Checkpoint
+	// publish it; the fleet's conservation ledger reads it from there.
+	completed int
 
 	// Board failure domain (see DESIGN.md §12). bsc is the board-level
 	// fault schedule (nil without board faults); crashed flips on panic
@@ -51,20 +56,22 @@ type Board struct {
 	// deadlocks on it. ckpt is the encoded checkpoint folded at the end
 	// of the last successful step; deferred holds stalled batches until
 	// the stall window closes.
-	bsc      *fault.Scenario
-	crashed  bool
-	crashErr error
-	ckpt     []byte
-	deferred []deferredBatch
+	bsc       *fault.Scenario
+	crashed   bool
+	crashErr  error
+	ckpt      []byte
+	ckptBatch int // the barrier ckpt covers
+	deferred  []deferredBatch
 
 	// Causal tracing (nil when Config.Trace is off — the zero-cost
 	// detached state). All fields are owned by the board goroutine; trc's
 	// own mutex covers the HTTP layer's concurrent reads.
-	trc      *trace.Buffer
-	capture  *captureSink
-	obs      *boardObserver
-	traceOf  map[*task.Task]trace.ID
-	histStep *metrics.Histogram // wall ns per batch step (place + run)
+	trc           *trace.Buffer
+	capture       *captureSink
+	obs           *boardObserver
+	traceOf       map[*task.Task]residency
+	histStep      *metrics.Histogram // wall ns per batch step (place + run)
+	histResidency *metrics.Histogram // virtual ms placement → completion
 
 	cmd  chan interface{}
 	done chan struct{}
@@ -174,9 +181,15 @@ type deferredBatch struct {
 	batch int
 }
 
+// residency is a traced task's open board span: its trace ID and the
+// virtual time it was placed.
+type residency struct {
+	id     trace.ID
+	placed sim.Time
+}
+
 // evacuated pairs an evacuated spec with its causal trace ID (0 when
-// untraced or already completed) so a drained task keeps its identity
-// across the requeue.
+// untraced) so a drained task keeps its identity across the requeue.
 type evacuated struct {
 	spec task.Spec
 	id   trace.ID
@@ -197,17 +210,20 @@ type stopCmd struct{ reply chan struct{} }
 // original boot (seed stream unchanged from the pre-failure-domain
 // fleet, keeping old replay digests valid), ≥ 1 for a supervised
 // restart, which derives a fresh epoch-namespaced seed so the reborn
-// board's randomness never replays the timeline that crashed.
-func newBoard(id int, cfg Config, trc *trace.Buffer, epoch int) (*Board, error) {
+// board's randomness never replays the timeline that crashed. completed
+// is the completion count the board resumes from (its crashed
+// predecessor's checkpoint; 0 at boot).
+func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Board, error) {
 	seed := sim.DeriveSeed(cfg.Seed, uint64(id))
 	if epoch > 0 {
 		seed = sim.DeriveSeed(sim.DeriveSeed(cfg.Seed, restartSeedStream+uint64(epoch)), uint64(id))
 	}
 	b := &Board{
-		ID:    id,
-		Seed:  seed,
-		epoch: epoch,
-		p:     platform.NewTC2(),
+		ID:        id,
+		Seed:      seed,
+		epoch:     epoch,
+		completed: completed,
+		p:         platform.NewTC2(),
 		// Bounded skew queues up to MaxSkew+1 step commands on a board
 		// that is running behind, plus one control command (drain /
 		// resume / stop); the buffer keeps the fleet's issue path from
@@ -230,8 +246,9 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch int) (*Board, error) 
 	if trc != nil {
 		b.trc = trc
 		b.capture = &captureSink{}
-		b.traceOf = make(map[*task.Task]trace.ID)
-		b.histStep = metrics.NewLog(1000, 2, 26) // 1µs .. ~34s wall per step
+		b.traceOf = make(map[*task.Task]residency)
+		b.histStep = metrics.NewLog(1000, 2, 26)    // 1µs .. ~34s wall per step
+		b.histResidency = metrics.NewLog(10, 2, 20) // 10ms .. ~3h virtual
 		b.em = telemetry.NewEmitter(telemetry.NewRegistry(), b.capture)
 		b.em.SetKinds(traceCaptureKinds)
 	} else {
@@ -277,13 +294,12 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch int) (*Board, error) 
 	}
 	if trc != nil {
 		// The observer rides the existing per-tick checker hook: one round
-		// comparison per tick, span work only on round boundaries and task
-		// completions — nothing on the bid/route loops.
+		// comparison per tick, span work only on round boundaries —
+		// nothing on the bid/route loops.
 		b.obs = &boardObserver{
-			b:             b,
-			m:             b.gov.Market(),
-			histRound:     metrics.NewLog(1, 2, 16),  // 1ms .. ~33s virtual
-			histResidency: metrics.NewLog(10, 2, 20), // 10ms .. ~3h virtual
+			b:         b,
+			m:         b.gov.Market(),
+			histRound: metrics.NewLog(1, 2, 16), // 1ms .. ~33s virtual
 		}
 		b.p.AttachChecker(b.obs)
 	}
@@ -398,18 +414,21 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 	// Fold the restart image after the step fully succeeded: a crash at
 	// barrier n orphans from the barrier n-1 image plus the fleet-side
 	// ledgers, never from a half-run barrier.
-	b.ckpt = b.foldCheckpoint(c.batch)
+	b.ckptBatch = c.batch
+	b.ckpt = b.foldCheckpoint()
 	return r
 }
 
 // runBatch is one batch of board work: the injected-crash gate, the
-// placement of the barrier's assignments, and the platform run.
+// placement of the barrier's assignments, the platform run, and the
+// retirement of the tasks that finished during it.
 func (b *Board) runBatch(subs []Submission, mine []int32, d sim.Time, batch int) {
 	if b.bsc != nil && b.bsc.CrashesAt(b.ID, batch) {
 		panic(fmt.Sprintf("fault: board-crash injected at barrier %d", batch))
 	}
 	b.place(subs, mine)
 	b.p.Run(d)
+	b.retire()
 	if b.rec != nil {
 		// Fold the barrier counter and assignment count into the replay
 		// trace: under bounded skew a run is bit-identical only if every
@@ -417,6 +436,35 @@ func (b *Board) runBatch(subs []Submission, mine []int32, d sim.Time, batch int)
 		// be part of the digest chain, not just the market samples.
 		b.rec.Record(uint64(batch)<<20 | uint64(len(mine)))
 	}
+}
+
+// retire removes the tasks that finished during the batch, in finish
+// order — the paper's task exit (§2): the platform drops the task's
+// run-queue entity, the governor drops its record and market agent at its
+// next round, and the task leaves the checkpoint. A traced task's board
+// span closes as completed at its finish tick. The count joins the
+// board's completed total, which the fleet ledger reads. Completions in a
+// batch that later crashes die with the board: the supervisor orphans the
+// tasks from the previous checkpoint, which still holds them.
+func (b *Board) retire() {
+	done := b.p.TakeFinished()
+	if len(done) == 0 {
+		return
+	}
+	if b.trc != nil {
+		for _, t := range done {
+			r, ok := b.traceOf[t]
+			if !ok {
+				continue
+			}
+			end := t.FinishedAt()
+			b.trc.Close(r.id, trace.StageBoard, end, "completed")
+			b.histResidency.RecordExemplar(float64(end-r.placed)/float64(sim.Millisecond), uint64(r.id))
+			delete(b.traceOf, t)
+		}
+	}
+	b.p.RemoveTasks(done...)
+	b.completed += len(done)
 }
 
 // recoverCrash turns a step panic into the terminal crashed state: the
@@ -431,43 +479,41 @@ func (b *Board) recoverCrash(batch int, cause interface{}) stepReply {
 	if b.trc != nil {
 		now := b.p.Now()
 		ids := make([]trace.ID, 0, len(b.traceOf))
-		for _, id := range b.traceOf {
-			if id != 0 {
-				ids = append(ids, id)
-			}
+		for _, r := range b.traceOf {
+			ids = append(ids, r.id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			b.trc.CloseAttributed(id, trace.StageBoard, now, "crash")
 		}
-		b.traceOf = make(map[*task.Task]trace.ID)
+		b.traceOf = make(map[*task.Task]residency)
 		b.capture.drain() // the dead batch's events never reach the fold
-		if b.obs != nil {
-			b.obs.watch = b.obs.watch[:0]
-		}
 	}
 	return stepReply{crashed: true, ckpt: b.ckpt, err: b.crashErr}
 }
 
 // foldCheckpoint builds and encodes the board's restart image: every
-// resident task spec with its trace ID, plus the market/governor
-// restart position (barrier, round, virtual time, placement cursor,
-// seed). Runs on the board goroutine after a successful step, so the
-// platform state it reads is a consistent barrier boundary.
-func (b *Board) foldCheckpoint(batch int) []byte {
+// resident task spec with its trace ID (finished tasks were retired at
+// the end of their batch, so none is resident), the completed count,
+// plus the market/governor restart position (barrier, round, virtual
+// time, placement cursor, seed). Runs on the board goroutine after a
+// successful step, so the platform state it reads is a consistent
+// barrier boundary.
+func (b *Board) foldCheckpoint() []byte {
 	tasks := b.p.Tasks()
 	ck := &Checkpoint{
-		Board: b.ID,
-		Epoch: b.epoch,
-		Batch: batch,
-		Round: b.gov.Market().Round(),
-		Time:  b.p.Now(),
-		RR:    b.rr,
-		Seed:  b.Seed,
-		Tasks: make([]CheckpointTask, 0, len(tasks)),
+		Board:     b.ID,
+		Epoch:     b.epoch,
+		Batch:     b.ckptBatch,
+		Round:     b.gov.Market().Round(),
+		Time:      b.p.Now(),
+		RR:        b.rr,
+		Seed:      b.Seed,
+		Completed: b.completed,
+		Tasks:     make([]CheckpointTask, 0, len(tasks)),
 	}
 	for _, t := range tasks {
-		ck.Tasks = append(ck.Tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t]})
+		ck.Tasks = append(ck.Tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t].id})
 	}
 	return ck.Encode()
 }
@@ -487,22 +533,21 @@ func (b *Board) place(subs []Submission, mine []int32) {
 			continue
 		}
 		// Open the residency span on the board's own buffer (single
-		// writer); the observer closes it on completion, evacuate on
-		// drain. Looping tasks never finish, so only finite tasks join
-		// the completion watch list.
+		// writer); retire closes it on completion, evacuate on drain.
 		id := subs[si].Trace
-		b.traceOf[t] = id
+		b.traceOf[t] = residency{id: id, placed: now}
 		b.trc.Open(trace.Span{Trace: id, Stage: trace.StageBoard, Board: b.ID, Start: now})
-		if !t.Spec.Loop {
-			b.obs.watch = append(b.obs.watch, watchedTask{t: t, id: id, placed: now})
-		}
 	}
 }
 
-// evacuate removes every task from the board and returns their specs so
-// the fleet can resubmit them through the dispatcher. The board keeps
-// ticking while drained — an empty market settles to idle — and marks
-// itself draining so no new work is routed to it.
+// evacuate removes every resident task from the board and returns their
+// specs so the fleet can resubmit them through the dispatcher. Finished
+// tasks were retired at the end of their batch, so none is evacuated and
+// re-run. The board keeps ticking while drained — an empty market settles
+// to idle — and marks itself draining so no new work is routed to it.
+// The restart image is refolded empty of the evacuated tasks: they are
+// the fleet's to place now, and a crash before the next barrier must not
+// orphan them a second time.
 func (b *Board) evacuate() []evacuated {
 	b.draining = true
 	now := b.p.Now()
@@ -510,19 +555,19 @@ func (b *Board) evacuate() []evacuated {
 	out := make([]evacuated, 0, len(tasks))
 	for _, t := range tasks {
 		e := evacuated{spec: t.Spec}
-		if id := b.traceOf[t]; id != 0 {
+		if r, ok := b.traceOf[t]; ok {
 			// The residency span ends here, attributed to the drain; the
 			// fleet reopens a queue span under the same trace ID when it
 			// requeues the spec.
-			e.id = id
-			b.trc.CloseAttributed(id, trace.StageBoard, now, "drain")
+			e.id = r.id
+			b.trc.CloseAttributed(r.id, trace.StageBoard, now, "drain")
 			delete(b.traceOf, t)
 		}
 		out = append(out, e)
-		b.p.RemoveTask(t)
 	}
-	if b.obs != nil {
-		b.obs.watch = b.obs.watch[:0] // every watched task just left the board
+	b.p.RemoveTasks(tasks...)
+	if b.ckpt != nil {
+		b.ckpt = b.foldCheckpoint()
 	}
 	return out
 }
@@ -558,6 +603,7 @@ func (b *Board) snapshot(batch int) Snapshot {
 		Degraded:    m.Degraded(),
 		Draining:    b.draining,
 		Tasks:       st.Tasks,
+		Completed:   b.completed,
 		DemandPU:    m.TotalDemand(),
 		SupplyPU:    m.TotalSupply(),
 		MaxSupplyPU: b.p.MaxSupplyPU(),
@@ -565,28 +611,19 @@ func (b *Board) snapshot(batch int) Snapshot {
 	}
 }
 
-// watchedTask is one finite task awaiting completion detection.
-type watchedTask struct {
-	t      *task.Task
-	id     trace.ID
-	placed sim.Time
-}
-
 // boardObserver is the traced board's per-tick hook (platform.Checker):
 // it turns market-round boundaries into StageRound spans + the round
-// histogram, and closes residency spans the tick a finite task finishes —
-// tick-granular virtual timestamps, no market-loop instrumentation. Runs
-// on the board goroutine inside p.Run, so it may touch board-owned state.
+// histogram — tick-granular virtual timestamps, no market-loop
+// instrumentation. Runs on the board goroutine inside p.Run, so it may
+// touch board-owned state.
 type boardObserver struct {
 	b *Board
 	m *core.Market
 
 	lastRound  int
 	roundStart sim.Time
-	watch      []watchedTask
 
-	histRound     *metrics.Histogram // virtual ms per market round
-	histResidency *metrics.Histogram // virtual ms placement → completion
+	histRound *metrics.Histogram // virtual ms per market round
 }
 
 func (o *boardObserver) CheckTick(p *platform.Platform, now sim.Time) {
@@ -602,20 +639,6 @@ func (o *boardObserver) CheckTick(p *platform.Platform, now sim.Time) {
 		o.lastRound = r
 		o.roundStart = now
 	}
-	if len(o.watch) == 0 {
-		return
-	}
-	kept := o.watch[:0]
-	for _, w := range o.watch {
-		if !w.t.Finished() {
-			kept = append(kept, w)
-			continue
-		}
-		o.b.trc.Close(w.id, trace.StageBoard, now, "completed")
-		o.histResidency.RecordExemplar(float64(now-w.placed)/float64(sim.Millisecond), uint64(w.id))
-		delete(o.b.traceOf, w.t)
-	}
-	o.watch = kept
 }
 
 // Registry exposes the board's telemetry registry for /metrics merging.

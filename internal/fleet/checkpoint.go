@@ -14,9 +14,11 @@ import (
 // goroutine at the end of every successful step and carried on the step
 // reply in encoded form. It holds exactly what the supervisor needs to
 // resurrect the board's *work* — the resident task specs with their
-// causal trace IDs — plus the market/governor restart position (barrier,
-// round, virtual time, placement cursor, seed) that stamps where in the
-// run the image was taken. The restarted board itself boots fresh under
+// causal trace IDs — and the board's completed-task count, plus the
+// market/governor restart position (barrier, round, virtual time,
+// placement cursor, seed) that stamps where in the run the image was
+// taken. Finished tasks are retired at the end of their batch, so an
+// image never holds one: a restart cannot re-run a finished task. The restarted board itself boots fresh under
 // a derived restart-epoch seed; the checkpointed tasks re-enter the
 // dispatcher rather than being teleported onto the new platform, so
 // restart placement follows the same price routing as any admission.
@@ -28,7 +30,10 @@ type Checkpoint struct {
 	Time  sim.Time // board-local virtual time at the fold
 	RR    int      // placement round-robin cursor (seed-stream position)
 	Seed  uint64   // board seed the epoch ran under
-	Tasks []CheckpointTask
+	// Completed is the board's cumulative completed-task count at the
+	// fold; the restarted board resumes from it.
+	Completed int
+	Tasks     []CheckpointTask
 }
 
 // CheckpointTask is one resident task in a checkpoint: the spec the
@@ -47,7 +52,7 @@ type CheckpointTask struct {
 // FuzzCheckpointRoundTrip).
 const (
 	ckptMagic   = 0xC4
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 func putUvarint(b []byte, v uint64) []byte {
@@ -82,6 +87,7 @@ func (c *Checkpoint) Encode() []byte {
 	b = putUvarint(b, uint64(c.Time))
 	b = putUvarint(b, uint64(c.RR))
 	b = putUvarint(b, c.Seed)
+	b = putUvarint(b, uint64(c.Completed))
 	b = putUvarint(b, uint64(len(c.Tasks)))
 	for i := range c.Tasks {
 		t := &c.Tasks[i]
@@ -201,6 +207,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	c.Time = sim.Time(r.uvarint())
 	c.RR = r.intField("rr")
 	c.Seed = r.uvarint()
+	c.Completed = r.intField("completed")
 	n := r.intField("task count")
 	if r.err != nil {
 		return nil, r.err

@@ -11,7 +11,7 @@ import (
 func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Board: 3, Epoch: 2, Batch: 17, Round: 412,
-		Time: sim.FromMillis(1700), RR: 9, Seed: 0xfee1de7e,
+		Time: sim.FromMillis(1700), RR: 9, Seed: 0xfee1de7e, Completed: 37,
 		Tasks: []CheckpointTask{
 			{Trace: 0x1234, Spec: task.Spec{
 				Name: "swaptions-0", Priority: 2, MinHR: 4, MaxHR: 8, Loop: true,

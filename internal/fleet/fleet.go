@@ -191,14 +191,17 @@ func (c Config) withDefaults() Config {
 // invariant — enforced by tests, check.CheckFleetConservation and the
 // fleet-smoke gate — is:
 //
-//	Submitted - Shed == live tasks on boards + Queued + InFlight + Orphaned
+//	Submitted - Shed - Evicted ==
+//	    live tasks on boards + Queued + InFlight + Orphaned + Completed
 //
 // where InFlight covers tasks assigned at barriers still uncollected
 // under bounded skew (including batches a stalled board is deferring),
-// and Orphaned covers tasks a crashed board's supervisor is holding
-// until restart re-places them. (Drained/Resubmitted track evacuations,
-// which conserve tasks; evacuated tasks that overflow the queue are
-// counted once in Shed, never silently dropped.)
+// Orphaned covers tasks a crashed board's supervisor is holding until
+// restart re-places them, and Completed is the boards' count of tasks
+// that finished and were retired — the paper's task exit (§2) — read
+// from the collected snapshots, not kept here. (Drained/Resubmitted
+// track evacuations, which conserve tasks; evacuated tasks that overflow
+// the queue are counted once in Shed, never silently dropped.)
 type Counters struct {
 	Submitted   uint64 `json:"submitted"`
 	Routed      uint64 `json:"routed"`
@@ -241,8 +244,11 @@ type State struct {
 	// recovered from crashed boards (checkpoint residents, stalled
 	// deferrals, never-run barrier assignments) awaiting re-placement
 	// at restart.
-	Orphaned int      `json:"orphaned"`
-	Counters Counters `json:"counters"`
+	Orphaned int `json:"orphaned"`
+	// Completed sums the boards' completed-task counts (the snapshots'
+	// Completed): tasks that finished and left the fleet.
+	Completed int      `json:"completed"`
+	Counters  Counters `json:"counters"`
 	// Shards is the dispatcher's effective shard count (configured value
 	// clamped to the board count).
 	Shards int `json:"shards"`
@@ -254,6 +260,15 @@ func (s *State) Live() int {
 	n := 0
 	for i := range s.Boards {
 		n += s.Boards[i].Tasks
+	}
+	return n
+}
+
+// sumCompleted sums the boards' completed-task counts.
+func sumCompleted(snaps []Snapshot) int {
+	n := 0
+	for i := range snaps {
+		n += snaps[i].Completed
 	}
 	return n
 }
@@ -432,7 +447,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.histRestart = metrics.NewLog(0.5, 2, 10)   // barriers crash → restart
 	}
 	for i := 0; i < cfg.Boards; i++ {
-		b, err := newBoard(i, cfg, f.tracer.Board(i), 0)
+		b, err := newBoard(i, cfg, f.tracer.Board(i), 0, 0)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -475,6 +490,8 @@ func (f *Fleet) registerMetrics() {
 	counter("pricepower_fleet_evicted_total", "Queued submissions evicted to an external owner (migration).", &f.counters.Evicted)
 	f.reg.GaugeFunc("pricepower_fleet_orphaned_tasks", "Tasks held by the crash supervisor awaiting re-placement.",
 		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.orphanedCount) })
+	f.reg.GaugeFunc("pricepower_fleet_completed_tasks", "Tasks that finished and were retired from their boards (per the collected snapshots).",
+		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(sumCompleted(f.snaps)) })
 }
 
 // Registry is the fleet-level metrics registry (queue depth, routing
@@ -589,7 +606,7 @@ func (f *Fleet) requeueLocked(requeue []Submission) {
 // arrivals are the cheapest to move. Evicted work leaves this fleet's
 // zero-loss ledger via the Evicted counter:
 //
-//	Submitted − Shed − Evicted == live + Queued + InFlight + Orphaned
+//	Submitted − Shed − Evicted == live + Queued + InFlight + Orphaned + Completed
 //
 // so the caller must re-account it (the federation holds it in an
 // in-migration ledger until the destination fleet accepts it). Open
@@ -996,6 +1013,7 @@ func (f *Fleet) resolveCrashLocked(i int, bar inflightBarrier, r stepReply, errs
 	for _, si := range bar.mine[i] {
 		orphaned = append(orphaned, bar.subs[si])
 	}
+	snap := f.snaps[i]
 	if !f.crashed[i] {
 		// First detection for this epoch.
 		f.crashed[i] = true
@@ -1013,11 +1031,15 @@ func (f *Fleet) resolveCrashLocked(i int, bar inflightBarrier, r stepReply, errs
 		f.stallPending[i] = nil
 		f.stallMiss[i] = 0
 		f.stallQ[i] = false
-		// The checkpoint's residents (folded at the last successful
-		// barrier; nil when the board never completed one).
+		// The checkpoint's residents and completed count (folded at the
+		// last successful barrier; nil when the board never completed
+		// one, in which case the snapshot still holds the count the board
+		// booted with). Completions inside the crashed step die with it:
+		// those tasks are still residents of this image.
 		if ck, err := DecodeCheckpoint(r.ckpt); err != nil {
 			*errs = append(*errs, fmt.Errorf("fleet: board %d checkpoint: %w", i, err))
 		} else if ck != nil {
+			snap.Completed = ck.Completed
 			for _, ct := range ck.Tasks {
 				s := NewSubmission(ct.Spec)
 				s.Trace = ct.Trace
@@ -1036,7 +1058,6 @@ func (f *Fleet) resolveCrashLocked(i int, bar inflightBarrier, r stepReply, errs
 	f.orphans[i] = append(f.orphans[i], orphaned...)
 	f.orphanedCount += len(orphaned)
 	f.counters.Orphaned += uint64(len(orphaned))
-	snap := f.snaps[i]
 	snap.Batch = bar.batch
 	snap.Crashed = true
 	snap.Stalled = false
@@ -1134,7 +1155,8 @@ func (f *Fleet) restartBoard(i int) []Submission {
 	<-old.done
 
 	epoch := f.crashEpochs[i] + 1
-	b, err := newBoard(i, f.cfg, f.tracer.Board(i), epoch)
+	completed := f.snaps[i].Completed // the crash snapshot's checkpoint count
+	b, err := newBoard(i, f.cfg, f.tracer.Board(i), epoch, completed)
 	if err != nil {
 		// Can only happen if the board's fault scenario fails validation,
 		// which New() already vetted — but if it does, retire the board
@@ -1151,7 +1173,7 @@ func (f *Fleet) restartBoard(i int) []Submission {
 	f.mu.Lock()
 	f.boards[i] = b // under mu: Boards() is read from HTTP goroutines
 	f.counters.Restarts++
-	f.snaps[i] = Snapshot{Board: i, Epoch: epoch, MaxSupplyPU: b.p.MaxSupplyPU()}
+	f.snaps[i] = Snapshot{Board: i, Epoch: epoch, MaxSupplyPU: b.p.MaxSupplyPU(), Completed: completed}
 	latency := f.batch - f.crashedAt[i]
 	f.mu.Unlock()
 	if f.histRestart != nil {
@@ -1395,15 +1417,16 @@ func (f *Fleet) StateSnapshot() State {
 		shards = 1
 	}
 	st := State{
-		Batch:    f.batch,
-		Issued:   f.issued,
-		Time:     f.now,
-		Boards:   append([]Snapshot(nil), f.snaps...),
-		QueueLen: len(f.pending),
-		InFlight: f.inflightTasks,
-		Orphaned: f.orphanedCount,
-		Counters: f.counters,
-		Shards:   shards,
+		Batch:     f.batch,
+		Issued:    f.issued,
+		Time:      f.now,
+		Boards:    append([]Snapshot(nil), f.snaps...),
+		QueueLen:  len(f.pending),
+		InFlight:  f.inflightTasks,
+		Orphaned:  f.orphanedCount,
+		Completed: sumCompleted(f.snaps),
+		Counters:  f.counters,
+		Shards:    shards,
 	}
 	return st
 }
@@ -1411,17 +1434,25 @@ func (f *Fleet) StateSnapshot() State {
 // FleetAccounting reports the zero-loss ledger terms at the newest
 // collected barrier, for check.CheckFleetConservation: accepted =
 // submitted − shed − evicted must equal live + queued + in-flight +
-// orphaned. (Finished tasks stay resident until drained, so completions
-// never leak out of the identity; evicted work belongs to whoever
-// called EvictQueued.)
-func (f *Fleet) FleetAccounting() (accepted, live, queued, inflight, orphaned uint64) {
+// orphaned + completed. Live and completed both come from the collected
+// snapshots, i.e. from board state: a board retires the tasks that
+// finished in a batch before it publishes that barrier's snapshot, so
+// each completion leaves "live" and enters "completed" at the same
+// barrier. (Evicted work belongs to whoever called EvictQueued.)
+func (f *Fleet) FleetAccounting() check.Ledger {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range f.snaps {
-		live += uint64(f.snaps[i].Tasks)
+	l := check.Ledger{
+		Accepted:  f.counters.Submitted - f.counters.Shed - f.counters.Evicted,
+		Queued:    uint64(len(f.pending)),
+		InFlight:  uint64(f.inflightTasks),
+		Orphaned:  uint64(f.orphanedCount),
+		Completed: uint64(sumCompleted(f.snaps)),
 	}
-	return f.counters.Submitted - f.counters.Shed - f.counters.Evicted, live,
-		uint64(len(f.pending)), uint64(f.inflightTasks), uint64(f.orphanedCount)
+	for i := range f.snaps {
+		l.Live += uint64(f.snaps[i].Tasks)
+	}
+	return l
 }
 
 // Traces returns the per-board replay traces (index = board ID); entries

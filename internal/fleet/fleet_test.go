@@ -21,16 +21,16 @@ func lightSpec(name string) task.Spec {
 
 // checkZeroLoss asserts the fleet's conservation invariant: every
 // accepted task is either live on a board, waiting in the queue, in
-// flight at an uncollected barrier (bounded skew), or was explicitly
-// shed — nothing vanishes.
+// flight at an uncollected barrier (bounded skew), orphaned by a crash,
+// completed, or was explicitly shed — nothing vanishes.
 func checkZeroLoss(t *testing.T, f *Fleet) {
 	t.Helper()
 	st := f.StateSnapshot()
 	want := st.Counters.Submitted - st.Counters.Shed - st.Counters.Evicted
-	got := uint64(st.Live() + st.QueueLen + st.InFlight + st.Orphaned)
+	got := uint64(st.Live() + st.QueueLen + st.InFlight + st.Orphaned + st.Completed)
 	if got != want {
-		t.Fatalf("zero-loss violated: live %d + queued %d + inflight %d + orphaned %d = %d, want submitted %d - shed %d - evicted %d = %d",
-			st.Live(), st.QueueLen, st.InFlight, st.Orphaned, got,
+		t.Fatalf("zero-loss violated: live %d + queued %d + inflight %d + orphaned %d + completed %d = %d, want submitted %d - shed %d - evicted %d = %d",
+			st.Live(), st.QueueLen, st.InFlight, st.Orphaned, st.Completed, got,
 			st.Counters.Submitted, st.Counters.Shed, st.Counters.Evicted, want)
 	}
 	if err := check.CheckFleetConservation(f); err != nil {

@@ -43,7 +43,7 @@ func (f *Fleet) WriteHistograms(w io.Writer) error {
 		{"pricepower_board_round_ms", "Virtual market-round duration (ms).",
 			func(b *Board) *metrics.Histogram { return b.obs.histRound }},
 		{"pricepower_board_task_residency_ms", "Virtual placement-to-completion time (ms), with trace exemplars.",
-			func(b *Board) *metrics.Histogram { return b.obs.histResidency }},
+			func(b *Board) *metrics.Histogram { return b.histResidency }},
 	}
 	boards := f.Boards() // copy: a restart may swap a board mid-scrape
 	for _, h := range hists {

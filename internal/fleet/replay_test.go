@@ -96,7 +96,7 @@ func TestFleetReplaysBitIdentically(t *testing.T) {
 // market timelines all bit-identical.
 func TestFleetSkewZeroMatchesLockstep(t *testing.T) {
 	a := runRecordedFleet(t, 0, 1) // explicit K=0 through the pipeline path
-	f, err := New(Config{       // zero-value skew: the pre-pipeline config shape
+	f, err := New(Config{          // zero-value skew: the pre-pipeline config shape
 		Boards:             8,
 		Seed:               0xfee1de7e,
 		Record:             true,

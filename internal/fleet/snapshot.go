@@ -24,10 +24,10 @@ type Snapshot struct {
 
 	PowerW    float64 `json:"power_w"`
 	SmoothedW float64 `json:"smoothed_power_w"`
-	WthW      float64 `json:"wth_w"`   // effective threshold boundary (0 = unconstrained)
-	WtdpW     float64 `json:"wtdp_w"`  // effective TDP boundary (0 = unconstrained)
-	State     string  `json:"state"`   // market state: nominal/threshold/emergency
-	Degraded  bool    `json:"degraded"`// sensor-health flag (internal/fault)
+	WthW      float64 `json:"wth_w"`    // effective threshold boundary (0 = unconstrained)
+	WtdpW     float64 `json:"wtdp_w"`   // effective TDP boundary (0 = unconstrained)
+	State     string  `json:"state"`    // market state: nominal/threshold/emergency
+	Degraded  bool    `json:"degraded"` // sensor-health flag (internal/fault)
 	Draining  bool    `json:"draining"`
 	// Crashed marks a board whose goroutine panicked; the supervisor
 	// holds its orphaned work until restart (or permanent quarantine).
@@ -37,7 +37,10 @@ type Snapshot struct {
 	Crashed bool `json:"crashed,omitempty"`
 	Stalled bool `json:"stalled,omitempty"`
 
-	Tasks       int     `json:"tasks"`
+	Tasks int `json:"tasks"`
+	// Completed is the board's cumulative count of tasks that finished
+	// and were retired (carried across restarts by the checkpoint).
+	Completed   int     `json:"completed"`
 	DemandPU    float64 `json:"demand_pu"`
 	SupplyPU    float64 `json:"supply_pu"`     // supply at current V-F levels
 	MaxSupplyPU float64 `json:"max_supply_pu"` // supply ceiling at fmax

@@ -258,7 +258,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 	// The residency histogram carries the trace as an exemplar somewhere.
 	found := false
 	for _, bd := range f.Boards() {
-		for _, ex := range bd.obs.histResidency.Exemplars() {
+		for _, ex := range bd.histResidency.Exemplars() {
 			if ex.Valid && ex.Trace == uint64(id) {
 				found = true
 			}

@@ -13,7 +13,7 @@
 //     V-F levels (cpufreq), or power clusters up/down.
 //
 // The tick is the simulation's hottest path: it maintains a per-core task
-// index (updated on AddTask/RemoveTask/Migrate) so no tick ever scans the
+// index (updated on AddTask/RemoveTasks/Migrate) so no tick ever scans the
 // global task list per core, delivered work is written into each scheduler
 // entity, and each cluster's power is computed once per tick for the chip
 // total, the meters and the thermal models — the steady-state tick
@@ -132,6 +132,10 @@ type Platform struct {
 	queues []*sched.Queue
 	tasks  []*task.Task
 	live   []*taskState // parallel to tasks: live states in creation order
+
+	// finished collects the tasks that exit during ticks, in finish order,
+	// until TakeFinished drains it (its storage is reused).
+	finished []*task.Task
 
 	// byCore indexes the live task states per core (ascending task ID, the
 	// creation order the old full-scan TasksOnCore reported); byID maps a
@@ -398,28 +402,50 @@ func (p *Platform) AddTask(spec task.Spec, core int) *task.Task {
 	return t
 }
 
-// RemoveTask detaches a task from the platform (task exit). Removing a task
-// frozen mid-migration also cancels the pending migration-completion event:
-// the dead entity must never be re-enqueued on the destination core, where
-// it would silently absorb scheduler supply forever.
-func (p *Platform) RemoveTask(t *task.Task) {
-	st := p.state(t)
-	if st == nil {
+// RemoveTasks detaches tasks from the platform (task exit) with one
+// compaction pass over the task list, so removing k tasks costs O(n), not
+// O(k·n). Unknown or already removed tasks are ignored. Removing a task
+// frozen mid-migration also cancels the pending migration-completion
+// event: the dead entity must never be re-enqueued on the destination
+// core, where it would silently absorb scheduler supply forever.
+func (p *Platform) RemoveTasks(ts ...*task.Task) {
+	removed := false
+	for _, t := range ts {
+		st := p.state(t)
+		if st == nil {
+			continue
+		}
+		if !st.frozen {
+			p.queues[st.core].Remove(st.entity)
+		}
+		st.gone = true
+		p.byCore[st.core] = removeState(p.byCore[st.core], st)
+		p.byID[t.ID] = nil
+		removed = true
+	}
+	if !removed {
 		return
 	}
-	if !st.frozen {
-		p.queues[st.core].Remove(st.entity)
-	}
-	st.gone = true
-	p.byCore[st.core] = removeState(p.byCore[st.core], st)
-	p.byID[t.ID] = nil
-	for i, x := range p.tasks {
-		if x == t {
-			p.tasks = append(p.tasks[:i], p.tasks[i+1:]...)
-			p.live = append(p.live[:i], p.live[i+1:]...)
-			break
+	n := 0
+	for _, st := range p.live {
+		if !st.gone {
+			p.tasks[n], p.live[n] = st.task, st
+			n++
 		}
 	}
+	clear(p.tasks[n:])
+	clear(p.live[n:])
+	p.tasks, p.live = p.tasks[:n], p.live[:n]
+}
+
+// TakeFinished returns the tasks that finished since the last call, in
+// finish order, each stamped with its Task.FinishedAt. The platform reuses
+// the returned storage once it runs again, so consume (or RemoveTasks) the
+// slice before the next tick.
+func (p *Platform) TakeFinished() []*task.Task {
+	done := p.finished
+	p.finished = p.finished[:0]
+	return done
 }
 
 // insertByID inserts st into a per-core index slice, keeping ascending task
@@ -722,11 +748,14 @@ func (p *Platform) tick(now sim.Time) {
 		p.lastUtil[coreID] = util
 	}
 
-	// 2. Task progression (all tasks advance, including idle/frozen ones).
+	// 2. Task progression (all tasks advance, including idle/frozen ones);
+	// a task that plays out its last phase is reported as finished.
 	for _, st := range p.live {
 		work := st.entity.Work()
 		ct := p.Chip.Cores[st.core].Type()
-		st.task.Advance(work, ct, dt, now)
+		if st.task.Advance(work, ct, dt, now) {
+			p.finished = append(p.finished, st.task)
+		}
 		st.total += work
 		st.lastPU = work / seconds
 	}

@@ -33,11 +33,69 @@ func TestAddAndRemoveTask(t *testing.T) {
 	if len(p.Tasks()) != 1 || p.CoreOf(tk) != 2 {
 		t.Fatalf("task not added on core 2")
 	}
-	p.RemoveTask(tk)
+	p.RemoveTasks(tk)
 	if len(p.Tasks()) != 0 {
 		t.Fatal("task not removed")
 	}
-	p.RemoveTask(tk) // idempotent
+	p.RemoveTasks(tk) // idempotent
+}
+
+// finiteSpec is a one-phase task that exits after d.
+func finiteSpec(name string, d sim.Time) task.Spec {
+	s := cpuBoundSpec(name, 300)
+	s.Loop = false
+	s.Phases[0].Duration = d
+	return s
+}
+
+// The tick reports each exiting task once, in finish order, stamped with
+// the tick it finished in; TakeFinished drains the report.
+func TestTakeFinishedReportsExitsInFinishOrder(t *testing.T) {
+	p := NewTC2()
+	late := p.AddTask(finiteSpec("late", 30*sim.Millisecond), 0)
+	p.AddTask(cpuBoundSpec("loop", 300), 1)
+	early := p.AddTask(finiteSpec("early", 10*sim.Millisecond), 2)
+	p.Run(20 * sim.Millisecond)
+	if got := p.TakeFinished(); len(got) != 1 || got[0] != early || early.FinishedAt() != 10*sim.Millisecond {
+		t.Fatalf("after 20 ms TakeFinished = %v (early at %v), want [early] at 10ms", got, early.FinishedAt())
+	}
+	if got := p.TakeFinished(); len(got) != 0 {
+		t.Fatalf("second TakeFinished = %v, want empty", got)
+	}
+	p.Run(40 * sim.Millisecond)
+	if got := p.TakeFinished(); len(got) != 1 || got[0] != late || late.FinishedAt() != 30*sim.Millisecond {
+		t.Fatalf("TakeFinished = %v (late at %v), want [late] at 30ms", got, late.FinishedAt())
+	}
+	if p.NumTasks() != 3 {
+		t.Fatalf("the platform itself retires nothing: %d tasks, want 3", p.NumTasks())
+	}
+}
+
+// RemoveTasks drops a batch in one pass and keeps the survivors in
+// creation order, in the task list and the per-core index alike.
+func TestRemoveTasksBatch(t *testing.T) {
+	p := NewTC2()
+	var ts []*task.Task
+	for i := 0; i < 6; i++ {
+		ts = append(ts, p.AddTask(cpuBoundSpec("t", 200), i%2))
+	}
+	p.Run(5 * sim.Millisecond)
+	p.RemoveTasks(ts[4], ts[1], ts[0], ts[1])
+	got := p.Tasks()
+	if len(got) != 3 || got[0] != ts[2] || got[1] != ts[3] || got[2] != ts[5] {
+		t.Fatalf("Tasks() = %v, want [t2 t3 t5]", got)
+	}
+	if c0 := p.TasksOnCore(0); len(c0) != 1 || c0[0] != ts[2] {
+		t.Fatalf("TasksOnCore(0) = %v, want [t2]", c0)
+	}
+	if c1 := p.TasksOnCore(1); len(c1) != 2 || c1[0] != ts[3] || c1[1] != ts[5] {
+		t.Fatalf("TasksOnCore(1) = %v, want [t3 t5]", c1)
+	}
+	if n := p.Queue(0).Len() + p.Queue(1).Len(); n != 3 {
+		t.Fatalf("run queues hold %d entities, want 3", n)
+	}
+	p.RemoveTasks() // no-op
+	p.Run(5 * sim.Millisecond)
 }
 
 func TestTaskReceivesWorkAndBeats(t *testing.T) {
@@ -218,7 +276,7 @@ func TestRemoveWhileMigratingDoesNotResurrect(t *testing.T) {
 	if !p.Migrate(a, 0) { // LITTLE→big: ~2.16 ms cost
 		t.Fatal("Migrate returned false")
 	}
-	p.RemoveTask(a)
+	p.RemoveTasks(a)
 	if got := p.TasksOnCore(0); len(got) != 1 || got[0] != b {
 		t.Fatalf("TasksOnCore(0) after remove = %v, want just b", got)
 	}

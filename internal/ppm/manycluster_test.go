@@ -79,7 +79,7 @@ func TestTaskChurn(t *testing.T) {
 		b = p.AddTask(spec("b", 700, 2), 3)
 	})
 	p.Engine.At(15*sim.Second, func(now sim.Time) {
-		p.RemoveTask(a)
+		p.RemoveTasks(a)
 	})
 	p.Run(30 * sim.Second)
 

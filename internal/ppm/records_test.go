@@ -26,7 +26,7 @@ func TestRemovedTasksLeaveNoGovernorState(t *testing.T) {
 		}
 		for n := rng.Intn(3); n > 0 && p.NumTasks() > 0; n-- {
 			tk := p.Tasks()[rng.Intn(p.NumTasks())]
-			p.RemoveTask(tk)
+			p.RemoveTasks(tk)
 			removed = append(removed, tk)
 		}
 		// Two bid periods: the second round syncs the changes above.

@@ -93,6 +93,7 @@ type Task struct {
 	phaseElapsed sim.Time
 	heartbeats   float64
 	finished     bool
+	finishedAt   sim.Time
 	hrm          Window
 
 	// cost and want cache the active phase's HBCost and WantPU per core
@@ -135,6 +136,10 @@ func (t *Task) PhaseIndex() int { return t.phase }
 // Finished reports whether a non-looping task has played all phases.
 func (t *Task) Finished() bool { return t.finished }
 
+// FinishedAt reports the end of the tick in which the task finished (zero
+// while it runs).
+func (t *Task) FinishedAt() sim.Time { return t.finishedAt }
+
 // Heartbeats reports the total heartbeats emitted so far.
 func (t *Task) Heartbeats() float64 { return t.heartbeats }
 
@@ -163,10 +168,11 @@ func (t *Task) DemandPU(ct hw.CoreType) float64 {
 
 // Advance consumes workPU·s of delivered work on a core of type ct over a
 // tick of length dt ending at now: heartbeats are emitted, the HRM window is
-// sampled, and phase time advances.
-func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time) {
+// sampled, and phase time advances. It reports true exactly once: on the
+// tick a non-looping task plays out its last phase (the task exit).
+func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time) (exited bool) {
 	if t.finished {
-		return
+		return false
 	}
 	if workPU > 0 {
 		t.heartbeats += workPU / t.HBCost(ct)
@@ -176,7 +182,7 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 	for {
 		d := t.Spec.Phases[t.phase].Duration
 		if d <= 0 || t.phaseElapsed < d {
-			return
+			return false
 		}
 		t.phaseElapsed -= d
 		t.phase++
@@ -186,7 +192,8 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 			} else {
 				t.phase = len(t.Spec.Phases) - 1
 				t.finished = true
-				return
+				t.finishedAt = now
+				return true
 			}
 		}
 		t.enterPhase()
