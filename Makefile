@@ -23,14 +23,16 @@ check:
 
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
 # scheduling contract, the sharded dispatcher against the linear routing
-# oracle, the board checkpoint codec round trip, and the electricity-price
-# trace decode→validate→lookup pipeline. FUZZTIME bounds each target.
+# oracle, the board checkpoint codec round trip, the electricity-price
+# trace decode→validate→lookup pipeline, and the platform's steady spans
+# against per-tick stepping. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run=^$$ -fuzz=FuzzRouteShardedVsLinear -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
+	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
 
 # Regenerate the pinned experiment digests after an intentional numerical
 # change (see EXPERIMENTS.md, "Bisecting a digest mismatch").

@@ -13,6 +13,7 @@ import (
 	"pricepower/internal/exp"
 	"pricepower/internal/fleet"
 	"pricepower/internal/platform"
+	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
 	"pricepower/internal/telemetry"
@@ -55,7 +56,8 @@ func newLoadedPlatform(n int) *platform.Platform {
 // scheduling model alike, and in ticks where tasks exit (drained after
 // every tick, as a fleet board drains at its barrier). Each case measures
 // a whole 200-tick window as one run, so a single allocation anywhere in
-// it fails the test.
+// it fails the test. The "spans" case runs whole PPM bid periods through
+// Platform.Run, steady spans included.
 func TestTickAllocationFree(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -101,6 +103,30 @@ func TestTickAllocationFree(t *testing.T) {
 				t.Errorf("exits: %d tasks finished, want 9", n)
 			}
 		}
+	}
+
+	// spans: Platform.Run under PPM — steady spans between bid rounds,
+	// the round ticks themselves, and the 100 ms telemetry snapshot grid
+	// that bounds the spans — allocates nothing either.
+	p := newLoadedPlatform(12)
+	reg := telemetry.NewRegistry()
+	em := telemetry.NewEmitter(reg)
+	em.SetKinds(0)
+	p.AttachTelemetry(em)
+	p.SetGovernor(ppm.New(ppm.DefaultConfig(4)))
+	p.Run(3 * sim.Second) // warm: LBT settles, scratch and HRM rings sized
+	spanned := reg.Counter("pricepower_span_ticks_total", "").Value()
+	migs, _ := p.Migrations()
+	allocs := testing.AllocsPerRun(1, func() { p.Run(500 * sim.Millisecond) })
+	if now, _ := p.Migrations(); now != migs {
+		// A migration allocates its completion event: not a steady state.
+		t.Errorf("spans: %d LBT migrations in the measured window, want 0", now-migs)
+	}
+	if allocs != 0 {
+		t.Errorf("spans: Platform.Run(500ms) under PPM allocates %.0f objects, want 0", allocs)
+	}
+	if reg.Counter("pricepower_span_ticks_total", "").Value() == spanned {
+		t.Error("spans: no tick of the measured run was played inside a span")
 	}
 }
 

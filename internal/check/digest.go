@@ -47,6 +47,14 @@ func (d Digest) Uint64(v uint64) Digest {
 	return Digest(h)
 }
 
+// Words folds several 64-bit words in order, each as Uint64 does.
+func (d Digest) Words(ws ...uint64) Digest {
+	for _, w := range ws {
+		d = d.Uint64(w)
+	}
+	return d
+}
+
 // Int folds a signed integer.
 func (d Digest) Int(v int64) Digest { return d.Uint64(uint64(v)) }
 

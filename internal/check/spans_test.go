@@ -1,8 +1,9 @@
-package check
+package check_test
 
 import (
 	"testing"
 
+	"pricepower/internal/check"
 	"pricepower/internal/telemetry/trace"
 )
 
@@ -26,7 +27,7 @@ func TestCheckSpanConservation(t *testing.T) {
 		{"overclose", fakeLedger{o: 2, c: 3}, false},
 	}
 	for _, tc := range cases {
-		err := CheckSpanConservation(tc.l)
+		err := check.CheckSpanConservation(tc.l)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -41,8 +42,8 @@ func TestSpanConservationWithTracer(t *testing.T) {
 	tr.Fleet().Open(trace.Span{Trace: id, Stage: trace.StageQueue, Board: -1})
 	tr.Fleet().Close(id, trace.StageQueue, 100, "home")
 	tr.Board(0).AddAttributed(trace.Span{Trace: id, Stage: trace.StageBoard, Class: "drain"})
-	var l SpanLedger = tr
-	if err := CheckSpanConservation(l); err != nil {
+	var l check.SpanLedger = tr
+	if err := check.CheckSpanConservation(l); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -141,7 +141,7 @@ type Federation struct {
 	sticky int // router's current region choice (-1 before first pick)
 
 	reg    *telemetry.Registry
-	digest uint64 // controller digest (FNV-1a over epoch decisions)
+	digest check.Digest // controller digest (FNV-1a over epoch decisions)
 }
 
 // New builds the federation: validates every region's price trace and
@@ -160,7 +160,7 @@ func New(cfg Config) (*Federation, error) {
 		// Digests start from the seed, not the bare FNV offset: two runs
 		// are only "the same replay" if they share the seed, even when
 		// the observable trajectory happens not to depend on it.
-		digest: fnvWords(fnvOffset, cfg.Seed),
+		digest: check.NewDigest().Uint64(cfg.Seed),
 	}
 	regionSeed := sim.DeriveSeed(cfg.Seed, regionSeedStream)
 	for i, rc := range cfg.Regions {
@@ -190,7 +190,7 @@ func New(cfg Config) (*Federation, error) {
 			return nil, fmt.Errorf("region %d (%s): %w", i, rc.Name, err)
 		}
 		r := newRegion(i, rc, fl, cfg.Tiers)
-		r.digest = fnvWords(r.digest, fc.Seed)
+		r.digest = r.digest.Uint64(fc.Seed)
 		f.regions = append(f.regions, r)
 	}
 	f.registerMetrics()
@@ -438,7 +438,7 @@ func (f *Federation) Step() error {
 	if d.Move {
 		move = 1
 	}
-	f.digest = fnvWords(f.digest,
+	f.digest = f.digest.Words(
 		uint64(epoch), move, uint64(d.Src+1), uint64(d.Dst+1), uint64(d.Tasks),
 		uint64(f.inTransit), f.counters.Submitted, f.counters.MigratedTasks,
 	)
@@ -562,9 +562,9 @@ func (f *Federation) DigestVector() []uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]uint64, 0, len(f.regions)+1)
-	out = append(out, f.digest)
+	out = append(out, uint64(f.digest))
 	for _, r := range f.regions {
-		out = append(out, r.digest)
+		out = append(out, uint64(r.digest))
 	}
 	return out
 }
@@ -621,23 +621,7 @@ func (f *Federation) close() {
 	}
 }
 
-// FNV-1a digest folding (the repo's replay-digest primitive).
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-func fnvWords(h uint64, words ...uint64) uint64 {
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-func hex16(d uint64) string { return fmt.Sprintf("%016x", d) }
+func hex16(d check.Digest) string { return fmt.Sprintf("%016x", uint64(d)) }
 
 func itoa(i int) string { return strconv.Itoa(i) }
 

@@ -3,6 +3,7 @@ package federation
 import (
 	"math"
 
+	"pricepower/internal/check"
 	"pricepower/internal/fault"
 	"pricepower/internal/fleet"
 	"pricepower/internal/metrics"
@@ -76,7 +77,7 @@ type Region struct {
 	costHist *metrics.Histogram
 
 	// digest folds this region's epoch observations (FNV-1a).
-	digest uint64
+	digest check.Digest
 }
 
 func newRegion(id int, rc RegionConfig, fl *fleet.Fleet, tiers []Tier) *Region {
@@ -92,7 +93,7 @@ func newRegion(id int, rc RegionConfig, fl *fleet.Fleet, tiers []Tier) *Region {
 		// small fleets sit in the cents-to-dollars range.
 		revHist:  metrics.NewLog(1e-4, 2, 24),
 		costHist: metrics.NewLog(1e-4, 2, 24),
-		digest:   fnvOffset,
+		digest:   check.NewDigest(),
 	}
 }
 
@@ -187,7 +188,7 @@ func (r *Region) account(epoch int, epochH, elec float64) {
 		down = 1
 	}
 	c := st.Counters
-	r.digest = fnvWords(r.digest,
+	r.digest = r.digest.Words(
 		uint64(epoch), down,
 		math.Float64bits(elec), math.Float64bits(r.effPrice),
 		math.Float64bits(served), math.Float64bits(energy), math.Float64bits(revenue),

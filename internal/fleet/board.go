@@ -293,15 +293,16 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		b.p.AttachChecker(b.rec)
 	}
 	if trc != nil {
-		// The observer rides the existing per-tick checker hook: one round
-		// comparison per tick, span work only on round boundaries —
-		// nothing on the bid/route loops.
+		// The observer acts only on market-round boundaries, which the
+		// governor makes on singly stepped ticks: as a round observer it
+		// runs on those ticks (one round comparison each) and leaves the
+		// platform's steady spans enabled — nothing on the bid/route loops.
 		b.obs = &boardObserver{
 			b:         b,
 			m:         b.gov.Market(),
 			histRound: metrics.NewLog(1, 2, 16), // 1ms .. ~33s virtual
 		}
-		b.p.AttachChecker(b.obs)
+		b.p.AttachRoundObserver(b.obs)
 	}
 
 	for _, c := range b.p.Chip.Cores {
@@ -597,6 +598,7 @@ func (b *Board) snapshot(batch int) Snapshot {
 		Price:       price,
 		PowerW:      st.PowerW,
 		SmoothedW:   m.SmoothedPower(),
+		EnergyJ:     st.EnergyJ,
 		WthW:        m.EffectiveWth(),
 		WtdpW:       m.EffectiveWtdp(),
 		State:       m.State().String(),
@@ -611,11 +613,11 @@ func (b *Board) snapshot(batch int) Snapshot {
 	}
 }
 
-// boardObserver is the traced board's per-tick hook (platform.Checker):
-// it turns market-round boundaries into StageRound spans + the round
-// histogram — tick-granular virtual timestamps, no market-loop
-// instrumentation. Runs on the board goroutine inside p.Run, so it may
-// touch board-owned state.
+// boardObserver is the traced board's round observer
+// (Platform.AttachRoundObserver): it turns market-round boundaries into
+// StageRound spans + the round histogram — tick-granular virtual
+// timestamps, no market-loop instrumentation. Runs on the board goroutine
+// inside p.Run, so it may touch board-owned state.
 type boardObserver struct {
 	b *Board
 	m *core.Market

@@ -37,6 +37,10 @@ type Snapshot struct {
 	Crashed bool `json:"crashed,omitempty"`
 	Stalled bool `json:"stalled,omitempty"`
 
+	// EnergyJ is the chip energy the board drew since it booted (a
+	// restart starts a new meter).
+	EnergyJ float64 `json:"energy_j"`
+
 	Tasks int `json:"tasks"`
 	// Completed is the board's cumulative count of tasks that finished
 	// and were retired (carried across restarts by the checkpoint).

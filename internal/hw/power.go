@@ -96,6 +96,18 @@ func (m *EnergyMeter) Accumulate(watts float64, dt sim.Time) {
 	}
 }
 
+// AccumulateN records n consecutive intervals of dt at the same draw,
+// adding each interval's energy in turn exactly as n Accumulate calls do.
+func (m *EnergyMeter) AccumulateN(watts float64, dt sim.Time, n int) {
+	for i := 0; i < n; i++ {
+		m.joules += watts * dt.Seconds()
+	}
+	m.elapsed += sim.Time(n) * dt
+	if watts > m.peak {
+		m.peak = watts
+	}
+}
+
 // Joules reports the total energy consumed so far.
 func (m *EnergyMeter) Joules() float64 { return m.joules }
 

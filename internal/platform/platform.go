@@ -19,6 +19,20 @@
 // total, the meters and the thermal models — the steady-state tick
 // performs zero heap allocations (see TestTickAllocationFree and
 // BenchmarkTickThroughput at the repository root).
+//
+// Between a governor's actions most ticks repeat the last one: the same
+// deliveries, utilizations and power. When the platform's hook is the
+// engine's only hook, the platform plays such a stretch of steady ticks as
+// one span (sim.Spanner): each accumulator — a queue's vruntimes and PELT
+// averages, a task's heartbeats and HRM samples, its total work, each
+// energy meter — takes the stretch's updates in one loop, in tick order,
+// so the result is bit-identical to stepping tick by tick. A span stops
+// before the governor's next action (NextTicker; governors without it
+// never span), the next telemetry snapshot, any task's phase end and any
+// engine event, and no span is taken while a fault injector, checker or
+// thermal model is attached, or while a run queue is discrete. Round
+// observers (AttachRoundObserver) run only on singly stepped ticks and so
+// leave spans on.
 package platform
 
 import (
@@ -38,6 +52,15 @@ type Governor interface {
 	Name() string
 	Attach(p *Platform)
 	Tick(now sim.Time)
+}
+
+// NextTicker is implemented by governors that act only at known times:
+// NextTick reports the earliest tick end at which Tick may change any
+// state, and every Tick before it is a no-op. The platform plays the
+// steady ticks before it as one span (see the package comment); a
+// governor without it keeps the platform on per-tick stepping.
+type NextTicker interface {
+	NextTick() sim.Time
 }
 
 // Checker observes the platform at the end of every tick, after the
@@ -145,7 +168,9 @@ type Platform struct {
 	byID   []*taskState
 
 	gov      Governor
+	govNext  NextTicker // gov, when it implements NextTicker
 	checkers []Checker
+	roundObs []Checker
 
 	// Fault injection (nil when detached; every hook site nil-checks).
 	faults       FaultInjector
@@ -158,6 +183,7 @@ type Platform struct {
 	telNextState  sim.Time
 	telStateEvery sim.Time
 	ticksC        *telemetry.Counter
+	spanTicksC    *telemetry.Counter
 	migUsC        *telemetry.Counter
 	migMsC        *telemetry.Counter
 
@@ -187,9 +213,16 @@ func New(chip *hw.Chip, step sim.Time) *Platform {
 	for range chip.Cores {
 		p.queues = append(p.queues, sched.NewQueue())
 	}
-	p.Engine.AddHook(sim.TickFunc(p.tick))
+	p.Engine.AddHook(hook{p})
 	return p
 }
+
+// hook is the platform's engine hook: one tick at a time, or a steady
+// span of ticks in one call (sim.Spanner).
+type hook struct{ p *Platform }
+
+func (h hook) Tick(now sim.Time)            { h.p.tick(now) }
+func (h hook) Span(now sim.Time, n int) int { return h.p.span(now, n) }
 
 // NewTC2 is the common case: the TC2 platform at a 1 ms tick.
 func NewTC2() *Platform { return New(hw.NewTC2(), sim.Millisecond) }
@@ -197,6 +230,7 @@ func NewTC2() *Platform { return New(hw.NewTC2(), sim.Millisecond) }
 // SetGovernor attaches the governor. It must be called before running.
 func (p *Platform) SetGovernor(g Governor) {
 	p.gov = g
+	p.govNext, _ = g.(NextTicker)
 	g.Attach(p)
 	if p.tel != nil {
 		if ta, ok := g.(TelemetryAware); ok {
@@ -223,6 +257,8 @@ func (p *Platform) AttachTelemetry(em *telemetry.Emitter) {
 	em.SetClock(p.Engine.Now)
 	if reg := em.Registry(); reg != nil {
 		p.ticksC = reg.Counter("pricepower_ticks_total", "Platform ticks executed.")
+		p.spanTicksC = reg.Counter("pricepower_span_ticks_total",
+			"Platform ticks played inside steady spans (a subset of pricepower_ticks_total).")
 		p.migUsC = reg.Counter(`pricepower_migrations_total{class="us"}`,
 			"Task migrations by paper cost class (us: intra-cluster, ms: cross-cluster).")
 		p.migMsC = reg.Counter(`pricepower_migrations_total{class="ms"}`,
@@ -260,6 +296,24 @@ func (p *Platform) AttachChecker(c Checker) {
 		}
 	}
 	p.checkers = append(p.checkers, c)
+}
+
+// AttachRoundObserver registers an observer that acts only when the
+// governor does — a market round boundary, say. It runs like a checker
+// (after the governor and the checkers, in attachment order) on every
+// tick the platform steps singly; a steady span skips it, since the
+// governor never acts inside one. Unlike a checker it therefore leaves
+// spans enabled. Attaching the same observer twice is a no-op.
+func (p *Platform) AttachRoundObserver(c Checker) {
+	if c == nil {
+		return
+	}
+	for _, ex := range p.roundObs {
+		if ex == c {
+			return
+		}
+	}
+	p.roundObs = append(p.roundObs, c)
 }
 
 // AttachThermal registers a thermal model, built over the platform's chip,
@@ -778,8 +832,12 @@ func (p *Platform) tick(now sim.Time) {
 		p.gov.Tick(now)
 	}
 
-	// 5. Invariant checkers observe the complete post-governor state.
+	// 5. Invariant checkers observe the complete post-governor state,
+	// then the round observers.
 	for _, c := range p.checkers {
+		c.CheckTick(p, now)
+	}
+	for _, c := range p.roundObs {
 		c.CheckTick(p, now)
 	}
 
@@ -796,6 +854,78 @@ func (p *Platform) tick(now sim.Time) {
 			p.tel.PublishState(p.fillState)
 		}
 	}
+}
+
+// span plays up to n steady ticks after now in one pass and reports how
+// many it played (the sim.Spanner contract). Ticks are steady when their
+// inputs cannot change from one to the next: no fault injector, checker or
+// thermal model is attached; the governor's next action (NextTick) and the
+// telemetry snapshot grid lie beyond them; no task's phase ends in them;
+// and every run queue is fluid. The span then runs each accumulator over
+// the n ticks in turn — a queue's fill (computed at most once), vruntimes
+// and PELT averages, a task's heartbeats, HRM samples and total work, each
+// energy meter — with the floating-point operations and operand order of
+// n tick calls, so every result is bit-identical.
+func (p *Platform) span(now sim.Time, n int) int {
+	if p.faults != nil || len(p.checkers) > 0 || len(p.thermals) > 0 {
+		return 0
+	}
+	if p.gov != nil {
+		if p.govNext == nil {
+			return 0
+		}
+		n = min(n, p.Engine.TicksBefore(p.govNext.NextTick()))
+	}
+	if p.tel != nil {
+		n = min(n, p.Engine.TicksBefore(p.telNextState))
+	}
+	dt := p.Engine.Step()
+	for _, st := range p.live {
+		if n < 2 {
+			return 0
+		}
+		n = min(n, st.task.SteadyTicks(dt))
+	}
+	if n < 2 {
+		return 0
+	}
+	for _, q := range p.queues {
+		if q.Granularity > 0 {
+			return 0
+		}
+	}
+
+	seconds := dt.Seconds()
+	for coreID, q := range p.queues {
+		core := p.Chip.Cores[coreID]
+		ct := core.Type()
+		for _, st := range p.byCore[coreID] {
+			if !st.frozen {
+				st.entity.WantPU = st.task.WantPU(ct)
+			}
+		}
+		util := q.StepN(core.SupplyPU(), dt, n)
+		core.Utilization = util
+		p.lastUtil[coreID] = util
+	}
+	for _, st := range p.live {
+		work := st.entity.Work()
+		st.task.AdvanceN(work, p.Chip.Cores[st.core].Type(), dt, now, n)
+		for i := 0; i < n; i++ {
+			st.total += work
+		}
+		st.lastPU = work / seconds
+	}
+	p.lastPower = hw.ChipPower(p.Chip, p.clusterPower)
+	p.meter.AccumulateN(p.lastPower, dt, n)
+	for i, w := range p.clusterPower {
+		p.clusterMeters[i].AccumulateN(w, dt, n)
+	}
+	if p.tel != nil {
+		p.ticksC.Add(uint64(n))
+		p.spanTicksC.Add(uint64(n))
+	}
+	return n
 }
 
 // fillState writes the hardware half of the telemetry state snapshot

@@ -282,6 +282,10 @@ func (g *Governor) AttachTelemetry(em *telemetry.Emitter) {
 	}
 }
 
+// NextTick implements platform.NextTicker: the next bid round's time.
+// Tick returns at once on every earlier tick.
+func (g *Governor) NextTick() sim.Time { return g.nextBid }
+
 // Tick implements platform.Governor.
 func (g *Governor) Tick(now sim.Time) {
 	if now < g.nextBid {

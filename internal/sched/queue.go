@@ -176,6 +176,56 @@ func (q *Queue) Step(supplyPU float64, dt sim.Time) float64 {
 	return q.fillUtil
 }
 
+// StepN plays n fluid ticks whose inputs do not change from one to the
+// next — the same entities, supply and tick length, and every entity's
+// WantPU and Weight — exactly as n Step calls would: the fill is computed
+// at most once (by the first tick, unless already current) and then each
+// entity's vruntime and PELT average take their n updates in tick order,
+// one accumulator at a time, so the result is bit-identical. minVruntime
+// needs only the last tick's minimum: vruntimes never decrease, so neither
+// do the per-tick minima. It returns the utilization of every one of the
+// ticks. The queue must be fluid (Granularity 0).
+func (q *Queue) StepN(supplyPU float64, dt sim.Time, n int) float64 {
+	decay := q.peltDecay(dt)
+	if len(q.entities) == 0 || supplyPU*dt.Seconds() <= 0 {
+		for _, e := range q.entities {
+			e.work = 0
+			for k := 0; k < n; k++ {
+				e.Load.update(0, decay)
+			}
+		}
+		return 0
+	}
+	if !q.fillCurrent(supplyPU, dt) {
+		q.waterFill(supplyPU, dt)
+	}
+	minV := -1.0
+	for i, e := range q.entities {
+		s := &q.fill[i]
+		e.work = s.got
+		if s.got > 0 {
+			w := e.Weight
+			if w <= 0 {
+				w = 1
+			}
+			dv := s.got / w
+			for k := 0; k < n; k++ {
+				e.vruntime += dv
+			}
+		}
+		for k := 0; k < n; k++ {
+			e.Load.update(s.runnable, decay)
+		}
+		if minV < 0 || e.vruntime < minV {
+			minV = e.vruntime
+		}
+	}
+	if minV > q.minVruntime {
+		q.minVruntime = minV
+	}
+	return q.fillUtil
+}
+
 // fillCurrent reports whether the last fill was computed from exactly this
 // tick's inputs: the same entities in the same order (fillOK), the same
 // supply and tick length, and every entity's WantPU and Weight unchanged

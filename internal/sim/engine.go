@@ -12,6 +12,21 @@ type TickHook interface {
 	Tick(now Time)
 }
 
+// Spanner is a TickHook that can also play several consecutive ticks in
+// one call. When a spanner is the engine's only hook, RunUntil offers it
+// every stretch of ticks that no one-shot event interrupts and that does
+// not run past the run's end; the hook plays a prefix of the stretch and
+// reports its length. Playing k ticks in one Span call must leave exactly
+// the state k Tick calls would have left, and must schedule no event that
+// falls due inside the span.
+type Spanner interface {
+	TickHook
+	// Span offers the n ≥ 2 ticks ending at now+step, …, now+n·step and
+	// returns how many of them, k ≤ n, it played; 0 declines the offer and
+	// the engine steps the next tick normally.
+	Span(now Time, n int) int
+}
+
 // TickFunc adapts a plain function to the TickHook interface.
 type TickFunc func(now Time)
 
@@ -51,6 +66,7 @@ type Engine struct {
 	now    Time
 	step   Time
 	hooks  []TickHook
+	span   Spanner // hooks[0] when it is the only hook and a Spanner
 	events eventQueue
 	seq    int64
 }
@@ -71,8 +87,14 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Step() Time { return e.step }
 
 // AddHook registers a hook to run every tick, after all hooks registered
-// before it.
-func (e *Engine) AddHook(h TickHook) { e.hooks = append(e.hooks, h) }
+// before it. Spans are offered only while a single hook is registered.
+func (e *Engine) AddHook(h TickHook) {
+	e.hooks = append(e.hooks, h)
+	e.span = nil
+	if len(e.hooks) == 1 {
+		e.span, _ = h.(Spanner)
+	}
+}
 
 // At schedules fn to run at virtual time at. Events scheduled in the past
 // (or at the current time) fire at the start of the next tick. Events at the
@@ -86,11 +108,41 @@ func (e *Engine) At(at Time, fn func(now Time)) {
 func (e *Engine) After(d Time, fn func(now Time)) { e.At(e.now+d, fn) }
 
 // RunUntil advances the clock tick by tick until it reaches (at least) end.
-// Each tick fires, in order: due one-shot events, then every hook.
+// Each tick fires, in order: due one-shot events, then every hook. A lone
+// Spanner hook is first offered the ticks up to the earlier of end and
+// the tick at which the next event falls due; what it declines is stepped.
 func (e *Engine) RunUntil(end Time) {
 	for e.now < end {
+		if e.span != nil {
+			if n := e.spanTicks(end); n >= 2 {
+				if k := e.span.Span(e.now, n); k > 0 {
+					e.now += Time(k) * e.step
+					continue
+				}
+			}
+		}
 		e.StepOnce()
 	}
+}
+
+// spanTicks counts the ticks after now that end no later than end and
+// before the first pending event's time (an event fires at the start of
+// the first tick ending at or after it).
+func (e *Engine) spanTicks(end Time) int {
+	n := int((end - e.now) / e.step)
+	if len(e.events) > 0 {
+		n = min(n, e.TicksBefore(e.events[0].at))
+	}
+	return n
+}
+
+// TicksBefore counts the ticks after the current time that end strictly
+// before at.
+func (e *Engine) TicksBefore(at Time) int {
+	if at <= e.now {
+		return 0
+	}
+	return int((at - e.now - 1) / e.step)
 }
 
 // RunFor advances the clock by d from the current time.

@@ -208,3 +208,108 @@ func TestRandForkIndependent(t *testing.T) {
 		t.Error("forked generators produced identical first values")
 	}
 }
+
+// spanLog is a Spanner that records every tick it plays, singly or in a
+// span, and accepts at most take ticks of each offer (0: decline all).
+type spanLog struct {
+	e      *Engine
+	take   int
+	ticks  []Time // every tick end, in play order
+	offers [][2]Time
+}
+
+func (s *spanLog) Tick(now Time) { s.ticks = append(s.ticks, now) }
+
+func (s *spanLog) Span(now Time, n int) int {
+	if n < 2 {
+		panic("span offered fewer than 2 ticks")
+	}
+	s.offers = append(s.offers, [2]Time{now + s.e.Step(), now + Time(n)*s.e.Step()})
+	k := min(n, s.take)
+	for i := 1; i <= k; i++ {
+		s.ticks = append(s.ticks, now+Time(i)*s.e.Step())
+	}
+	return k
+}
+
+// TestEngineSpanStopsAtEventsAndRunEnd: an offered span never covers the
+// tick at which an event falls due, nor a tick past the run's end; the
+// ticks played (spanned or not) are exactly the per-tick sequence, and
+// every event fires at the tick it would fire at without spans.
+func TestEngineSpanStopsAtEventsAndRunEnd(t *testing.T) {
+	for _, take := range []int{0, 3, 1 << 30} {
+		e := NewEngine(Millisecond)
+		s := &spanLog{e: e, take: take}
+		e.AddHook(s)
+		var fired []Time
+		fire := func(now Time) { fired = append(fired, now) }
+		dues := []Time{7 * Millisecond, 7500 * Microsecond, 20 * Millisecond, 21 * Millisecond, 40*Millisecond + 1}
+		for _, at := range dues {
+			e.At(at, fire)
+		}
+		e.At(30*Millisecond, func(now Time) { e.After(4*Millisecond, fire) })
+		ends := []Time{12 * Millisecond, 25*Millisecond + 400*Microsecond, 60 * Millisecond}
+		for _, end := range ends {
+			e.RunUntil(end)
+		}
+		if e.Now() != 60*Millisecond {
+			t.Fatalf("take %d: clock at %v, want 60ms", take, e.Now())
+		}
+		for i, at := range s.ticks {
+			if want := Time(i+1) * Millisecond; at != want {
+				t.Fatalf("take %d: tick %d played at %v, want %v", take, i, at, want)
+			}
+		}
+		if len(s.ticks) != 60 {
+			t.Fatalf("take %d: %d ticks played, want 60", take, len(s.ticks))
+		}
+		wantFired := []Time{7 * Millisecond, 8 * Millisecond, 20 * Millisecond, 21 * Millisecond, 34 * Millisecond, 41 * Millisecond}
+		if len(fired) != len(wantFired) {
+			t.Fatalf("take %d: events fired at %v, want %v", take, fired, wantFired)
+		}
+		for i := range wantFired {
+			if fired[i] != wantFired[i] {
+				t.Fatalf("take %d: events fired at %v, want %v", take, fired, wantFired)
+			}
+		}
+		if len(s.offers) == 0 {
+			t.Fatalf("take %d: no span offered", take)
+		}
+		for _, o := range s.offers {
+			first, last := o[0], o[1]
+			// A span stops before an event's firing tick; it may end at a
+			// run's end but never pass it.
+			for _, at := range wantFired {
+				if first <= at && at <= last {
+					t.Fatalf("take %d: span %v..%v covers event tick %v", take, first, last, at)
+				}
+			}
+			for _, end := range ends {
+				if first <= end && end < last {
+					t.Fatalf("take %d: span %v..%v passes run end %v", take, first, last, end)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineNoSpanWithTwoHooks: spans are offered only to a lone hook.
+func TestEngineNoSpanWithTwoHooks(t *testing.T) {
+	e := NewEngine(Millisecond)
+	s := &spanLog{e: e, take: 1 << 30}
+	e.AddHook(s)
+	e.RunFor(10 * Millisecond)
+	if len(s.offers) == 0 {
+		t.Fatal("lone spanner was offered no span")
+	}
+	offered := len(s.offers)
+	other := 0
+	e.AddHook(TickFunc(func(Time) { other++ }))
+	e.RunFor(10 * Millisecond)
+	if len(s.offers) != offered {
+		t.Fatalf("%d spans offered with two hooks registered", len(s.offers)-offered)
+	}
+	if len(s.ticks) != 20 || other != 10 {
+		t.Fatalf("ticks: spanner %d (want 20), second hook %d (want 10)", len(s.ticks), other)
+	}
+}

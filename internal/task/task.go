@@ -12,6 +12,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 
 	"pricepower/internal/hw"
 	"pricepower/internal/sim"
@@ -198,6 +199,39 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 		}
 		t.enterPhase()
 	}
+}
+
+// SteadyTicks reports how many further ticks of length dt the task plays
+// without leaving its phase: over that many ticks Advance only emits
+// heartbeats and samples the HRM, which AdvanceN does in one call. A
+// finished task or an endless phase stays steady (math.MaxInt).
+func (t *Task) SteadyTicks(dt sim.Time) int {
+	d := t.Spec.Phases[t.phase].Duration
+	if t.finished || d <= 0 {
+		return math.MaxInt
+	}
+	return int((d - t.phaseElapsed - 1) / dt)
+}
+
+// AdvanceN plays n ticks of length dt, each delivering workPU·s on a core
+// of type ct, the first ending at now+dt: the same heartbeat additions and
+// HRM samples, in the same order, as n Advance calls. n must not exceed
+// SteadyTicks(dt), so no phase ends inside the run.
+func (t *Task) AdvanceN(workPU float64, ct hw.CoreType, dt, now sim.Time, n int) {
+	if t.finished {
+		return
+	}
+	// One tick's heartbeats, the quotient Advance adds; without work it
+	// stays +0, and adding +0 leaves the (never negative) count unchanged.
+	var beats float64
+	if workPU > 0 {
+		beats = workPU / t.HBCost(ct)
+	}
+	for i := 1; i <= n; i++ {
+		t.heartbeats += beats
+		t.hrm.Sample(now+sim.Time(i)*dt, t.heartbeats)
+	}
+	t.phaseElapsed += sim.Time(n) * dt
 }
 
 // HeartRate reports the observed heart rate in hb/s over the HRM window

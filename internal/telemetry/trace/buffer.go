@@ -3,6 +3,7 @@ package trace
 import (
 	"sync"
 
+	"pricepower/internal/check"
 	"pricepower/internal/sim"
 )
 
@@ -18,7 +19,7 @@ type Buffer struct {
 	points []Point
 	open   map[openKey]Span
 	counts Counts
-	digest uint64
+	digest check.Digest
 }
 
 type openKey struct {
@@ -30,7 +31,7 @@ type openKey struct {
 // recorder — every method short-circuits — which is how the detached
 // configuration stays zero-cost.
 func NewBuffer() *Buffer {
-	return &Buffer{open: make(map[openKey]Span), digest: fnvOffset64}
+	return &Buffer{open: make(map[openKey]Span), digest: check.NewDigest()}
 }
 
 // Open starts a span. The (trace, stage) pair must not already be open;
@@ -152,7 +153,7 @@ func (b *Buffer) Digest() uint64 {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.digest
+	return uint64(b.digest)
 }
 
 // Spans returns a copy of the completed spans, in completion order.

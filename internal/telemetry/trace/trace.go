@@ -19,6 +19,7 @@ import (
 	"math"
 	"strconv"
 
+	"pricepower/internal/check"
 	"pricepower/internal/sim"
 )
 
@@ -152,51 +153,28 @@ func (c *Counts) Add(o Counts) {
 	c.Mismatched += o.Mismatched
 }
 
-// FNV-1a, the same fold the replay digests use (internal/check); kept
-// local so the trace layer stays dependency-light.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fold64(d, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		d ^= x & 0xff
-		d *= fnvPrime64
-		x >>= 8
-	}
-	return d
+// foldSpan folds every deterministic field of a span into the replay
+// digest fold (check.Digest). Wall-clock values never enter a span, so the
+// fold is replay-stable by construction.
+func foldSpan(d check.Digest, sp Span) check.Digest {
+	return d.Uint64(uint64(sp.Trace)).
+		Uint64(uint64(sp.Stage)).
+		Int(int64(sp.Board)).
+		String(sp.Class).
+		Int(int64(sp.Start)).
+		Int(int64(sp.End)).
+		Int(int64(sp.Barrier)).
+		Int(int64(sp.Round)).
+		Int(int64(sp.Lag))
 }
 
-func foldString(d uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		d ^= uint64(s[i])
-		d *= fnvPrime64
-	}
-	return d
-}
-
-// foldSpan folds every deterministic field of a span. Wall-clock values
-// never enter a span, so the fold is replay-stable by construction.
-func foldSpan(d uint64, sp Span) uint64 {
-	d = fold64(d, uint64(sp.Trace))
-	d = fold64(d, uint64(sp.Stage))
-	d = fold64(d, uint64(int64(sp.Board)))
-	d = foldString(d, sp.Class)
-	d = fold64(d, uint64(int64(sp.Start)))
-	d = fold64(d, uint64(int64(sp.End)))
-	d = fold64(d, uint64(int64(sp.Barrier)))
-	d = fold64(d, uint64(int64(sp.Round)))
-	d = fold64(d, uint64(int64(sp.Lag)))
-	return d
-}
-
-func foldPoint(d uint64, p Point) uint64 {
-	d = fold64(d, uint64(p.Trace))
-	d = foldString(d, p.Kind)
-	d = fold64(d, uint64(int64(p.Board)))
-	d = fold64(d, uint64(int64(p.Time)))
-	d = foldString(d, p.Class)
-	d = fold64(d, math.Float64bits(p.Value))
-	return d
+// foldPoint folds a point event. Its value enters as raw bits (-0 and +0
+// digest apart, unlike check.Digest.Float).
+func foldPoint(d check.Digest, p Point) check.Digest {
+	return d.Uint64(uint64(p.Trace)).
+		String(p.Kind).
+		Int(int64(p.Board)).
+		Int(int64(p.Time)).
+		String(p.Class).
+		Uint64(math.Float64bits(p.Value))
 }

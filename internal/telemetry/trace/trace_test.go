@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"pricepower/internal/check"
 	"pricepower/internal/sim"
 )
 
@@ -179,7 +180,7 @@ func TestDigestsVectorShape(t *testing.T) {
 		t.Fatalf("digest vector length = %d, want 4", len(d))
 	}
 	for i, v := range d {
-		if v != fnvOffset64 {
+		if v != uint64(check.NewDigest()) {
 			t.Fatalf("empty buffer %d digest = %x, want offset basis", i, v)
 		}
 	}

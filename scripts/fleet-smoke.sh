@@ -4,7 +4,7 @@
 # submit the canned burst trace over HTTP, poll /state until the fleet
 # converges, and assert the zero-loss contract:
 #
-#   live == submitted - shed,  queue empty,  shed == 0
+#   live + completed == submitted - shed,  queue empty,  shed == 0
 #
 # plus: the degraded board actually rejected sensor readings, the work is
 # spread over more than one board, and SIGTERM shuts the server down
@@ -47,15 +47,17 @@ for _ in $(seq 1 200); do
   SHED=$(sed -n 's/.*"shed": \([0-9]*\).*/\1/p' "$STATE")
   QUEUED=$(sed -n 's/.*"queue_len": \([0-9]*\).*/\1/p' "$STATE")
   LIVE=$(grep -o '"tasks": [0-9]*' "$STATE" | awk '{s+=$2} END {print s}')
+  # The fleet-wide total (two-space indent), not the per-board counts.
+  COMPLETED=$(sed -n 's/^  "completed": \([0-9]*\).*/\1/p' "$STATE")
   if [ "${SUBMITTED:-0}" -eq 15 ] && [ "${QUEUED:-1}" -eq 0 ] && \
-     [ "${LIVE:-0}" -eq $((SUBMITTED - ${SHED:-0})) ] && [ "${LIVE:-0}" -gt 0 ]; then
+     [ $((${LIVE:-0} + ${COMPLETED:-0})) -eq $((SUBMITTED - ${SHED:-0})) ] && [ "${LIVE:-0}" -gt 0 ]; then
     OK=1
     break
   fi
   sleep 0.2
 done
 [ -n "$OK" ] || { echo "fleet-smoke: fleet never converged"; cat "$STATE"; cat "$LOG"; exit 1; }
-echo "fleet-smoke: converged (submitted=$SUBMITTED live=$LIVE queued=$QUEUED shed=$SHED)"
+echo "fleet-smoke: converged (submitted=$SUBMITTED live=$LIVE completed=$COMPLETED queued=$QUEUED shed=$SHED)"
 
 [ "${SHED:-0}" -eq 0 ] || { echo "fleet-smoke: $SHED tasks shed"; exit 1; }
 
