@@ -24,8 +24,9 @@ check:
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
 # scheduling contract, the sharded dispatcher against the linear routing
 # oracle, the board checkpoint codec round trip, the electricity-price
-# trace decode→validate→lookup pipeline, and the platform's steady spans
-# against per-tick stepping. FUZZTIME bounds each target.
+# trace decode→validate→lookup pipeline, the platform's steady spans
+# against per-tick stepping, and the HRM run window against its
+# one-slot-per-sample oracle. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
+	$(GO) test -run=^$$ -fuzz=FuzzWindowRuns -fuzztime=$(FUZZTIME) ./internal/task
 
 # Regenerate the pinned experiment digests after an intentional numerical
 # change (see EXPERIMENTS.md, "Bisecting a digest mismatch").

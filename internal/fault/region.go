@@ -57,6 +57,18 @@ func (sc Scenario) OutageAt(region, epoch int) bool {
 	return false
 }
 
+// HasPlatformFaults reports whether the scenario schedules any fault the
+// platform injector acts on: anything but board- and region-level faults,
+// which the injector skips. A scenario without one needs no injector.
+func (sc Scenario) HasPlatformFaults() bool {
+	for i := range sc.Faults {
+		if t := sc.Faults[i].Type; !IsBoardFault(t) && !IsRegionFault(t) {
+			return true
+		}
+	}
+	return false
+}
+
 // HasRegionFaults reports whether the scenario schedules any
 // region-level fault.
 func (sc Scenario) HasRegionFaults() bool {

@@ -87,3 +87,23 @@ func TestIsRegionFault(t *testing.T) {
 		}
 	}
 }
+
+func TestHasPlatformFaults(t *testing.T) {
+	for _, c := range []struct {
+		types []Type
+		want  bool
+	}{
+		{nil, false},
+		{[]Type{BoardCrash, BoardStall, RegionOutage}, false},
+		{[]Type{BoardCrash, PowerDropout}, true},
+		{[]Type{CoreUnplug}, true},
+	} {
+		var sc Scenario
+		for _, ty := range c.types {
+			sc.Faults = append(sc.Faults, Fault{Type: ty})
+		}
+		if got := sc.HasPlatformFaults(); got != c.want {
+			t.Errorf("%v: HasPlatformFaults = %v, want %v", c.types, got, c.want)
+		}
+	}
+}

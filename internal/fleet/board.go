@@ -37,7 +37,6 @@ type Board struct {
 	em  *telemetry.Emitter
 	chk *check.Checker
 	rec *check.Recorder
-	inj *fault.Injector
 
 	little []int // LITTLE core IDs, placement targets
 	rr     int   // persistent round-robin cursor over little
@@ -264,8 +263,12 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		if err := sc.Validate(len(geo.Clusters), len(geo.Cores)); err != nil {
 			return nil, fmt.Errorf("fleet: board %d fault scenario: %w", id, err)
 		}
-		b.inj = fault.NewInjector(sc)
-		b.p.AttachFaults(b.inj)
+		if sc.HasPlatformFaults() {
+			// A scenario of board- and region-level faults only gets no
+			// injector: every hook would be the identity, and an
+			// attached injector keeps the platform off steady spans.
+			b.p.AttachFaults(fault.NewInjector(sc))
+		}
 		maxOver = faultMaxOverRounds
 		if sc.HasBoardFaults() {
 			// Board-level faults (crash / stall) are consulted once per

@@ -24,9 +24,10 @@
 // deliveries, utilizations and power. When the platform's hook is the
 // engine's only hook, the platform plays such a stretch of steady ticks as
 // one span (sim.Spanner): each accumulator — a queue's vruntimes and PELT
-// averages, a task's heartbeats and HRM samples, its total work, each
-// energy meter — takes the stretch's updates in one loop, in tick order,
-// so the result is bit-identical to stepping tick by tick. A span stops
+// averages, a task's heartbeats, its total work, each energy meter — takes
+// the stretch's updates in one register loop, in tick order, and a task's
+// HRM window takes the stretch's samples as one run (task.Window), so the
+// result is bit-identical to stepping tick by tick. A span stops
 // before the governor's next action (NextTicker; governors without it
 // never span), the next telemetry snapshot, any task's phase end and any
 // engine event, and no span is taken while a fault injector, checker or
@@ -863,9 +864,10 @@ func (p *Platform) tick(now sim.Time) {
 // telemetry snapshot grid lie beyond them; no task's phase ends in them;
 // and every run queue is fluid. The span then runs each accumulator over
 // the n ticks in turn — a queue's fill (computed at most once), vruntimes
-// and PELT averages, a task's heartbeats, HRM samples and total work, each
-// energy meter — with the floating-point operations and operand order of
-// n tick calls, so every result is bit-identical.
+// and PELT averages, a task's heartbeats (appended to its HRM window as
+// one run) and total work, each energy meter — with the floating-point
+// operations and operand order of n tick calls, so every result is
+// bit-identical.
 func (p *Platform) span(now sim.Time, n int) int {
 	if p.faults != nil || len(p.checkers) > 0 || len(p.thermals) > 0 {
 		return 0
@@ -911,9 +913,11 @@ func (p *Platform) span(now sim.Time, n int) int {
 	for _, st := range p.live {
 		work := st.entity.Work()
 		st.task.AdvanceN(work, p.Chip.Cores[st.core].Type(), dt, now, n)
+		total := st.total
 		for i := 0; i < n; i++ {
-			st.total += work
+			total += work
 		}
+		st.total = total
 		st.lastPU = work / seconds
 	}
 	p.lastPower = hw.ChipPower(p.Chip, p.clusterPower)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pricepower/internal/check"
+	"pricepower/internal/hw"
 	"pricepower/internal/platform"
 	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
@@ -15,8 +16,11 @@ import (
 )
 
 // spanRig is a TC2 board under PPM driven through a seed-dealt churn of
-// arrivals, exits, forced migrations and runs of odd lengths. With spans
-// off, a no-op second engine hook keeps the platform on per-tick stepping.
+// arrivals, exits, forced migrations and runs of odd lengths, at an engine
+// tick of 250 µs to 2 ms: under 1 ms a task samples its HRM window faster
+// than the window's one-slot-per-millisecond sizing, so spans cross its
+// drop-oldest path. With spans off, a no-op second engine hook keeps the
+// platform on per-tick stepping.
 type spanRig struct {
 	p   *platform.Platform
 	g   *ppm.Governor
@@ -27,7 +31,8 @@ type spanRig struct {
 
 func newSpanRig(seed uint64, spans bool) *spanRig {
 	r := rand.New(rand.NewPCG(seed, 0x5ba4))
-	p := platform.NewTC2()
+	tick := []sim.Time{250 * sim.Microsecond, 500 * sim.Microsecond, sim.Millisecond, 2 * sim.Millisecond}[r.IntN(4)]
+	p := platform.New(hw.NewTC2(), tick)
 	if !spans {
 		p.Engine.AddHook(sim.TickFunc(func(sim.Time) {}))
 	}
@@ -127,8 +132,9 @@ func (rig *spanRig) spanTicks() uint64 {
 
 // checkSpanEquivalence plays one seed's churn with spans and per tick and
 // fails at the first step whose state differs in any bit. It returns the
-// ticks the span run played inside spans (counted when telemetry is on).
-func checkSpanEquivalence(t *testing.T, seed uint64, steps int) uint64 {
+// ticks the span run played inside spans (counted when telemetry is on)
+// and the engine tick.
+func checkSpanEquivalence(t *testing.T, seed uint64, steps int) (spanned uint64, tick sim.Time) {
 	t.Helper()
 	a, b := newSpanRig(seed, true), newSpanRig(seed, false)
 	for s := 0; s < steps; s++ {
@@ -147,18 +153,21 @@ func checkSpanEquivalence(t *testing.T, seed uint64, steps int) uint64 {
 	if n := b.spanTicks(); n != 0 {
 		t.Fatalf("seed %d: %d span ticks with a second hook registered", seed, n)
 	}
-	return a.spanTicks()
+	return a.spanTicks(), a.p.Engine.Step()
 }
 
 // TestSpanEquivalence: steady spans leave every accumulator bit-identical
-// to per-tick stepping under churn, and they cover most ticks.
+// to per-tick stepping under churn, at every tick length.
 func TestSpanEquivalence(t *testing.T) {
-	var spanned uint64
+	spanned := map[sim.Time]uint64{}
 	for seed := uint64(1); seed <= 24; seed++ {
-		spanned += checkSpanEquivalence(t, seed, 16)
+		n, tick := checkSpanEquivalence(t, seed, 16)
+		spanned[tick] += n
 	}
-	if spanned == 0 {
-		t.Fatal("no tick was played inside a span")
+	for _, tick := range []sim.Time{250 * sim.Microsecond, 500 * sim.Microsecond, sim.Millisecond, 2 * sim.Millisecond} {
+		if spanned[tick] == 0 {
+			t.Errorf("no %v tick was played inside a span", tick)
+		}
 	}
 }
 

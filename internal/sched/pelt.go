@@ -36,18 +36,46 @@ func (l *LoadTracker) Update(runnable float64, dt sim.Time) {
 // update folds a runnable fraction in with a precomputed peltDecay factor
 // (run queues compute it once per tick length, not once per entity).
 func (l *LoadTracker) update(runnable, decay float64) {
-	if runnable < 0 {
-		runnable = 0
-	}
-	if runnable > 1 {
-		runnable = 1
-	}
+	runnable = clampRunnable(runnable)
 	if !l.initialized {
 		l.avg = runnable
 		l.initialized = true
 		return
 	}
-	l.avg = l.avg*decay + runnable*(1-decay)
+	in := runnable * (1 - decay)
+	l.avg = l.avg*decay + in
+}
+
+// updateN folds the same runnable fraction in n times, exactly as n update
+// calls: the clamp, the first-sample initialization and the new sample's
+// weight are computed once, and the average stays in a register.
+func (l *LoadTracker) updateN(runnable, decay float64, n int) {
+	if n <= 0 {
+		return
+	}
+	runnable = clampRunnable(runnable)
+	avg := l.avg
+	if !l.initialized {
+		avg = runnable
+		l.initialized = true
+		n--
+	}
+	in := runnable * (1 - decay)
+	for ; n > 0; n-- {
+		avg = avg*decay + in
+	}
+	l.avg = avg
+}
+
+// clampRunnable limits a runnable fraction to [0,1].
+func clampRunnable(r float64) float64 {
+	if r < 0 {
+		return 0
+	}
+	if r > 1 {
+		return 1
+	}
+	return r
 }
 
 // Value reports the current load average in [0,1].

@@ -190,9 +190,7 @@ func (q *Queue) StepN(supplyPU float64, dt sim.Time, n int) float64 {
 	if len(q.entities) == 0 || supplyPU*dt.Seconds() <= 0 {
 		for _, e := range q.entities {
 			e.work = 0
-			for k := 0; k < n; k++ {
-				e.Load.update(0, decay)
-			}
+			e.Load.updateN(0, decay, n)
 		}
 		return 0
 	}
@@ -208,14 +206,13 @@ func (q *Queue) StepN(supplyPU float64, dt sim.Time, n int) float64 {
 			if w <= 0 {
 				w = 1
 			}
-			dv := s.got / w
+			dv, v := s.got/w, e.vruntime
 			for k := 0; k < n; k++ {
-				e.vruntime += dv
+				v += dv
 			}
+			e.vruntime = v
 		}
-		for k := 0; k < n; k++ {
-			e.Load.update(s.runnable, decay)
-		}
+		e.Load.updateN(s.runnable, decay, n)
 		if minV < 0 || e.vruntime < minV {
 			minV = e.vruntime
 		}

@@ -279,6 +279,29 @@ func TestLoadTrackerClampsInput(t *testing.T) {
 	}
 }
 
+// updateN leaves the average bit-identical to n update calls, from a
+// fresh tracker (the first sample initializes) and a warm one, with
+// in-range and clamped runnable fractions.
+func TestLoadTrackerUpdateNMatchesUpdate(t *testing.T) {
+	rng := sim.NewRand(3)
+	for i := 0; i < 500; i++ {
+		decay := peltDecay(sim.Time(1 + rng.Intn(int(4*sim.Millisecond))))
+		var a, b LoadTracker
+		if rng.Intn(2) == 0 {
+			a.update(rng.Float64(), decay)
+			b = a
+		}
+		r, n := rng.Range(-0.5, 1.5), rng.Intn(40)
+		a.updateN(r, decay, n)
+		for k := 0; k < n; k++ {
+			b.update(r, decay)
+		}
+		if math.Float64bits(a.avg) != math.Float64bits(b.avg) || a.initialized != b.initialized {
+			t.Fatalf("case %d: updateN(%v, %v, %d) = %v, %d updates %v", i, r, decay, n, a.avg, n, b.avg)
+		}
+	}
+}
+
 func TestStarvedEntityLoadRises(t *testing.T) {
 	q := NewQueue()
 	// Demand far exceeds supply; both entities are runnable all the time.

@@ -92,10 +92,9 @@ type Task struct {
 
 	phase        int
 	phaseElapsed sim.Time
-	heartbeats   float64
 	finished     bool
 	finishedAt   sim.Time
-	hrm          Window
+	hrm          Window // also the heartbeat counter
 
 	// cost and want cache the active phase's HBCost and WantPU per core
 	// type (indexed by hw.CoreType), refreshed on every phase change: the
@@ -142,7 +141,7 @@ func (t *Task) Finished() bool { return t.finished }
 func (t *Task) FinishedAt() sim.Time { return t.finishedAt }
 
 // Heartbeats reports the total heartbeats emitted so far.
-func (t *Task) Heartbeats() float64 { return t.heartbeats }
+func (t *Task) Heartbeats() float64 { return t.hrm.Count() }
 
 // HBCost returns the current phase's per-heartbeat work on ct.
 func (t *Task) HBCost(ct hw.CoreType) float64 { return t.cost[ct] }
@@ -175,10 +174,7 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 	if t.finished {
 		return false
 	}
-	if workPU > 0 {
-		t.heartbeats += workPU / t.HBCost(ct)
-	}
-	t.hrm.Sample(now, t.heartbeats)
+	t.hrm.Add(now, t.beats(workPU, ct))
 	t.phaseElapsed += dt
 	for {
 		d := t.Spec.Phases[t.phase].Duration
@@ -201,6 +197,15 @@ func (t *Task) Advance(workPU float64, ct hw.CoreType, dt sim.Time, now sim.Time
 	}
 }
 
+// beats converts delivered work on ct into heartbeats. Without work it is
+// +0, which leaves the (never negative) count unchanged.
+func (t *Task) beats(workPU float64, ct hw.CoreType) float64 {
+	if workPU > 0 {
+		return workPU / t.HBCost(ct)
+	}
+	return 0
+}
+
 // SteadyTicks reports how many further ticks of length dt the task plays
 // without leaving its phase: over that many ticks Advance only emits
 // heartbeats and samples the HRM, which AdvanceN does in one call. A
@@ -221,16 +226,7 @@ func (t *Task) AdvanceN(workPU float64, ct hw.CoreType, dt, now sim.Time, n int)
 	if t.finished {
 		return
 	}
-	// One tick's heartbeats, the quotient Advance adds; without work it
-	// stays +0, and adding +0 leaves the (never negative) count unchanged.
-	var beats float64
-	if workPU > 0 {
-		beats = workPU / t.HBCost(ct)
-	}
-	for i := 1; i <= n; i++ {
-		t.heartbeats += beats
-		t.hrm.Sample(now+sim.Time(i)*dt, t.heartbeats)
-	}
+	t.hrm.AddN(now, dt, n, t.beats(workPU, ct))
 	t.phaseElapsed += sim.Time(n) * dt
 }
 

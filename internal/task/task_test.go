@@ -246,11 +246,11 @@ func TestWindowEdgeCases(t *testing.T) {
 	if w.Rate(0) != 0 {
 		t.Error("empty window rate != 0")
 	}
-	w.Sample(sim.Millisecond, 1)
+	w.Add(sim.Millisecond, 1)
 	if w.Rate(sim.Millisecond) != 0 {
 		t.Error("single-sample window rate != 0")
 	}
-	w.Sample(2*sim.Millisecond, 3)
+	w.Add(2*sim.Millisecond, 2)
 	if got := w.Rate(2 * sim.Millisecond); math.Abs(got-2000) > 1e-6 {
 		t.Errorf("two-sample rate = %v, want 2000", got)
 	}
@@ -260,17 +260,14 @@ func TestWindowEvictsOldSamples(t *testing.T) {
 	w := NewWindow(100 * sim.Millisecond)
 	// 10 hb/s for 1s, then 100 hb/s; after the window slides, only the fast
 	// rate should be visible.
-	count := 0.0
 	now := sim.Time(0)
 	for i := 0; i < 1000; i++ {
 		now += sim.Millisecond
-		count += 0.01
-		w.Sample(now, count)
+		w.Add(now, 0.01)
 	}
 	for i := 0; i < 200; i++ {
 		now += sim.Millisecond
-		count += 0.1
-		w.Sample(now, count)
+		w.Add(now, 0.1)
 	}
 	if got := w.Rate(now); math.Abs(got-100) > 5 {
 		t.Errorf("windowed rate = %v, want ≈100", got)
