@@ -23,15 +23,17 @@ check:
 
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
 # scheduling contract, the sharded dispatcher against the linear routing
-# oracle, the board checkpoint codec round trip, the electricity-price
-# trace decode→validate→lookup pipeline, the platform's steady spans
-# against per-tick stepping, and the HRM run window against its
+# oracle, the board checkpoint codec round trip, the fleet arrival-trace
+# decoder and its submit bounds, the electricity-price trace
+# decode→validate→lookup pipeline, the platform's steady spans against
+# per-tick stepping, and the HRM run window against its
 # one-slot-per-sample oracle. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run=^$$ -fuzz=FuzzRouteShardedVsLinear -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
 	$(GO) test -run=^$$ -fuzz=FuzzWindowRuns -fuzztime=$(FUZZTIME) ./internal/task
@@ -77,14 +79,14 @@ trace-smoke:
 SHARDS ?= 8
 
 # Fleet saturation smoke under the race detector: one pass over the
-# price-index routing benchmarks (indexed vs linear-scan oracle, 1000-spec
-# saturation batch), the sharded-dispatcher sweep point at S=$(SHARDS),
-# and the bounded-skew stepping benchmarks (K=0 vs K=4), plus the
-# equivalence/replay tests that pin them. -benchtime 1x exercises the
-# paths; measure with `go test -bench ... -count 5` (see EXPERIMENTS.md).
+# routing benchmarks (fleet-size sweep, and the 1000-submission
+# saturation batch at S=$(SHARDS)) and the bounded-skew stepping
+# benchmarks (K=0 vs K=4), plus the equivalence/replay tests that pin
+# them. -benchtime 1x exercises the paths; measure with
+# `go test -bench ... -count 5` (see EXPERIMENTS.md).
 fleet-saturation:
-	$(GO) test -race -run 'TestPropertyIndexMatchesLinearOracle|TestPropertyShardedMatchesLinearOracle|TestFleetReplaysBitIdentically|TestFleetSkewZeroMatchesLockstep' ./internal/fleet
-	$(GO) test -race -run '^$$' -bench 'BenchmarkDispatcherRoute$$|BenchmarkDispatcherSaturationBatch|BenchmarkDispatcherSharded/boards=256/S=$(SHARDS)$$|BenchmarkFleetSaturation' -benchtime 1x .
+	$(GO) test -race -run 'TestPropertyShardedMatchesLinearOracle|TestFleetReplaysBitIdentically|TestFleetSkewZeroMatchesLockstep' ./internal/fleet
+	$(GO) test -race -run '^$$' -bench 'BenchmarkDispatcherRoute$$|BenchmarkDispatcherSharded/boards=256/S=$(SHARDS)$$|BenchmarkFleetSaturation' -benchtime 1x .
 
 # Sharded-dispatcher suite under the race detector: the cross-shard
 # equivalence property, the steal/interleaving determinism stresses, the

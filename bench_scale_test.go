@@ -213,15 +213,8 @@ func routingSnaps(n int) []fleet.Snapshot {
 	return snaps
 }
 
-// routingSpecs is the canonical 100-submission batch the dispatcher
-// benchmarks route per op.
-func routingSpecs() []task.Spec { return routingSpecsN(100) }
-
-// routingSpecsN builds an n-submission batch with the same mix; the
-// fleet_saturation routing comparison uses the full 1000-spec batch so
-// the measured cost is per 1k submissions directly and the index's
-// one-off O(boards) heap rebuild is amortised the way a saturated
-// barrier amortises it.
+// routingSpecsN builds an n-submission batch of looping tasks with a
+// spread of demands.
 func routingSpecsN(n int) []task.Spec {
 	specs := make([]task.Spec, n)
 	for i := range specs {
@@ -235,69 +228,22 @@ func routingSpecsN(n int) []task.Spec {
 }
 
 // BenchmarkDispatcherRoute measures one dispatch round — routing a
-// 100-spec batch against the barrier snapshots — as the fleet grows.
-// Route picks through the price-ordered admissibility index: the heap is
+// 100-submission batch against the barrier snapshots through the fleet's
+// single-shard dispatcher — as the fleet grows. The lane's price index is
 // rebuilt once per barrier (O(boards)) and each pick costs O(log boards)
-// for the fix-up after the projection bump, so the round is
-// O(boards + batch·log boards) instead of the linear scan's
-// O(boards × batch).
+// for the fix-up after the projection bump.
 func BenchmarkDispatcherRoute(b *testing.B) {
-	specs := routingSpecs()
+	subs := routingSubsN(100)
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("boards=%d", n), func(b *testing.B) {
 			snaps := routingSnaps(n)
-			d := fleet.NewDispatcher(fleet.DefaultHysteresis)
+			d := fleet.NewShardedDispatcher(1, fleet.DefaultHysteresis, 42)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Route(snaps, specs)
+				d.Route(snaps, subs)
 			}
 		})
-	}
-}
-
-// BenchmarkDispatcherRouteLinear is the pre-index baseline — one full
-// admissibility scan per submission — kept to measure the index's speedup
-// against it (the acceptance bar is ≥5× routed submissions/s at 256
-// boards).
-func BenchmarkDispatcherRouteLinear(b *testing.B) {
-	specs := routingSpecs()
-	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(fmt.Sprintf("boards=%d", n), func(b *testing.B) {
-			snaps := routingSnaps(n)
-			d := fleet.NewDispatcher(fleet.DefaultHysteresis)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.RouteLinear(snaps, specs)
-			}
-		})
-	}
-}
-
-// BenchmarkDispatcherSaturationBatch is the fleet_saturation routing
-// comparison: the full 1000-spec saturation batch routed through the
-// price index versus the linear-scan baseline at the two saturation
-// fleet sizes. ns/op here is cost per 1k submissions directly — the
-// acceptance bar is indexed ≥5× faster than linear at 256 boards.
-func BenchmarkDispatcherSaturationBatch(b *testing.B) {
-	specs := routingSpecsN(1000)
-	for _, n := range []int{64, 256} {
-		for _, impl := range []string{"indexed", "linear"} {
-			b.Run(fmt.Sprintf("boards=%d/%s", n, impl), func(b *testing.B) {
-				snaps := routingSnaps(n)
-				d := fleet.NewDispatcher(fleet.DefaultHysteresis)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if impl == "indexed" {
-						d.Route(snaps, specs)
-					} else {
-						d.RouteLinear(snaps, specs)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -338,24 +284,11 @@ func routingSubsN(n int) []fleet.Submission {
 
 // BenchmarkDispatcherSharded is the shard sweep of the fleet_saturation
 // routing dimension: the 1000-submission saturation batch routed through
-// S price-index shards at 256 boards on the clustered fixture, plus the
-// unsharded indexed Route on the same fixture as the speedup baseline
-// (labelled S=0). ns/op is cost per 1k submissions — the acceptance bar
-// is ≥1M routed submissions/s and ≥3× over the single-index dispatcher at
-// S=8.
+// S price-index shards at 256 boards on the clustered fixture. ns/op is
+// cost per 1k submissions.
 func BenchmarkDispatcherSharded(b *testing.B) {
 	const boards = 256
 	subs := routingSubsN(1000)
-	specs := routingSpecsN(1000)
-	b.Run("boards=256/S=0", func(b *testing.B) { // single-index baseline
-		snaps := clusteredSnaps(boards)
-		d := fleet.NewDispatcher(fleet.DefaultHysteresis)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.Route(snaps, specs)
-		}
-	})
 	for _, s := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("boards=256/S=%d", s), func(b *testing.B) {
 			snaps := clusteredSnaps(boards)

@@ -41,14 +41,22 @@ type fedResolved struct {
 	Spec   task.Spec
 }
 
-// resolve expands and validates the trace against the workload registry
-// and the federation's region names.
+// resolve expands and validates the trace against the fleet's submit
+// bounds, the workload registry and the federation's region names.
 func (tr *FedTrace) resolve(f *Federation) ([]fedResolved, error) {
+	total := 0
+	for i, a := range tr.Tasks {
+		n, err := fleet.ArrivalCount(total, a.Count, a.AtMS)
+		if err != nil {
+			return nil, fmt.Errorf("federation: trace entry %d: %w", i, err)
+		}
+		total += n
+	}
 	names := map[string]int{}
 	for _, r := range f.Regions() {
 		names[r.Name] = r.ID
 	}
-	var out []fedResolved
+	out := make([]fedResolved, 0, total)
 	for i, a := range tr.Tasks {
 		b, ok := workload.ByName(a.Bench)
 		if !ok {
@@ -70,13 +78,7 @@ func (tr *FedTrace) resolve(f *Federation) ([]fedResolved, error) {
 			}
 			region = id
 		}
-		count := a.Count
-		if count <= 0 {
-			count = 1
-		}
-		if a.AtMS < 0 {
-			return nil, fmt.Errorf("federation: trace entry %d: negative at_ms", i)
-		}
+		count := max(a.Count, 1)
 		for n := 0; n < count; n++ {
 			out = append(out, fedResolved{
 				At: sim.Time(a.AtMS) * sim.Millisecond, Region: region, Spec: spec,

@@ -224,3 +224,69 @@ func TestSubmitStructuredErrors(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// TestSubmitRejectsUnboundedTraces: a small body whose counts add up past
+// MaxSubmitTasks, or whose at_ms would overflow virtual time, is refused
+// with a structured 400 before any entry is expanded, and admits nothing.
+// The counts are rejected by the bound check alone; no test expands them.
+func TestSubmitRejectsUnboundedTraces(t *testing.T) {
+	f, err := New(Config{Boards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv := httptest.NewServer(NewMux(f))
+	defer srv.Close()
+
+	for name, body := range map[string]string{
+		"huge count":      `{"tasks":[{"bench":"swaptions","input":"n","count":2000000000}]}`,
+		"counts add up":   `{"tasks":[{"bench":"swaptions","input":"n","count":40000},{"bench":"x264","input":"n","count":40000}]}`,
+		"overflow at_ms":  `{"tasks":[{"bench":"swaptions","input":"n","at_ms":9223372036854775807}]}`,
+		"beyond horizon":  `{"tasks":[{"bench":"swaptions","input":"n","at_ms":1099511627777}]}`,
+		"negative at_ms":  `{"tasks":[{"bench":"swaptions","input":"n","at_ms":-1}]}`,
+		"late huge count": `{"tasks":[{"bench":"nope","input":"n"},{"bench":"swaptions","input":"n","count":9000000000000000000}]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct {
+			Error string `json:"error"`
+			Msg   string `json:"msg"`
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		} else if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil || apiErr.Error != "bad-request" {
+			t.Errorf("%s: body = %+v (%v), want slug bad-request", name, apiErr, err)
+		}
+		resp.Body.Close()
+	}
+	if st := f.StateSnapshot(); st.Counters.Submitted != 0 {
+		t.Fatalf("rejected traces admitted %d submissions", st.Counters.Submitted)
+	}
+}
+
+// TestArrivalCountBounds pins the bound check at its edges.
+func TestArrivalCountBounds(t *testing.T) {
+	for _, c := range []struct {
+		total, count int
+		at           int64
+		want         int
+		ok           bool
+	}{
+		{0, 0, 0, 1, true},
+		{0, -5, 0, 1, true},
+		{0, MaxSubmitTasks, MaxAtMS, MaxSubmitTasks, true},
+		{1, MaxSubmitTasks, 0, 0, false},
+		{MaxSubmitTasks, 0, 0, 0, false},
+		{MaxSubmitTasks - 1, 1, 0, 1, true},
+		{0, 1, MaxAtMS + 1, 0, false},
+		{0, 1, -1, 0, false},
+		{0, int(^uint(0) >> 1), 0, 0, false},
+	} {
+		n, err := ArrivalCount(c.total, c.count, c.at)
+		if (err == nil) != c.ok || n != c.want {
+			t.Errorf("ArrivalCount(%d, %d, %d) = %d, %v; want %d, ok %v", c.total, c.count, c.at, n, err, c.want, c.ok)
+		}
+	}
+}

@@ -52,15 +52,17 @@ type Board struct {
 	// fault schedule (nil without board faults); crashed flips on panic
 	// recovery and is terminal for this epoch — the board answers every
 	// later command with a crashed reply so the barrier pipeline never
-	// deadlocks on it. ckpt is the encoded checkpoint folded at the end
-	// of the last successful step; deferred holds stalled batches until
-	// the stall window closes.
-	bsc       *fault.Scenario
-	crashed   bool
-	crashErr  error
-	ckpt      []byte
-	ckptBatch int // the barrier ckpt covers
-	deferred  []deferredBatch
+	// deadlocks on it. img is the restart image, refolded in place at
+	// the end of every successful step (and after a drain); nil before
+	// the first. ckpt is its encoding, made once, when the board crashes
+	// and its crashed replies carry the image to the supervisor.
+	// deferred holds stalled batches until the stall window closes.
+	bsc      *fault.Scenario
+	crashed  bool
+	crashErr error
+	img      *Checkpoint
+	ckpt     []byte
+	deferred []stepCmd
 
 	// Causal tracing (nil when Config.Trace is off — the zero-cost
 	// detached state). All fields are owned by the board goroutine; trc's
@@ -72,8 +74,9 @@ type Board struct {
 	histStep      *metrics.Histogram // wall ns per batch step (place + run)
 	histResidency *metrics.Histogram // virtual ms placement → completion
 
-	cmd  chan interface{}
-	done chan struct{}
+	cmd     chan boardCmd
+	replies chan stepReply // step replies, in barrier order
+	done    chan struct{}
 }
 
 // traceCaptureKinds is the lifecycle-event mask a traced board captures
@@ -142,16 +145,43 @@ func sortEvents(evs []telemetry.Event) {
 	})
 }
 
+// stepCmd is one barrier's work for a board. A stalling board holds its
+// step commands: they run, in order, at the first barrier past the stall
+// window (or die with the board, in which case the fleet's stall-pending
+// ledger recovers the work).
 type stepCmd struct {
 	subs  []Submission // the barrier's full submission batch (shared, read-only)
 	mine  []int32      // indexes into subs placed (in order) before the batch runs
 	d     sim.Time     // batch length of virtual time
 	batch int
-	reply chan stepReply
+}
+
+// cmdOp names a board command.
+type cmdOp uint8
+
+const (
+	opStep cmdOp = iota
+	opDrain
+	opResume
+	opStop
+)
+
+// boardCmd is one fleet command. It travels by value on a typed channel,
+// so issuing a barrier allocates nothing; step replies come back on the
+// board's own replies channel.
+type boardCmd struct {
+	op   cmdOp
+	step stepCmd          // opStep
+	evac chan []evacuated // opDrain: the evacuated specs, in placement order
+	ack  chan struct{}    // opResume, opStop: closed once done
 }
 
 type stepReply struct {
-	snap Snapshot
+	// batch is the barrier the reply answers. The fleet reads a board's
+	// replies in barrier order and drops any older than the barrier it
+	// collects: the late reply of a barrier abandoned by a LivenessError.
+	batch int
+	snap  Snapshot
 	// events are the batch's captured lifecycle events, content-sorted
 	// (nil unless tracing): the fleet's per-barrier fold stamps board IDs
 	// and emits them in (round, board, kind) order to its event sink.
@@ -159,25 +189,15 @@ type stepReply struct {
 	err    error // first invariant violation, when checking is on
 
 	// crashed marks a terminal reply from a dead board: no snapshot, no
-	// events — just the last folded checkpoint for the supervisor to
-	// orphan from. The board keeps answering so the pipeline never
-	// blocks on it. stalled marks a withheld step (board-stall fault):
-	// the batch was deferred board-side and the fleet keeps its
-	// assignments in flight until the board catches up or crashes.
+	// events — just the restart image of the last successful step,
+	// encoded, for the supervisor to orphan from. The board keeps
+	// answering so the pipeline never blocks on it. stalled marks a
+	// withheld step (board-stall fault): the batch was deferred
+	// board-side and the fleet keeps its assignments in flight until the
+	// board catches up or crashes.
 	crashed bool
 	stalled bool
 	ckpt    []byte // encoded Checkpoint (crashed replies only)
-}
-
-// deferredBatch is one stalled step command held by the board: it runs,
-// in order, at the first barrier past the stall window (or dies with
-// the board, in which case the fleet's stall-pending ledger recovers
-// the work).
-type deferredBatch struct {
-	subs  []Submission
-	mine  []int32
-	d     sim.Time
-	batch int
 }
 
 // residency is a traced task's open board span: its trace ID and the
@@ -193,14 +213,6 @@ type evacuated struct {
 	spec task.Spec
 	id   trace.ID
 }
-
-type drainCmd struct {
-	reply chan []evacuated // the evacuated specs, in placement order
-}
-
-type resumeCmd struct{ reply chan struct{} }
-
-type stopCmd struct{ reply chan struct{} }
 
 // newBoard assembles one board from the fleet config. The governor is
 // always PPM: clearing prices are the routing signal, so a price-less
@@ -226,9 +238,12 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		// Bounded skew queues up to MaxSkew+1 step commands on a board
 		// that is running behind, plus one control command (drain /
 		// resume / stop); the buffer keeps the fleet's issue path from
-		// blocking on a slow board.
-		cmd:  make(chan interface{}, cfg.MaxSkew+2),
-		done: make(chan struct{}),
+		// blocking on a slow board. The replies buffer holds the same
+		// MaxSkew+1 uncollected barriers plus one late reply of a barrier
+		// a LivenessError abandoned, so the board never blocks on a send.
+		cmd:     make(chan boardCmd, cfg.MaxSkew+2),
+		replies: make(chan stepReply, cfg.MaxSkew+2),
+		done:    make(chan struct{}),
 	}
 	pcfg := ppm.DefaultConfig(cfg.TDP)
 	pcfg.Profiles = exp.WorkloadProfiles
@@ -333,26 +348,49 @@ const faultMaxOverRounds = 64
 // on a dead board.
 func (b *Board) loop() {
 	defer close(b.done)
-	for raw := range b.cmd {
-		switch c := raw.(type) {
-		case stepCmd:
-			c.reply <- b.step(c)
-		case drainCmd:
+	for c := range b.cmd {
+		switch c.op {
+		case opStep:
+			b.replies <- b.step(c.step)
+		case opDrain:
 			if b.crashed {
 				// Nothing to evacuate: the supervisor already owns the
 				// crashed board's work via the checkpoint.
-				c.reply <- nil
+				c.evac <- nil
 			} else {
-				c.reply <- b.evacuate()
+				c.evac <- b.evacuate()
 			}
-		case resumeCmd:
+		case opResume:
 			b.draining = false
-			close(c.reply)
-		case stopCmd:
-			close(c.reply)
+			close(c.ack)
+		case opStop:
+			close(c.ack)
 			return
 		}
 	}
+}
+
+// drain evacuates the board (see evacuate) and returns the evacuated
+// specs; a crashed board returns none.
+func (b *Board) drain() []evacuated {
+	evac := make(chan []evacuated, 1)
+	b.cmd <- boardCmd{op: opDrain, evac: evac}
+	return <-evac
+}
+
+// resume lets a drained board accept work again.
+func (b *Board) resume() { b.control(opResume) }
+
+// stop ends the board goroutine after every command queued before it.
+func (b *Board) stop() {
+	b.control(opStop)
+	<-b.done
+}
+
+func (b *Board) control(op cmdOp) {
+	ack := make(chan struct{})
+	b.cmd <- boardCmd{op: op, ack: ack}
+	<-ack
 }
 
 // step executes one barrier command with the board's failure domain
@@ -363,15 +401,15 @@ func (b *Board) loop() {
 // collectTo forever on this board's reply channel).
 func (b *Board) step(c stepCmd) (r stepReply) {
 	if b.crashed {
-		return stepReply{crashed: true, ckpt: b.ckpt, err: b.crashErr}
+		return stepReply{batch: c.batch, crashed: true, ckpt: b.ckpt, err: b.crashErr}
 	}
 	if b.bsc != nil && b.bsc.StallsAt(b.ID, c.batch) {
 		// Withhold the real reply: hold the batch for catch-up and answer
 		// with the sentinel so the barrier still completes. The fleet
 		// keeps these assignments in flight (stall-pending) and
 		// quarantines the board after Config.StallBarriers misses.
-		b.deferred = append(b.deferred, deferredBatch{subs: c.subs, mine: c.mine, d: c.d, batch: c.batch})
-		return stepReply{stalled: true}
+		b.deferred = append(b.deferred, c)
+		return stepReply{batch: c.batch, stalled: true}
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -390,7 +428,7 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 	}
 	b.deferred = nil
 	b.runBatch(c.subs, c.mine, c.d, c.batch)
-	r = stepReply{snap: b.snapshot(c.batch)}
+	r = stepReply{batch: c.batch, snap: b.snapshot(c.batch)}
 	if b.trc != nil {
 		// Per-round fold: drain the batch's captured lifecycle events
 		// (including any caught-up batches'), sort into the total content
@@ -418,8 +456,7 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 	// Fold the restart image after the step fully succeeded: a crash at
 	// barrier n orphans from the barrier n-1 image plus the fleet-side
 	// ledgers, never from a half-run barrier.
-	b.ckptBatch = c.batch
-	b.ckpt = b.foldCheckpoint()
+	b.foldImage(c.batch)
 	return r
 }
 
@@ -475,10 +512,12 @@ func (b *Board) retire() {
 // board's open residency spans close attributed to the crash (in trace
 // ID order — map iteration order must never reach a digest), buffered
 // capture is dropped, and every future command gets an immediate
-// crashed reply carrying the last good checkpoint.
+// crashed reply carrying the last good restart image. This is the one
+// place the image is encoded.
 func (b *Board) recoverCrash(batch int, cause interface{}) stepReply {
 	b.crashed = true
 	b.crashErr = fmt.Errorf("board %d panicked at barrier %d: %v", b.ID, batch, cause)
+	b.ckpt = b.img.Encode()
 	b.deferred = nil // the fleet's stall-pending ledger owns this work now
 	if b.trc != nil {
 		now := b.p.Now()
@@ -493,33 +532,40 @@ func (b *Board) recoverCrash(batch int, cause interface{}) stepReply {
 		b.traceOf = make(map[*task.Task]residency)
 		b.capture.drain() // the dead batch's events never reach the fold
 	}
-	return stepReply{crashed: true, ckpt: b.ckpt, err: b.crashErr}
+	return stepReply{batch: batch, crashed: true, ckpt: b.ckpt, err: b.crashErr}
 }
 
-// foldCheckpoint builds and encodes the board's restart image: every
-// resident task spec with its trace ID (finished tasks were retired at
-// the end of their batch, so none is resident), the completed count,
-// plus the market/governor restart position (barrier, round, virtual
-// time, placement cursor, seed). Runs on the board goroutine after a
+// foldImage refolds the board's restart image in place: every resident
+// task spec with its trace ID (finished tasks were retired at the end of
+// their batch, so none is resident), the completed count, plus the
+// market/governor restart position (barrier, round, virtual time,
+// placement cursor, seed). Runs on the board goroutine after a
 // successful step, so the platform state it reads is a consistent
-// barrier boundary.
-func (b *Board) foldCheckpoint() []byte {
-	tasks := b.p.Tasks()
-	ck := &Checkpoint{
+// barrier boundary. The image keeps its task storage across folds and
+// holds spec values, whose name and phase storage is immutable and shared
+// with the tasks: a fold allocates nothing once the storage has grown to
+// the board's peak residency, and the image pins no task.
+func (b *Board) foldImage(batch int) {
+	var tasks []CheckpointTask
+	if b.img == nil {
+		b.img = &Checkpoint{}
+	} else {
+		tasks = b.img.Tasks[:0]
+	}
+	for _, t := range b.p.Tasks() {
+		tasks = append(tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t].id})
+	}
+	*b.img = Checkpoint{
 		Board:     b.ID,
 		Epoch:     b.epoch,
-		Batch:     b.ckptBatch,
+		Batch:     batch,
 		Round:     b.gov.Market().Round(),
 		Time:      b.p.Now(),
 		RR:        b.rr,
 		Seed:      b.Seed,
 		Completed: b.completed,
-		Tasks:     make([]CheckpointTask, 0, len(tasks)),
+		Tasks:     tasks,
 	}
-	for _, t := range tasks {
-		ck.Tasks = append(ck.Tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t].id})
-	}
-	return ck.Encode()
 }
 
 // place boots the board's share of the barrier batch on the LITTLE
@@ -570,8 +616,8 @@ func (b *Board) evacuate() []evacuated {
 		out = append(out, e)
 	}
 	b.p.RemoveTasks(tasks...)
-	if b.ckpt != nil {
-		b.ckpt = b.foldCheckpoint()
+	if b.img != nil {
+		b.foldImage(b.img.Batch)
 	}
 	return out
 }

@@ -10,18 +10,20 @@ import (
 	"pricepower/internal/telemetry/trace"
 )
 
-// Checkpoint is a board's compact restart image, folded by the board
-// goroutine at the end of every successful step and carried on the step
-// reply in encoded form. It holds exactly what the supervisor needs to
-// resurrect the board's *work* — the resident task specs with their
-// causal trace IDs — and the board's completed-task count, plus the
-// market/governor restart position (barrier, round, virtual time,
+// Checkpoint is a board's compact restart image. The board goroutine
+// keeps one and refolds it in place at the end of every successful step
+// (and after a drain); it is encoded only when a crashed step reply
+// carries it to the supervisor. It holds exactly what the supervisor
+// needs to resurrect the board's *work* — the resident task specs with
+// their causal trace IDs — and the board's completed-task count, plus
+// the market/governor restart position (barrier, round, virtual time,
 // placement cursor, seed) that stamps where in the run the image was
 // taken. Finished tasks are retired at the end of their batch, so an
-// image never holds one: a restart cannot re-run a finished task. The restarted board itself boots fresh under
-// a derived restart-epoch seed; the checkpointed tasks re-enter the
-// dispatcher rather than being teleported onto the new platform, so
-// restart placement follows the same price routing as any admission.
+// image never holds one: a restart cannot re-run a finished task. The
+// restarted board itself boots fresh under a derived restart-epoch
+// seed; the checkpointed tasks re-enter the dispatcher rather than being
+// teleported onto the new platform, so restart placement follows the
+// same price routing as any admission.
 type Checkpoint struct {
 	Board int      // board ID the image belongs to
 	Epoch int      // restart epoch the image was folded under

@@ -26,203 +26,3 @@ func EstimateDemandPU(spec task.Spec) float64 {
 	}
 	return defaultDemandPU
 }
-
-// Dispatcher is the price router: cheapest-clearing-price-first over the
-// admissible boards, with hysteresis so small price wobbles between
-// near-equal boards do not ping-pong consecutive submissions. It is pure
-// state-machine code over Snapshot values — no locks, no board access —
-// so its decisions replay exactly from a recorded snapshot sequence.
-type Dispatcher struct {
-	// Hysteresis is the fractional price advantage a challenger board
-	// must show over the previously chosen board before the dispatcher
-	// switches away from it (default DefaultHysteresis via Fleet).
-	Hysteresis float64
-
-	last int // board chosen by the previous Pick; -1 before any pick
-
-	// Per-barrier scratch, reused across Route calls so the steady-state
-	// routing path stops allocating. The dispatcher is single-caller by
-	// contract (it already carries sticky-choice state in last), so the
-	// reuse needs no synchronization. picks/counts hold the per-spec
-	// board decisions and per-board tallies between Route's two passes;
-	// the assignment slices themselves are carved from a fresh exactly-
-	// sized backing array per call (they are handed to the caller and may
-	// outlive the barrier in a skewed pipeline).
-	proj   []Snapshot
-	idx    priceIndex
-	picks  []int
-	counts []int
-}
-
-// NewDispatcher builds a dispatcher with the given hysteresis fraction.
-func NewDispatcher(hysteresis float64) *Dispatcher {
-	return &Dispatcher{Hysteresis: hysteresis, last: -1}
-}
-
-// Pick chooses the board for one task given the per-board snapshots:
-// the admissible board with the lowest clearing price, except that the
-// previously picked board is kept while it stays admissible and within
-// the hysteresis band of the cheapest. Returns -1 when no board is
-// admissible (the admission controller then queues or sheds).
-func (d *Dispatcher) Pick(snaps []Snapshot) int {
-	best := -1
-	for i := range snaps {
-		if !snaps[i].Admissible() {
-			continue
-		}
-		if best == -1 || snaps[i].Price < snaps[best].Price {
-			best = i
-		}
-	}
-	if best == -1 {
-		d.last = -1
-		return -1
-	}
-	// Sticky choice: keep the previous board unless the cheapest
-	// undercuts it by more than the hysteresis fraction.
-	if d.last >= 0 && d.last < len(snaps) && d.last != best && snaps[d.last].Admissible() {
-		if snaps[best].Price >= snaps[d.last].Price*(1-d.Hysteresis) {
-			best = d.last
-		}
-	}
-	d.last = best
-	return best
-}
-
-// project charges one assignment's estimated demand against the local
-// snapshot copy and bumps the projected price proportionally: clearing
-// prices grow with demand over supply, so scale by the added load
-// fraction. A board that has not discovered a price yet (idle market)
-// gets a pseudo-price so repeated picks still spread.
-func project(proj []Snapshot, i int, est float64) {
-	proj[i].Tasks++
-	proj[i].DemandPU += est
-	frac := est / proj[i].MaxSupplyPU
-	if proj[i].Price > 0 {
-		proj[i].Price *= 1 + frac
-	} else {
-		proj[i].Price = frac
-	}
-}
-
-// Route assigns a batch of specs to boards. The snapshots are copied and
-// each assignment projects its estimated demand (and a proportional price
-// bump) onto the copy, so one large batch spreads across boards instead
-// of dog-piling the board that was cheapest at the barrier; real prices
-// take over at the next barrier. assign is indexed by board (nil when the
-// batch was empty, entries nil for boards that got nothing); specs that
-// find no admissible board are returned in arrival order as unrouted.
-//
-// Routing is sublinear in the fleet size: a price-ordered admissibility
-// index (priceIndex) is built once over the projection — rebuilt each
-// barrier, adjusted in place as demand projection bumps prices — and
-// each pick then costs O(log B) for the heap fix-up after the projection
-// bump, instead of the former O(B) scan per submission. RouteLinear
-// keeps the scan as the reference oracle;
-// TestPropertyIndexMatchesLinearOracle pins the two to identical
-// assignments.
-func (d *Dispatcher) Route(snaps []Snapshot, specs []task.Spec) (assign [][]task.Spec, unrouted []task.Spec) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	if cap(d.proj) < len(snaps) {
-		d.proj = make([]Snapshot, len(snaps))
-	}
-	proj := d.proj[:len(snaps)]
-	copy(proj, snaps)
-	d.idx.reset(proj)
-	if cap(d.picks) < len(specs) {
-		d.picks = make([]int, len(specs))
-	}
-	picks := d.picks[:len(specs)]
-	if cap(d.counts) < len(snaps) {
-		d.counts = make([]int, len(snaps))
-	}
-	counts := d.counts[:len(snaps)]
-	for i := range counts {
-		counts[i] = 0
-	}
-	// Pass one: pick a board per spec, projecting demand as we go.
-	routed := 0
-	for si, spec := range specs {
-		i := d.pickIndexed(&d.idx)
-		picks[si] = i
-		if i < 0 {
-			unrouted = append(unrouted, spec)
-			continue
-		}
-		counts[i]++
-		routed++
-		project(proj, i, EstimateDemandPU(spec))
-		if proj[i].Admissible() {
-			d.idx.fix(i)
-		} else {
-			d.idx.remove(i)
-		}
-	}
-	// Pass two: carve each board's assignment out of one exactly-sized
-	// backing array (three-index slices so boards cannot overrun into a
-	// neighbour), then fill in arrival order. This replaces per-board
-	// append growth — the dominant routing cost at large fleets — with a
-	// single allocation.
-	assign = make([][]task.Spec, len(snaps))
-	buf := make([]task.Spec, routed)
-	off := 0
-	for i, c := range counts {
-		if c > 0 {
-			assign[i] = buf[off : off : off+c]
-			off += c
-		}
-	}
-	for si, spec := range specs {
-		if b := picks[si]; b >= 0 {
-			assign[b] = append(assign[b], spec)
-		}
-	}
-	return assign, unrouted
-}
-
-// pickIndexed is Pick against the price index: the heap minimum is the
-// cheapest admissible board (lowest board ID on price ties, exactly the
-// linear scan's answer), with the same sticky-choice hysteresis on top.
-// Projection only ever makes a board more loaded within a barrier, so a
-// board leaves the index exactly when the scan would have seen it turn
-// inadmissible.
-func (d *Dispatcher) pickIndexed(idx *priceIndex) int {
-	best := idx.min()
-	if best < 0 {
-		d.last = -1
-		return -1
-	}
-	if d.last >= 0 && d.last < len(idx.snaps) && d.last != best && idx.contains(d.last) {
-		if idx.snaps[best].Price >= idx.snaps[d.last].Price*(1-d.Hysteresis) {
-			best = d.last
-		}
-	}
-	d.last = best
-	return best
-}
-
-// RouteLinear is the pre-index reference implementation — one full
-// admissibility scan per submission. It is kept as the equivalence oracle
-// for the property tests and as the baseline the fleet_saturation
-// benchmark dimension measures the index against; production routing goes
-// through Route.
-func (d *Dispatcher) RouteLinear(snaps []Snapshot, specs []task.Spec) (assign [][]task.Spec, unrouted []task.Spec) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	proj := make([]Snapshot, len(snaps))
-	copy(proj, snaps)
-	assign = make([][]task.Spec, len(snaps))
-	for _, spec := range specs {
-		i := d.Pick(proj)
-		if i < 0 {
-			unrouted = append(unrouted, spec)
-			continue
-		}
-		assign[i] = append(assign[i], spec)
-		project(proj, i, EstimateDemandPU(spec))
-	}
-	return assign, unrouted
-}

@@ -6,6 +6,71 @@ import (
 	"pricepower/internal/task"
 )
 
+// Dispatcher is the linear routing oracle: cheapest clearing price first
+// over the admissible boards, one full scan per pick, with hysteresis so
+// small price wobbles between near-equal boards do not ping-pong
+// consecutive submissions. It is pure state-machine code over Snapshot
+// values. The sharded oracle (shard_test.go) runs one per lane, so the
+// production ShardedDispatcher is checked against this plain scan
+// (TestPropertyShardedMatchesLinearOracle, FuzzRouteShardedVsLinear).
+type Dispatcher struct {
+	// Hysteresis is the fractional price advantage a challenger board
+	// must show over the previously chosen board before the dispatcher
+	// switches away from it.
+	Hysteresis float64
+
+	last int // board chosen by the previous Pick; -1 before any pick
+}
+
+// NewDispatcher builds an oracle dispatcher with the given hysteresis.
+func NewDispatcher(hysteresis float64) *Dispatcher {
+	return &Dispatcher{Hysteresis: hysteresis, last: -1}
+}
+
+// Pick chooses the board for one task given the per-board snapshots:
+// the admissible board with the lowest clearing price, except that the
+// previously picked board is kept while it stays admissible and within
+// the hysteresis band of the cheapest. Returns -1 when no board is
+// admissible.
+func (d *Dispatcher) Pick(snaps []Snapshot) int {
+	best := -1
+	for i := range snaps {
+		if !snaps[i].Admissible() {
+			continue
+		}
+		if best == -1 || snaps[i].Price < snaps[best].Price {
+			best = i
+		}
+	}
+	if best == -1 {
+		d.last = -1
+		return -1
+	}
+	// Sticky choice: keep the previous board unless the cheapest
+	// undercuts it by more than the hysteresis fraction.
+	if d.last >= 0 && d.last < len(snaps) && d.last != best && snaps[d.last].Admissible() {
+		if snaps[best].Price >= snaps[d.last].Price*(1-d.Hysteresis) {
+			best = d.last
+		}
+	}
+	d.last = best
+	return best
+}
+
+// project charges one assignment's estimated demand against a snapshot
+// copy and bumps the projected price proportionally, with a pseudo-price
+// for an idle board: the oracle's form of projEntry.project.
+func project(proj []Snapshot, i int, est float64) {
+	proj[i].Tasks++
+	proj[i].DemandPU += est
+	frac := est / proj[i].MaxSupplyPU
+	if proj[i].Price > 0 {
+		proj[i].Price *= 1 + frac
+	} else {
+		proj[i].Price = frac
+	}
+}
+
 func snap(board int, price float64) Snapshot {
 	return Snapshot{Board: board, Price: price, MaxSupplyPU: 5000}
 }
@@ -73,29 +138,29 @@ func TestPickLeavesStickyBoardWhenInadmissible(t *testing.T) {
 }
 
 func TestRouteSpreadsLargeBatch(t *testing.T) {
-	d := NewDispatcher(0.10)
+	d := NewShardedDispatcher(1, 0.10, 1)
 	snaps := []Snapshot{snap(0, 0), snap(1, 0), snap(2, 0)}
-	specs := make([]task.Spec, 9)
-	for i := range specs {
-		specs[i] = spec("swaptions_n")
+	subs := make([]Submission, 9)
+	for i := range subs {
+		subs[i] = NewSubmission(spec("swaptions_n"))
 	}
-	assign, unrouted := d.Route(snaps, specs)
-	if len(unrouted) != 0 {
-		t.Fatalf("%d unrouted, want 0", len(unrouted))
+	rb := d.Route(snaps, subs)
+	if len(rb.Unrouted) != 0 {
+		t.Fatalf("%d unrouted, want 0", len(rb.Unrouted))
 	}
 	total := 0
-	for i, got := range assign {
+	for i, got := range rb.PerBoard {
 		total += len(got)
 		if len(got) == 0 {
 			t.Errorf("board %d got no tasks: projection failed to spread", i)
 		}
 	}
-	if total != len(specs) {
-		t.Fatalf("routed %d, want %d", total, len(specs))
+	if total != len(subs) {
+		t.Fatalf("routed %d, want %d", total, len(subs))
 	}
 	// The projected-demand bump must keep the split roughly even: no
 	// board absorbs the whole batch.
-	for i, got := range assign {
+	for i, got := range rb.PerBoard {
 		if len(got) > 5 {
 			t.Errorf("board %d got %d/9 tasks: dog-pile", i, len(got))
 		}
@@ -103,19 +168,20 @@ func TestRouteSpreadsLargeBatch(t *testing.T) {
 }
 
 func TestRouteQueuesWhenSaturated(t *testing.T) {
-	d := NewDispatcher(0.10)
+	d := NewShardedDispatcher(1, 0.10, 1)
 	snaps := []Snapshot{snap(0, 0.1)}
 	snaps[0].SmoothedW, snaps[0].WthW = 4, 3.5
-	assign, unrouted := d.Route(snaps, []task.Spec{spec("a"), spec("b")})
-	for i := range assign {
-		if len(assign[i]) != 0 {
-			t.Fatalf("board %d got %d tasks, want all unrouted", i, len(assign[i]))
+	subs := []Submission{NewSubmission(spec("a")), NewSubmission(spec("b"))}
+	rb := d.Route(snaps, subs)
+	for i := range rb.PerBoard {
+		if len(rb.PerBoard[i]) != 0 {
+			t.Fatalf("board %d got %d tasks, want all unrouted", i, len(rb.PerBoard[i]))
 		}
 	}
-	if len(unrouted) != 2 {
-		t.Fatalf("unrouted=%d, want 2", len(unrouted))
+	if len(rb.Unrouted) != 2 {
+		t.Fatalf("unrouted=%d, want 2", len(rb.Unrouted))
 	}
-	if unrouted[0].Name != "a" || unrouted[1].Name != "b" {
+	if rb.Unrouted[0] != 0 || rb.Unrouted[1] != 1 {
 		t.Error("unrouted order not preserved")
 	}
 }

@@ -377,9 +377,7 @@ func TestLivenessDeadlineNamesHungBoards(t *testing.T) {
 	}
 	// Stop board 0's goroutine directly: its buffered command channel
 	// swallows the next step command and never replies.
-	reply := make(chan struct{})
-	f.boards[0].cmd <- stopCmd{reply: reply}
-	<-reply
+	f.boards[0].stop()
 
 	f.Submit(lightSpec("t"))
 	err = f.Step()
@@ -399,9 +397,7 @@ func TestLivenessDeadlineNamesHungBoards(t *testing.T) {
 	// The fleet is wedged by design after a liveness failure; stop the
 	// surviving board directly rather than Close (which would block on
 	// the dead one).
-	reply = make(chan struct{})
-	f.boards[1].cmd <- stopCmd{reply: reply}
-	<-reply
+	f.boards[1].stop()
 }
 
 // TestInjectedStallsNeverTripLiveness pins the deadline's determinism

@@ -284,19 +284,20 @@ type projCarry struct {
 	demandPU float64
 }
 
-// inflightBarrier is one issued-but-uncollected barrier: its reply
-// channels, the per-board assignment stats to unwind from the carry once
-// its snapshots arrive, and the barrier's submissions with each board's
-// pick list — retained so a crash or stall collected at this barrier can
-// recover exactly the work that was assigned (PerBoard's inner slices
-// are freshly allocated per Route call, so holding them is safe).
+// inflightBarrier is one issued-but-uncollected barrier: the per-board
+// assignment stats to unwind from the carry once its snapshots arrive,
+// and the barrier's submissions with each board's pick list — retained
+// so a crash or stall collected at this barrier can recover exactly the
+// work that was assigned (PerBoard's inner slices are freshly allocated
+// per Route call, so holding them is safe). Its replies arrive on each
+// board's replies channel, stamped with batch. The per-board add and
+// mine slices are recycled once the barrier is collected.
 type inflightBarrier struct {
-	batch   int
-	replies []chan stepReply
-	add     []projCarry
-	total   int          // tasks assigned at this barrier
-	subs    []Submission // the barrier's submission batch (shared, read-only)
-	mine    [][]int32    // per-board pick indexes into subs
+	batch int
+	add   []projCarry
+	total int          // tasks assigned at this barrier
+	subs  []Submission // the barrier's submission batch (shared, read-only)
+	mine  [][]int32    // per-board pick indexes into subs
 }
 
 // drainOp is a deferred drain/resume/restart/replace decision, executed
@@ -330,6 +331,16 @@ type Fleet struct {
 	// Pipeline state, touched only by the (serialized) stepping calls.
 	inflight []inflightBarrier
 	ops      []drainOp
+	// Per-barrier scratch, reused so that a steady barrier allocates
+	// nothing in the coordinator: the projected snapshots Route reads,
+	// the collected replies and fresh snapshots, and the add/mine slices
+	// of collected barriers (spare).
+	routeSnaps []Snapshot
+	replies    []stepReply
+	got        []bool
+	fresh      []Snapshot
+	spare      []inflightBarrier
+
 	degraded []int // consecutive degraded barriers per board
 	healthy  []int // consecutive healthy barriers per autodrained board
 	auto     []bool
@@ -542,33 +553,41 @@ func (f *Fleet) Submit(specs ...task.Spec) int {
 func (f *Fleet) submitLocked(subs []Submission) int {
 	accepted := 0
 	for _, s := range subs {
-		pos := f.counters.Submitted
-		f.counters.Submitted++
-		if len(f.pending) >= f.cfg.QueueCap {
-			f.counters.Shed++
-			if f.tracer != nil {
-				// The shed still gets its deterministic ID and a
-				// zero-length attributed queue span, so conservation and
-				// the replay digest see every admission outcome.
-				f.tracer.Fleet().AddAttributed(trace.Span{
-					Trace: trace.DeriveID(f.traceSeed, pos),
-					Stage: trace.StageQueue, Board: -1, Class: "shed",
-					Start: f.now, End: f.now,
-				})
-			}
-			continue
+		if f.submitOneLocked(s) {
+			accepted++
 		}
-		if f.tracer != nil {
-			s.Trace = trace.DeriveID(f.traceSeed, pos)
-			s.EnqueuedAt = f.now
-			f.tracer.Fleet().Open(trace.Span{
-				Trace: s.Trace, Stage: trace.StageQueue, Board: -1, Start: f.now,
-			})
-		}
-		f.pending = append(f.pending, s)
-		accepted++
 	}
 	return accepted
+}
+
+// submitOneLocked admits one submission to the queue tail, or sheds it
+// against the queue cap; it reports whether the submission was accepted.
+func (f *Fleet) submitOneLocked(s Submission) bool {
+	pos := f.counters.Submitted
+	f.counters.Submitted++
+	if len(f.pending) >= f.cfg.QueueCap {
+		f.counters.Shed++
+		if f.tracer != nil {
+			// The shed still gets its deterministic ID and a
+			// zero-length attributed queue span, so conservation and
+			// the replay digest see every admission outcome.
+			f.tracer.Fleet().AddAttributed(trace.Span{
+				Trace: trace.DeriveID(f.traceSeed, pos),
+				Stage: trace.StageQueue, Board: -1, Class: "shed",
+				Start: f.now, End: f.now,
+			})
+		}
+		return false
+	}
+	if f.tracer != nil {
+		s.Trace = trace.DeriveID(f.traceSeed, pos)
+		s.EnqueuedAt = f.now
+		f.tracer.Fleet().Open(trace.Span{
+			Trace: s.Trace, Stage: trace.StageQueue, Board: -1, Start: f.now,
+		})
+	}
+	f.pending = append(f.pending, s)
+	return true
 }
 
 // requeueLocked puts evacuated / unrouted specs back at the queue head —
@@ -673,10 +692,11 @@ func (f *Fleet) Step() error {
 	// pending work (older submissions route first).
 	horizon := f.now + f.cfg.Batch
 	for len(f.sched) > 0 && f.sched[0].at < horizon {
-		f.submitLocked([]Submission{f.sched[0].sub})
+		f.submitOneLocked(f.sched[0].sub)
 		f.sched = f.sched[1:]
 	}
-	snaps := append([]Snapshot(nil), f.snaps...)
+	snaps := append(f.routeSnaps[:0], f.snaps...)
+	f.routeSnaps = snaps
 	for i := range snaps {
 		if c := f.carry[i]; c.tasks > 0 {
 			snaps[i].Tasks += c.tasks
@@ -736,13 +756,7 @@ func (f *Fleet) Step() error {
 	// barrier joins the pipeline instead of blocking here. Boards receive
 	// the shared read-only submission slice plus their pick-index list —
 	// no per-board spec copies on the barrier's critical path.
-	bar := inflightBarrier{
-		batch:   issued + 1,
-		replies: make([]chan stepReply, len(f.boards)),
-		add:     make([]projCarry, len(f.boards)),
-		subs:    subs,
-		mine:    make([][]int32, len(f.boards)),
-	}
+	bar := f.newBarrier(issued+1, subs)
 	for i, b := range f.boards {
 		var mine []int32
 		var dpu float64
@@ -750,8 +764,7 @@ func (f *Fleet) Step() error {
 			mine = rb.PerBoard[i]
 			dpu = rb.AddDemandPU[i]
 		}
-		bar.replies[i] = make(chan stepReply, 1)
-		b.cmd <- stepCmd{subs: subs, mine: mine, d: f.cfg.Batch, batch: issued + 1, reply: bar.replies[i]}
+		b.cmd <- boardCmd{op: opStep, step: stepCmd{subs: subs, mine: mine, d: f.cfg.Batch, batch: bar.batch}}
 		bar.add[i] = projCarry{tasks: len(mine), demandPU: dpu}
 		bar.mine[i] = mine
 		bar.total += len(mine)
@@ -772,8 +785,12 @@ func (f *Fleet) Step() error {
 
 	resubmit, firstErr := f.collectTo(f.cfg.MaxSkew)
 
+	requeue := unrouted
+	if len(resubmit) > 0 {
+		requeue = append(resubmit, unrouted...)
+	}
 	f.mu.Lock()
-	f.requeueLocked(append(resubmit, unrouted...))
+	f.requeueLocked(requeue)
 	f.mu.Unlock()
 	if f.cfg.Check {
 		// The crash-conservation self-check: every accepted task is live,
@@ -814,7 +831,7 @@ func (f *Fleet) collectTo(maxOutstanding int) (resubmit []Submission, firstErr e
 					if f.crashed[op.board] || f.quarantined[op.board] {
 						continue // moot: the board crashed since the op queued
 					}
-					f.resumeBoard(op.board)
+					f.boards[op.board].resume()
 					f.mu.Lock()
 					f.snaps[op.board].Draining = false
 					f.mu.Unlock()
@@ -852,44 +869,74 @@ func (f *Fleet) collectTo(maxOutstanding int) (resubmit []Submission, firstErr e
 	return resubmit, errors.Join(errs...)
 }
 
-// collectReplies gathers one barrier's step replies, optionally bounded
-// by the wall-clock liveness deadline. Injected stalls and crashes reply
-// instantly with sentinels and never trip it; only a real hang does. On
-// timeout every already-delivered reply is drained non-blocking first
-// (reply channels are buffered), so the hung list names exactly the
-// boards that produced nothing.
-func (f *Fleet) collectReplies(bar inflightBarrier) ([]stepReply, []int) {
-	replies := make([]stepReply, len(bar.replies))
+// newBarrier starts an in-flight barrier record, reusing the per-board
+// slices of a collected one when there is one.
+func (f *Fleet) newBarrier(batch int, subs []Submission) inflightBarrier {
+	var bar inflightBarrier
+	if n := len(f.spare); n > 0 {
+		bar = f.spare[n-1]
+		f.spare = f.spare[:n-1]
+	} else {
+		bar.add = make([]projCarry, len(f.boards))
+		bar.mine = make([][]int32, len(f.boards))
+	}
+	bar.batch, bar.subs, bar.total = batch, subs, 0
+	return bar
+}
+
+// collectReplies gathers one barrier's step replies, one per board in
+// board order, optionally bounded by the wall-clock liveness deadline.
+// A board's replies arrive in barrier order on its own channel; one
+// stamped with an older barrier is the late reply of a barrier a
+// LivenessError abandoned, and is dropped. Injected stalls and crashes
+// reply instantly with sentinels and never trip the deadline; only a
+// real hang does. On timeout every already-delivered reply is drained
+// non-blocking first, so the hung list names exactly the boards that
+// produced nothing. The returned slice is scratch, valid until the next
+// call.
+func (f *Fleet) collectReplies(batch int) ([]stepReply, []int) {
+	if cap(f.replies) < len(f.boards) {
+		f.replies = make([]stepReply, len(f.boards))
+		f.got = make([]bool, len(f.boards))
+	}
+	replies := f.replies[:len(f.boards)]
 	if f.cfg.Liveness <= 0 {
-		for i := range bar.replies {
-			replies[i] = <-bar.replies[i]
+		for i, b := range f.boards {
+			r := <-b.replies
+			for r.batch != batch {
+				r = <-b.replies
+			}
+			replies[i] = r
 		}
 		return replies, nil
 	}
-	got := make([]bool, len(bar.replies))
+	got := f.got[:len(f.boards)]
+	clear(got)
 	timer := time.NewTimer(f.cfg.Liveness)
 	defer timer.Stop()
-	for i := range bar.replies {
-		select {
-		case r := <-bar.replies[i]:
-			replies[i], got[i] = r, true
-		case <-timer.C:
-			var hung []int
-			for j := range bar.replies {
-				if got[j] {
-					continue
+	for i, b := range f.boards {
+		for !got[i] {
+			select {
+			case r := <-b.replies:
+				if r.batch == batch {
+					replies[i], got[i] = r, true
 				}
-				select {
-				case r := <-bar.replies[j]:
-					replies[j], got[j] = r, true
-				default:
-					hung = append(hung, j)
+			case <-timer.C:
+				// This goroutine is the replies' only reader, so a
+				// non-empty channel receives without blocking.
+				var hung []int
+				for j, bj := range f.boards {
+					for !got[j] && len(bj.replies) > 0 {
+						if r := <-bj.replies; r.batch == batch {
+							replies[j], got[j] = r, true
+						}
+					}
+					if !got[j] {
+						hung = append(hung, j)
+					}
 				}
+				return replies, hung // nil: everything was already on the wire
 			}
-			if len(hung) == 0 {
-				return replies, nil // everything was already on the wire
-			}
-			return replies, hung
 		}
 	}
 	return replies, nil
@@ -903,12 +950,17 @@ func (f *Fleet) collectReplies(bar inflightBarrier) ([]stepReply, []int) {
 // yield one errors.Join of two CrashErrors.
 func (f *Fleet) collectOldest() error {
 	bar := f.inflight[0]
-	f.inflight = f.inflight[1:]
-	replies, hung := f.collectReplies(bar)
+	n := copy(f.inflight, f.inflight[1:])
+	f.inflight[n] = inflightBarrier{}
+	f.inflight = f.inflight[:n]
+	replies, hung := f.collectReplies(bar.batch)
 	if hung != nil {
 		return &LivenessError{Barrier: bar.batch, Deadline: f.cfg.Liveness, Boards: hung}
 	}
-	fresh := make([]Snapshot, len(f.boards))
+	if cap(f.fresh) < len(f.boards) {
+		f.fresh = make([]Snapshot, len(f.boards))
+	}
+	fresh := f.fresh[:len(f.boards)]
 	var events []telemetry.Event
 	var bevents []boardEvent // crash/stall lifecycle, emitted after unlock
 	var errs []error
@@ -971,6 +1023,7 @@ func (f *Fleet) collectOldest() error {
 		})
 		f.histBarrierLag.Record(float64(lag))
 	}
+	f.spare = append(f.spare, bar)
 	if len(events) > 0 {
 		// The per-barrier event fold: one globally sorted flush per
 		// barrier in (round, board, kind) order — the ordering contract
@@ -1148,11 +1201,7 @@ func (f *Fleet) restartDelayBarriers(board int) int {
 // board's command queue is empty and its every skewed barrier has been
 // orphan-accounted.
 func (f *Fleet) restartBoard(i int) []Submission {
-	old := f.boards[i]
-	reply := make(chan struct{})
-	old.cmd <- stopCmd{reply: reply}
-	<-reply
-	<-old.done
+	f.boards[i].stop()
 
 	epoch := f.crashEpochs[i] + 1
 	completed := f.snaps[i].Completed // the crash snapshot's checkpoint count
@@ -1327,9 +1376,7 @@ func (f *Fleet) emitDrainEvent(board int, class string, evacuated int) {
 }
 
 func (f *Fleet) drainBoard(i int) []Submission {
-	reply := make(chan []evacuated, 1)
-	f.boards[i].cmd <- drainCmd{reply: reply}
-	evs := <-reply
+	evs := f.boards[i].drain()
 	subs := make([]Submission, len(evs))
 	f.mu.Lock()
 	now := f.now
@@ -1352,12 +1399,6 @@ func (f *Fleet) drainBoard(i int) []Submission {
 		subs[j] = s
 	}
 	return subs
-}
-
-func (f *Fleet) resumeBoard(i int) {
-	reply := make(chan struct{})
-	f.boards[i].cmd <- resumeCmd{reply: reply}
-	<-reply
 }
 
 // Drain evacuates board i immediately (manual hot-unplug path): the
@@ -1396,7 +1437,7 @@ func (f *Fleet) Resume(i int) error {
 	if err := f.Flush(); err != nil {
 		return err
 	}
-	f.resumeBoard(i)
+	f.boards[i].resume()
 	f.mu.Lock()
 	f.snaps[i].Draining = false
 	f.mu.Unlock()
@@ -1487,9 +1528,6 @@ func (f *Fleet) Close() {
 	f.closed = true
 	f.mu.Unlock()
 	for _, b := range f.boards {
-		reply := make(chan struct{})
-		b.cmd <- stopCmd{reply: reply}
-		<-reply
-		<-b.done
+		b.stop()
 	}
 }

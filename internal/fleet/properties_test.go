@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"pricepower/internal/sim"
-	"pricepower/internal/task"
 )
 
 // randomSnaps builds a random fleet view: prices, saturation, degraded
@@ -34,8 +33,8 @@ func randomSnaps(rng *sim.Rand, n int) []Snapshot {
 }
 
 // Property: the dispatcher never routes to a degraded or draining board
-// while a healthy board with headroom exists, for any snapshot vector
-// and any submission count.
+// while a healthy board with headroom exists, for any snapshot vector,
+// any submission count and any shard count.
 func TestPropertyNeverRoutesToDegraded(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
@@ -46,14 +45,15 @@ func TestPropertyNeverRoutesToDegraded(t *testing.T) {
 				healthyExists = true
 			}
 		}
-		d := NewDispatcher(0.10)
-		specs := make([]task.Spec, 1+rng.Intn(10))
+		d := NewShardedDispatcher(1+rng.Intn(3), 0.10, seed)
+		specs := make([]Submission, 1+rng.Intn(10))
 		for i := range specs {
-			specs[i] = spec("swaptions_n")
+			specs[i] = NewSubmission(spec("swaptions_n"))
 		}
-		assign, unrouted := d.Route(snaps, specs)
-		for i := range assign {
-			if len(assign[i]) == 0 {
+		rb := d.Route(snaps, specs)
+		unrouted := rb.Unrouted
+		for i := range rb.PerBoard {
+			if len(rb.PerBoard[i]) == 0 {
 				continue
 			}
 			if snaps[i].Degraded || snaps[i].Draining {
@@ -111,69 +111,6 @@ func TestPropertyHysteresisPreventsPingPong(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the price-index routing path (Route) is decision-identical
-// to the linear-scan oracle (RouteLinear) — same assignments per board,
-// same unrouted tail, same sticky-choice carryover across batches — for
-// any snapshot vector and submission mix. The heap orders by (price,
-// board ID), which is exactly the scan's first-strict-minimum rule, and
-// projection only removes boards, so the two must never diverge.
-func TestPropertyIndexMatchesLinearOracle(t *testing.T) {
-	specNames := []string{"swaptions_n", "bodytrack_n", "x264_n", "unknown-task"}
-	f := func(seed uint64) bool {
-		rng := sim.NewRand(seed)
-		snaps := randomSnaps(rng, 1+rng.Intn(12))
-		indexed := NewDispatcher(0.10)
-		oracle := NewDispatcher(0.10)
-		// Several consecutive batches against evolving snapshots so the
-		// dispatchers' last-pick state must also stay in lockstep.
-		for batch := 0; batch < 4; batch++ {
-			specs := make([]task.Spec, rng.Intn(30))
-			for i := range specs {
-				specs[i] = spec(specNames[rng.Intn(len(specNames))])
-			}
-			gotA, gotU := indexed.Route(snaps, specs)
-			wantA, wantU := oracle.RouteLinear(snaps, specs)
-			if len(gotA) != len(wantA) {
-				t.Logf("seed %d batch %d: %d boards assigned, oracle %d", seed, batch, len(gotA), len(wantA))
-				return false
-			}
-			for b, want := range wantA {
-				got := gotA[b]
-				if len(got) != len(want) {
-					t.Logf("seed %d batch %d: board %d got %d specs, oracle %d", seed, batch, b, len(got), len(want))
-					return false
-				}
-				for i := range want {
-					if got[i].Name != want[i].Name {
-						t.Logf("seed %d batch %d: board %d spec %d = %q, oracle %q", seed, batch, b, i, got[i].Name, want[i].Name)
-						return false
-					}
-				}
-			}
-			if len(gotU) != len(wantU) {
-				t.Logf("seed %d batch %d: %d unrouted, oracle %d", seed, batch, len(gotU), len(wantU))
-				return false
-			}
-			if indexed.last != oracle.last {
-				t.Logf("seed %d batch %d: sticky choice %d, oracle %d", seed, batch, indexed.last, oracle.last)
-				return false
-			}
-			// Evolve the fleet view between batches: prices wobble, a
-			// board may drain or come back.
-			for i := range snaps {
-				snaps[i].Price *= 1 + rng.Range(-0.2, 0.2)
-				if rng.Intn(8) == 0 {
-					snaps[i].Draining = !snaps[i].Draining
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -94,7 +94,7 @@ func TestRetireFreesBoardState(t *testing.T) {
 	if agents != 1 {
 		t.Fatalf("market holds %d task agents, want 1", agents)
 	}
-	ck, err := DecodeCheckpoint(b.ckpt)
+	ck, err := DecodeCheckpoint(b.img.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRestartResumesCompletedFromCheckpoint(t *testing.T) {
 	if got := completedOf(f); got != 3 {
 		t.Fatalf("completed %d after the restarted board finished one more, want 3", got)
 	}
-	ck, err := DecodeCheckpoint(f.boards[0].ckpt)
+	ck, err := DecodeCheckpoint(f.boards[0].img.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

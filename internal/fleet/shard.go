@@ -23,8 +23,8 @@ const DefaultStealTheta = 1.0
 // Submission is a routable task: the spec plus its routing-time demand
 // estimate. The estimate is a pure function of the spec (EstimateDemandPU),
 // so the fleet computes it once at admission — instead of re-deriving it
-// on every barrier retry as the unsharded path did — and the dispatcher's
-// per-barrier hot loop never touches the workload registry.
+// on every barrier retry — and the dispatcher's per-barrier hot loop
+// never touches the workload registry.
 type Submission struct {
 	Spec task.Spec
 	Est  float64 // estimated LITTLE-cluster demand in PU (EstimateDemandPU)
@@ -44,9 +44,9 @@ func NewSubmission(spec task.Spec) Submission {
 }
 
 // RoutedBatch is one barrier's routing decision in index form. Instead of
-// materializing per-board spec slices (copying every routed spec, the
-// dominant cost of the unsharded Route at large batches), the sharded
-// dispatcher returns pick indices: the caller hands each board the shared
+// materializing per-board spec slices (copying every routed spec, which
+// dominates routing cost at large batches), the sharded dispatcher
+// returns pick indices: the caller hands each board the shared
 // read-only submission slice plus that board's index list.
 //
 // Memory contract: Picks, PerBoard (the outer slice and AddDemandPU /
@@ -92,9 +92,11 @@ type projEntry struct {
 
 func (e *projEntry) admissible() bool { return e.live && e.demand < e.supply }
 
-// project mirrors the package-level project() for the decision-relevant
-// fields: charge the estimated demand and bump the projected price
-// proportionally (pseudo-price when the market is idle).
+// project charges one assignment's estimated demand against the board's
+// projection and bumps the projected price proportionally: clearing
+// prices grow with demand over supply, so scale by the added load
+// fraction. A board with no price yet (idle market) gets a pseudo-price,
+// so repeated picks still spread.
 func (e *projEntry) project(est float64) {
 	e.demand += est
 	frac := est / e.supply
@@ -105,12 +107,16 @@ func (e *projEntry) project(est float64) {
 	}
 }
 
-// shardIndex is priceIndex over the compact projection: the same
-// (price, board ID)-ordered indexed min-heap and the same admission /
-// eviction rules, with int32 slots and the flat price cache, so a lane's
-// sift touches a handful of contiguous words. sink replaces fix: within a
-// barrier projection only raises prices, so restoring order after a bump
-// never needs an up-sift.
+// shardIndex is a lane's price-ordered admissibility index: an indexed
+// min-heap over the projections of the lane's boards that are admissible
+// at the barrier, ordered by (price, board ID), rebuilt once per barrier
+// and adjusted as demand projection bumps prices, so a pick costs
+// O(log B) instead of an O(B) scan. The board-ID tie-break makes the heap
+// minimum exactly the board a linear scan finds (its first strict
+// minimum). Slots are int32 and prices live in a flat cache, so a sift
+// touches a handful of contiguous words. Within a barrier projection only
+// raises prices, so restoring order after a bump never needs an up-sift
+// (sink).
 type shardIndex struct {
 	ents  []projEntry
 	price []float64 // board ID → cached projected price (heap key)
@@ -236,8 +242,10 @@ type lane struct {
 	deferred []int32
 }
 
-// ShardedDispatcher routes like Dispatcher but over S disjoint board
-// shards: submissions hash to a home shard by a seeded, barrier-stable key
+// ShardedDispatcher is the fleet's price router: cheapest clearing price
+// first over the admissible boards, with hysteresis so small price
+// wobbles between near-equal boards do not ping-pong consecutive
+// submissions, over S disjoint board shards: submissions hash to a home shard by a seeded, barrier-stable key
 // (position in the batch — so routing replays exactly from the recorded
 // arrival order), each shard routes its own submissions against its own
 // price index, and a sequential steal pass re-routes submissions whose
@@ -249,12 +257,15 @@ type lane struct {
 // write disjoint state) and pinned by tests.
 //
 // With Shards = 1 the steal band is disabled and routing is exactly the
-// single-index Dispatcher / RouteLinear decision sequence (same sticky
-// hysteresis, same (price, board ID) tie-break, same unrouted tail);
-// TestPropertyShardedMatchesLinearOracle pins this, and pins S > 1
-// against the per-shard RouteLinear composition plus the steal oracle.
+// decision sequence of one linear admissibility scan per submission (same
+// sticky hysteresis, same (price, board ID) tie-break, same unrouted
+// tail); TestPropertyShardedMatchesLinearOracle and
+// FuzzRouteShardedVsLinear pin this against the tests' linear oracle, and
+// pin S > 1 against its per-shard composition plus a steal pass.
 type ShardedDispatcher struct {
-	// Hysteresis is the sticky-choice band, as in Dispatcher.
+	// Hysteresis is the fractional price advantage a challenger board
+	// must show over a lane's previous choice before the lane switches
+	// away from it (default DefaultHysteresis via Fleet).
 	Hysteresis float64
 	// StealTheta is the steal band vs. the frozen barrier-start global
 	// price floor; negative disables price-based stealing (shards then
@@ -364,7 +375,7 @@ func (d *ShardedDispatcher) ensure(B, nsubs int) int {
 // Route assigns one barrier's submissions to boards. Phase 1 hashes each
 // submission to its home lane and routes lanes locally (in parallel when
 // enabled): each lane rebuilds its price index over the shared projection
-// copy and picks exactly like RouteLinear restricted to its boards,
+// copy and picks exactly like the linear oracle restricted to its boards,
 // deferring a submission when the lane is exhausted or its cheapest board
 // breaches the steal band. Phase 2 is the sequential steal pass: deferred
 // submissions, merged back into arrival order, each go to the global
@@ -372,7 +383,7 @@ func (d *ShardedDispatcher) ensure(B, nsubs int) int {
 // price summary — S values, maintained for free by the lane heaps), with
 // no hysteresis (a steal is an overflow placement, not a preference
 // change; lane sticky state is untouched). Projection charges demand
-// against the shared copy throughout, exactly as the unsharded Route does.
+// against the shared copy throughout.
 func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBatch {
 	if len(subs) == 0 {
 		return RoutedBatch{}
@@ -549,7 +560,7 @@ func (d *ShardedDispatcher) Route(snaps []Snapshot, subs []Submission) RoutedBat
 }
 
 // runLane routes one lane's home submissions against its board range:
-// exactly the RouteLinear decision sequence restricted to [lo, hi) —
+// exactly the linear oracle's decision sequence restricted to [lo, hi) —
 // cheapest admissible by (price, board ID), sticky hysteresis, projection
 // bump, eviction on supply overrun — except that a submission is deferred
 // to the steal pass when the lane is exhausted (sticky resets, as the

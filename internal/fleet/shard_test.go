@@ -65,10 +65,9 @@ func scanMin(proj []Snapshot) int {
 	return best
 }
 
-// shardedOracle is the linear reference for ShardedDispatcher: one real
-// Dispatcher per lane (so sticky-choice hysteresis is the production
-// Pick, not a reimplementation) driving RouteLinear's per-submission loop
-// over the lane's board range, plus a plain-code steal pass. No heaps, no
+// shardedOracle is the linear reference for ShardedDispatcher: one
+// linear-scan Dispatcher per lane, picking and projecting one submission
+// at a time over the lane's board range, plus a plain-code steal pass. No heaps, no
 // goroutines — every decision is an O(B) scan, which is what makes it an
 // oracle rather than a second copy of the implementation under test.
 type shardedOracle struct {
@@ -104,7 +103,7 @@ func newShardedOracle(boards, shards int, hysteresis float64, seed uint64) *shar
 }
 
 // route mirrors ShardedDispatcher.Route's contract from first principles:
-// home-lane RouteLinear semantics with the steal-band deferral, then the
+// home-lane linear-scan semantics with the steal-band deferral, then the
 // arrival-ordered steal pass against the global (price, board ID) minimum
 // over boards that were admissible at barrier start and remain admissible
 // under projection (≡ the union of the lane heaps, by the monotone
@@ -154,7 +153,7 @@ func (o *shardedOracle) route(snaps []Snapshot, subs []Submission, theta float64
 				deferred = append(deferred, si) // lane made no decision: sticky unchanged
 				continue
 			}
-			i := ln.Pick(lproj) // exhaustion resets sticky, like RouteLinear's failed pick
+			i := ln.Pick(lproj) // exhaustion resets sticky, like any failed pick
 			if i < 0 {
 				deferred = append(deferred, si)
 				continue
@@ -274,7 +273,7 @@ func checkRoutedBatch(t *testing.T, snaps []Snapshot, subs []Submission, rb Rout
 // stealing), the sharded dispatcher's assignments, unrouted tails,
 // per-lane sticky state and routing digests must equal the linear
 // oracle's over multi-batch evolving snapshot sequences. At S=1 the
-// oracle degenerates to exactly RouteLinear's decision loop, so the
+// oracle degenerates to one linear Dispatcher's decision loop, so the
 // sharded path is pinned transitively to the fleet's original router.
 // The fleet-level S × skew sweep lives in TestFleetReplaysBitIdentically.
 func TestPropertyShardedMatchesLinearOracle(t *testing.T) {
@@ -349,50 +348,6 @@ func TestPropertyShardedMatchesLinearOracle(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestShardedSingleShardMatchesIndexedRoute pins S=1 directly against the
-// production single-index Route (not just the linear oracle): same picks
-// per board, same unrouted count, same sticky state, batch after batch.
-func TestShardedSingleShardMatchesIndexedRoute(t *testing.T) {
-	rng := sim.NewRand(0xd15b)
-	snaps := randomSnaps(rng, 9)
-	sd := NewShardedDispatcher(1, 0.10, 0xfeed)
-	ix := NewDispatcher(0.10)
-	for batch := 0; batch < 6; batch++ {
-		subs := randomSubs(rng, 24)
-		specs := make([]task.Spec, len(subs))
-		for i := range subs {
-			specs[i] = subs[i].Spec
-		}
-		rb := sd.Route(snaps, subs)
-		assign, unrouted := ix.Route(snaps, specs)
-		checkRoutedBatch(t, snaps, subs, rb)
-		for b := range assign {
-			var mine []int32
-			if rb.PerBoard != nil {
-				mine = rb.PerBoard[b]
-			}
-			if len(assign[b]) != len(mine) {
-				t.Fatalf("batch %d board %d: sharded %d picks, indexed %d", batch, b, len(mine), len(assign[b]))
-			}
-			for i, si := range mine {
-				if subs[si].Spec.Name != assign[b][i].Name {
-					t.Fatalf("batch %d board %d slot %d: %q vs %q",
-						batch, b, i, subs[si].Spec.Name, assign[b][i].Name)
-				}
-			}
-		}
-		if len(rb.Unrouted) != len(unrouted) {
-			t.Fatalf("batch %d: %d unrouted, indexed %d", batch, len(rb.Unrouted), len(unrouted))
-		}
-		if sd.lanes[0].last != ix.last {
-			t.Fatalf("batch %d: sticky %d, indexed %d", batch, sd.lanes[0].last, ix.last)
-		}
-		for i := range snaps {
-			snaps[i].Price *= 1 + rng.Range(-0.15, 0.15)
 		}
 	}
 }

@@ -31,10 +31,53 @@ type Arrival struct {
 	AtMS     int64  `json:"at_ms,omitempty"`
 }
 
+// Submit bounds, shared by the fleet's and the federation's arrival
+// traces (fleetd/fedd -trace files and POST /submit bodies).
+const (
+	// MaxSubmitTasks caps the tasks one trace expands to: the sum of its
+	// entries' counts. A body far below MaxSubmitBody can name any count,
+	// so the bound is what keeps one small request from asking for
+	// billions of specs.
+	MaxSubmitTasks = 1 << 16
+	// MaxAtMS caps an entry's due offset (about 35 years of virtual
+	// time), far below where the offset in sim.Time, plus the fleet's
+	// clock, would overflow.
+	MaxAtMS = int64(1) << 40
+)
+
+// ArrivalCount checks one trace entry's count and due offset against the
+// submit bounds, given the tasks the entries before it expand to, and
+// returns how many tasks the entry expands to (a count ≤ 0 means 1).
+// Traces check every entry before they expand any.
+func ArrivalCount(total, count int, atMS int64) (int, error) {
+	if atMS < 0 {
+		return 0, fmt.Errorf("negative at_ms")
+	}
+	if atMS > MaxAtMS {
+		return 0, fmt.Errorf("at_ms %d beyond the %d ms horizon", atMS, MaxAtMS)
+	}
+	if count <= 0 {
+		count = 1
+	}
+	if count > MaxSubmitTasks-total {
+		return 0, fmt.Errorf("trace expands past %d tasks", MaxSubmitTasks)
+	}
+	return count, nil
+}
+
 // Resolve expands the trace into (spec, due-time) pairs in trace order,
-// validating every entry against the workload registry.
+// validating every entry against the submit bounds and the workload
+// registry.
 func (tr *ArrivalTrace) Resolve() ([]TimedSpec, error) {
-	var out []TimedSpec
+	total := 0
+	for i, a := range tr.Tasks {
+		n, err := ArrivalCount(total, a.Count, a.AtMS)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: trace entry %d: %w", i, err)
+		}
+		total += n
+	}
+	out := make([]TimedSpec, 0, total)
 	for i, a := range tr.Tasks {
 		b, ok := workload.ByName(a.Bench)
 		if !ok {
@@ -48,13 +91,7 @@ func (tr *ArrivalTrace) Resolve() ([]TimedSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trace entry %d: %w", i, err)
 		}
-		count := a.Count
-		if count <= 0 {
-			count = 1
-		}
-		if a.AtMS < 0 {
-			return nil, fmt.Errorf("fleet: trace entry %d: negative at_ms", i)
-		}
+		count := max(a.Count, 1)
 		for n := 0; n < count; n++ {
 			out = append(out, TimedSpec{At: sim.Time(a.AtMS) * sim.Millisecond, Spec: spec})
 		}
