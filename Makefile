@@ -23,8 +23,8 @@ check:
 
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
 # scheduling contract, the sharded dispatcher against the linear routing
-# oracle, the board checkpoint codec round trip, the fleet arrival-trace
-# decoder and its submit bounds, the electricity-price trace
+# oracle, the board checkpoint codec round trip, the fleet and federation
+# arrival-trace decoders and their submit bounds, the electricity-price trace
 # decode→validate→lookup pipeline, the platform's steady spans against
 # per-tick stepping, and the HRM run window against its
 # one-slot-per-sample oracle. FUZZTIME bounds each target.
@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
+	$(GO) test -run=^$$ -fuzz=FuzzParseFedTrace -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
 	$(GO) test -run=^$$ -fuzz=FuzzWindowRuns -fuzztime=$(FUZZTIME) ./internal/task
 

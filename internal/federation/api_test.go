@@ -1,13 +1,17 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"pricepower/internal/fleet"
+	"pricepower/internal/sim"
 )
 
 // TestSubmitRejectsUnboundedTraces: the federation's POST /submit shares
@@ -61,4 +65,63 @@ func TestSubmitRejectsUnboundedTraces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bounded submit status = %d, want 200", resp.StatusCode)
 	}
+}
+
+// FuzzParseFedTrace fuzzes the federation's arrival-trace decoder:
+// ParseFedTrace followed by resolve never panics, and an accepted trace
+// resolves to at most fleet.MaxSubmitTasks arrivals, each due in
+// [0, fleet.MaxAtMS ms] and either price-routed or pinned to a known
+// region. The corpus is seeded with every file in examples/regions
+// (traces, price schedules and configs alike) and the fleet decoder's
+// bound-edge bodies, here with region pins.
+func FuzzParseFedTrace(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/regions/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example region files (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"tasks":[{"bench":"swaptions","input":"n","count":65536}]}`))
+	f.Add([]byte(`{"tasks":[{"bench":"swaptions","input":"n","count":65537,"region":"eu-north"}]}`))
+	f.Add([]byte(`{"tasks":[{"bench":"x264","input":"l","at_ms":9223372036854775807}]}`))
+	f.Add([]byte(`{"tasks":[{"bench":"h264","input":"s","priority":-3,"count":-2,"at_ms":1099511627776,"region":"ap-south"}]}`))
+	f.Add([]byte(`{"tasks":[{"bench":"x264","input":"n","region":"nowhere"}]}`))
+
+	names := []string{"us-east", "eu-north", "ap-south"}
+	var regions []RegionConfig
+	for _, n := range names {
+		regions = append(regions, RegionConfig{Name: n, Fleet: fleet.Config{Boards: 1}, Price: flat(0.1)})
+	}
+	fed, err := New(Config{Seed: 1, Regions: regions})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(fed.Close)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseFedTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rs, err := tr.resolve(fed)
+		if err != nil {
+			return
+		}
+		if len(rs) > fleet.MaxSubmitTasks {
+			t.Fatalf("trace resolved to %d arrivals, bound %d", len(rs), fleet.MaxSubmitTasks)
+		}
+		for i, r := range rs {
+			if r.At < 0 || r.At > sim.Time(fleet.MaxAtMS)*sim.Millisecond {
+				t.Fatalf("arrival %d due at %v, outside [0, %d ms]", i, r.At, fleet.MaxAtMS)
+			}
+			if r.Region < -1 || r.Region >= len(names) {
+				t.Fatalf("arrival %d pinned to region %d of %d", i, r.Region, len(names))
+			}
+		}
+	})
 }

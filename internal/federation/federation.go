@@ -96,14 +96,6 @@ type transitBatch struct {
 	subs []fleet.Submission
 }
 
-// fedTimed is a scheduled external arrival (released and routed at the
-// first epoch whose start reaches at).
-type fedTimed struct {
-	at   sim.Time
-	seq  int
-	spec task.Spec
-}
-
 // Counters are the federation's own accounting totals.
 type Counters struct {
 	// Submitted counts external specs handed to some region's fleet
@@ -130,8 +122,9 @@ type Federation struct {
 	epoch    int
 	counters Counters
 
-	sched    []fedTimed
-	schedSeq int
+	// sched holds external arrivals until the first epoch starting at or
+	// after their time.
+	sched sim.Schedule[task.Spec]
 
 	migrator  *Migrator
 	transit   []transitBatch
@@ -310,8 +303,7 @@ func (f *Federation) SubmitTo(region int, specs ...task.Spec) (int, error) {
 func (f *Federation) SubmitAt(at sim.Time, spec task.Spec) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sched = append(f.sched, fedTimed{at: at, seq: f.schedSeq, spec: spec})
-	f.schedSeq++
+	f.sched.Push(at, spec)
 }
 
 // routeLocked places one external spec: cheapest effective price among
@@ -498,25 +490,12 @@ func (f *Federation) cheapestUpLocked() int {
 	return best
 }
 
-// releaseLocked routes scheduled arrivals due by the epoch's start.
+// releaseLocked routes scheduled arrivals due by the epoch's start, in
+// (time, submission order).
 func (f *Federation) releaseLocked(epoch int) {
-	if len(f.sched) == 0 {
-		return
-	}
 	start := sim.Time(epoch-1) * f.epochDur()
-	var due []fedTimed
-	keep := f.sched[:0]
-	for _, ts := range f.sched {
-		if ts.at <= start {
-			due = append(due, ts)
-		} else {
-			keep = append(keep, ts)
-		}
-	}
-	f.sched = keep
-	sortTimed(due)
-	for _, ts := range due {
-		f.routeLocked(ts.spec)
+	for at, ok := f.sched.Next(); ok && at <= start; at, ok = f.sched.Next() {
+		f.routeLocked(f.sched.Pop())
 	}
 }
 
@@ -624,17 +603,3 @@ func (f *Federation) close() {
 func hex16(d check.Digest) string { return fmt.Sprintf("%016x", uint64(d)) }
 
 func itoa(i int) string { return strconv.Itoa(i) }
-
-// sortTimed orders scheduled arrivals by (due time, submission order).
-// Insertion sort: the due set per epoch is small and nearly ordered.
-func sortTimed(ts []fedTimed) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &ts[j-1], &ts[j]
-			if a.at < b.at || (a.at == b.at && a.seq < b.seq) {
-				break
-			}
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-		}
-	}
-}

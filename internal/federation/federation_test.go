@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -444,5 +445,49 @@ func TestFederationCountsCompletions(t *testing.T) {
 	}
 	if live+completed > submitted {
 		t.Fatalf("live %d + completed %d exceeds the %d submitted", live, completed, submitted)
+	}
+}
+
+// TestSubmitAtReleasesInStableOrder: external arrivals scheduled in
+// reverse time order, three to a due time, are routed epoch by epoch
+// exactly as a stable sort by due time orders them, each at the first
+// epoch starting at or after its due time.
+func TestSubmitAtReleasesInStableOrder(t *testing.T) {
+	f, err := New(Config{Seed: 3, Regions: []RegionConfig{
+		{Name: "r0", Fleet: fleet.Config{Boards: 1, QueueCap: 1024}, Price: flat(0.1)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type arrival struct {
+		at   sim.Time
+		name string
+	}
+	var oracle []arrival
+	for i := 0; i < 300; i++ {
+		a := arrival{at: sim.Time((299-i)/3) * 100 * sim.Millisecond, name: "a" + itoa(i)}
+		oracle = append(oracle, a)
+		f.SubmitAt(a.at, fedSpec(a.name, 1))
+	}
+	sort.SliceStable(oracle, func(i, j int) bool { return oracle[i].at < oracle[j].at })
+	var got []string
+	for epoch := 1; len(got) < len(oracle); epoch++ {
+		f.mu.Lock()
+		f.releaseLocked(epoch)
+		f.mu.Unlock()
+		for _, s := range f.regions[0].Fleet().EvictQueued(len(oracle)) {
+			got = append(got, s.Spec.Name)
+		}
+		start := sim.Time(epoch-1) * f.epochDur()
+		due := sort.Search(len(oracle), func(i int) bool { return oracle[i].at > start })
+		if len(got) != due {
+			t.Fatalf("epoch %d: released %d arrivals, want the %d due by %v", epoch, len(got), due, start)
+		}
+	}
+	for i := range oracle {
+		if got[i] != oracle[i].name {
+			t.Fatalf("release %d is %s, stable order says %s", i, got[i], oracle[i].name)
+		}
 	}
 }

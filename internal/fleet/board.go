@@ -41,7 +41,6 @@ type Board struct {
 	little []int // LITTLE core IDs, placement targets
 	rr     int   // persistent round-robin cursor over little
 
-	draining bool
 	// completed counts the tasks that finished and were retired on this
 	// board, cumulative across restart epochs (a restarted board resumes
 	// from its crashed predecessor's checkpoint). Snapshot and Checkpoint
@@ -162,7 +161,6 @@ type cmdOp uint8
 const (
 	opStep cmdOp = iota
 	opDrain
-	opResume
 	opStop
 )
 
@@ -171,9 +169,8 @@ const (
 // board's own replies channel.
 type boardCmd struct {
 	op   cmdOp
-	step stepCmd          // opStep
-	evac chan []evacuated // opDrain: the evacuated specs, in placement order
-	ack  chan struct{}    // opResume, opStop: closed once done
+	step stepCmd           // opStep
+	evac chan []Submission // opDrain: the evacuated tasks, in placement order
 }
 
 type stepReply struct {
@@ -207,13 +204,6 @@ type residency struct {
 	placed sim.Time
 }
 
-// evacuated pairs an evacuated spec with its causal trace ID (0 when
-// untraced) so a drained task keeps its identity across the requeue.
-type evacuated struct {
-	spec task.Spec
-	id   trace.ID
-}
-
 // newBoard assembles one board from the fleet config. The governor is
 // always PPM: clearing prices are the routing signal, so a price-less
 // governor has no place in the fleet. trc is the board's trace buffer
@@ -236,8 +226,8 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		completed: completed,
 		p:         platform.NewTC2(),
 		// Bounded skew queues up to MaxSkew+1 step commands on a board
-		// that is running behind, plus one control command (drain /
-		// resume / stop); the buffer keeps the fleet's issue path from
+		// that is running behind, plus one control command (drain or
+		// stop); the buffer keeps the fleet's issue path from
 		// blocking on a slow board. The replies buffer holds the same
 		// MaxSkew+1 uncollected barriers plus one late reply of a barrier
 		// a LivenessError abandoned, so the board never blocks on a send.
@@ -360,37 +350,24 @@ func (b *Board) loop() {
 			} else {
 				c.evac <- b.evacuate()
 			}
-		case opResume:
-			b.draining = false
-			close(c.ack)
 		case opStop:
-			close(c.ack)
 			return
 		}
 	}
 }
 
 // drain evacuates the board (see evacuate) and returns the evacuated
-// specs; a crashed board returns none.
-func (b *Board) drain() []evacuated {
-	evac := make(chan []evacuated, 1)
+// tasks; a crashed board returns none.
+func (b *Board) drain() []Submission {
+	evac := make(chan []Submission, 1)
 	b.cmd <- boardCmd{op: opDrain, evac: evac}
 	return <-evac
 }
 
-// resume lets a drained board accept work again.
-func (b *Board) resume() { b.control(opResume) }
-
 // stop ends the board goroutine after every command queued before it.
 func (b *Board) stop() {
-	b.control(opStop)
+	b.cmd <- boardCmd{op: opStop}
 	<-b.done
-}
-
-func (b *Board) control(op cmdOp) {
-	ack := make(chan struct{})
-	b.cmd <- boardCmd{op: op, ack: ack}
-	<-ack
 }
 
 // step executes one barrier command with the board's failure domain
@@ -590,30 +567,29 @@ func (b *Board) place(subs []Submission, mine []int32) {
 	}
 }
 
-// evacuate removes every resident task from the board and returns their
-// specs so the fleet can resubmit them through the dispatcher. Finished
-// tasks were retired at the end of their batch, so none is evacuated and
-// re-run. The board keeps ticking while drained — an empty market settles
-// to idle — and marks itself draining so no new work is routed to it.
-// The restart image is refolded empty of the evacuated tasks: they are
-// the fleet's to place now, and a crash before the next barrier must not
-// orphan them a second time.
-func (b *Board) evacuate() []evacuated {
-	b.draining = true
+// evacuate removes every resident task from the board and returns them
+// as submissions so the fleet can route them again. Finished tasks were
+// retired at the end of their batch, so none is evacuated and re-run. The
+// board keeps ticking while drained — an empty market settles to idle;
+// the fleet's lifecycle record marks it draining so no new work is routed
+// to it. The restart image is refolded empty of the evacuated tasks: they
+// are the fleet's to place now, and a crash before the next barrier must
+// not orphan them a second time.
+func (b *Board) evacuate() []Submission {
 	now := b.p.Now()
 	tasks := append([]*task.Task(nil), b.p.Tasks()...)
-	out := make([]evacuated, 0, len(tasks))
+	out := make([]Submission, 0, len(tasks))
 	for _, t := range tasks {
-		e := evacuated{spec: t.Spec}
+		s := NewSubmission(t.Spec)
 		if r, ok := b.traceOf[t]; ok {
 			// The residency span ends here, attributed to the drain; the
 			// fleet reopens a queue span under the same trace ID when it
-			// requeues the spec.
-			e.id = r.id
+			// requeues the task.
+			s.Trace = r.id
 			b.trc.CloseAttributed(r.id, trace.StageBoard, now, "drain")
 			delete(b.traceOf, t)
 		}
-		out = append(out, e)
+		out = append(out, s)
 	}
 	b.p.RemoveTasks(tasks...)
 	if b.img != nil {
@@ -652,7 +628,6 @@ func (b *Board) snapshot(batch int) Snapshot {
 		WtdpW:       m.EffectiveWtdp(),
 		State:       m.State().String(),
 		Degraded:    m.Degraded(),
-		Draining:    b.draining,
 		Tasks:       st.Tasks,
 		Completed:   b.completed,
 		DemandPU:    m.TotalDemand(),

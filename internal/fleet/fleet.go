@@ -264,15 +264,6 @@ func (s *State) Live() int {
 	return n
 }
 
-// sumCompleted sums the boards' completed-task counts.
-func sumCompleted(snaps []Snapshot) int {
-	n := 0
-	for i := range snaps {
-		n += snaps[i].Completed
-	}
-	return n
-}
-
 // projCarry is one board's not-yet-collected projected load: demand
 // assigned at in-flight barriers that the routing snapshot (one or more
 // barriers stale under skew) cannot see yet. Routing re-applies it so a
@@ -283,6 +274,9 @@ type projCarry struct {
 	tasks    int
 	demandPU float64
 }
+
+func (c *projCarry) add(d projCarry) { c.tasks += d.tasks; c.demandPU += d.demandPU }
+func (c *projCarry) sub(d projCarry) { c.tasks -= d.tasks; c.demandPU -= d.demandPU }
 
 // inflightBarrier is one issued-but-uncollected barrier: the per-board
 // assignment stats to unwind from the carry once its snapshots arrive,
@@ -300,22 +294,16 @@ type inflightBarrier struct {
 	mine  [][]int32    // per-board pick indexes into subs
 }
 
-// drainOp is a deferred drain/resume/restart/replace decision, executed
-// only once the pipeline is flushed so the board is quiescent and —
-// crucially for restarts under bounded skew — every barrier issued
-// before the decision has already been collected, so all of a crashed
-// board's skewed-barrier orphans are appended before its work re-enters
-// the dispatcher.
-type drainOp struct {
-	board   int
-	resume  bool
-	redrain bool
-	// restart resurrects a crashed board under the same ID with a
-	// derived restart-epoch seed and requeues its orphans; replace only
-	// requeues the orphans (permanent quarantine: restarts disabled or
-	// MaxRestarts exhausted).
-	restart bool
-	replace bool
+// pick copies out the submissions at the given indexes (nil for none).
+func pick(subs []Submission, idx []int32) []Submission {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]Submission, len(idx))
+	for j, si := range idx {
+		out[j] = subs[si]
+	}
+	return out
 }
 
 // Fleet is the coordinator: it owns the admission queue, the dispatcher
@@ -329,8 +317,7 @@ type Fleet struct {
 	boards []*Board
 
 	// Pipeline state, touched only by the (serialized) stepping calls.
-	inflight []inflightBarrier
-	ops      []drainOp
+	ops []boardOp
 	// Per-barrier scratch, reused so that a steady barrier allocates
 	// nothing in the coordinator: the projected snapshots Route reads,
 	// the collected replies and fresh snapshots, and the add/mine slices
@@ -341,56 +328,23 @@ type Fleet struct {
 	fresh      []Snapshot
 	spare      []inflightBarrier
 
-	degraded []int // consecutive degraded barriers per board
-	healthy  []int // consecutive healthy barriers per autodrained board
-	auto     []bool
-	// Drain-cooldown state (see Config.DrainDegradedAfter).
-	drainCount  []int // drains since the cooldown last reset
-	resumeAfter []int // healthy barriers required before resume
-	sinceResume []int // barriers survived since the last resume
-
-	// Crash-supervisor state (stepping-goroutine owned, like the drain
-	// streaks above). crashed marks boards whose terminal reply has been
-	// collected this epoch; crashEpochs is each board's current restart
-	// epoch; restartBarrier is the barrier at which a pending restart
-	// becomes due (-1 = none); restarts counts supervised resurrections
-	// per board (the backoff attempt counter); quarantined marks boards
-	// permanently retired (restarts disabled or MaxRestarts exhausted);
-	// crashedAt records the detection barrier for the restart-latency
-	// histogram; orphans holds each crashed board's recovered work until
-	// its restart/replace op re-places it.
-	crashed        []bool
-	crashEpochs    []int
-	restartBarrier []int
-	restarts       []int
-	quarantined    []bool
-	crashedAt      []int
-	orphans        [][]Submission
-
-	// Stall-detector state (stepping-goroutine owned). stallMiss counts
-	// consecutive withheld replies per board; stallQ marks boards past
-	// Config.StallBarriers (quarantined from routing until catch-up);
-	// stallPending holds the submissions of every deferred batch (the
-	// recovery set if the stalled board crashes); stallCarry is the
-	// matching projection carry kept pinned in the in-flight ledger for
-	// the stall's duration.
-	stallMiss    []int
-	stallQ       []bool
-	stallPending [][]Submission
-	stallCarry   []projCarry
-
-	mu            sync.Mutex
-	snaps         []Snapshot   // newest collected barrier's snapshots
-	carry         []projCarry  // in-flight projected load per board
-	batch         int          // barriers collected
-	issued        int          // barriers issued
-	now           sim.Time     // fleet virtual time (issued * cfg.Batch)
-	inflightTasks int          // tasks assigned at uncollected barriers (incl. stalled deferrals)
-	orphanedCount int          // tasks held by the crash supervisor
-	pending       []Submission // FIFO admission queue (demand pre-estimated)
-	sched         []timedSpec  // trace-scheduled future arrivals, sorted by at
-	counters      Counters
-	closed        bool
+	mu    sync.Mutex
+	recs  []boardRec  // per-board lifecycle records (lifecycle.go)
+	snaps []Snapshot  // newest collected barrier's snapshots
+	carry []projCarry // in-flight projected load per board
+	// inflight holds the issued-but-uncollected barriers in issue order;
+	// abandoned holds barriers a LivenessError gave up on, whose work is
+	// still in flight on the hung boards. Written under mu: the in-flight
+	// ledger term is derived from them.
+	inflight  []inflightBarrier
+	abandoned []inflightBarrier
+	batch     int                      // barriers collected
+	issued    int                      // barriers issued
+	now       sim.Time                 // fleet virtual time (issued * cfg.Batch)
+	pending   []Submission             // FIFO admission queue (demand pre-estimated)
+	sched     sim.Schedule[Submission] // trace-scheduled future arrivals
+	counters  Counters
+	closed    bool
 
 	reg *telemetry.Registry
 	em  *telemetry.Emitter // optional event stream (KindDrain), nil-safe
@@ -410,44 +364,17 @@ type Fleet struct {
 	evSink telemetry.Sink
 }
 
-type timedSpec struct {
-	at  sim.Time
-	seq int // tie-break: submission order
-	sub Submission
-}
-
 // New builds the fleet and boots its boards (each on its own goroutine,
 // idle until the first Step).
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
-		cfg:         cfg,
-		disp:        NewShardedDispatcher(cfg.Shards, cfg.Hysteresis, sim.DeriveSeed(cfg.Seed, routeSeedStream)),
-		snaps:       make([]Snapshot, cfg.Boards),
-		carry:       make([]projCarry, cfg.Boards),
-		degraded:    make([]int, cfg.Boards),
-		healthy:     make([]int, cfg.Boards),
-		auto:        make([]bool, cfg.Boards),
-		drainCount:  make([]int, cfg.Boards),
-		resumeAfter: make([]int, cfg.Boards),
-		sinceResume: make([]int, cfg.Boards),
-
-		crashed:        make([]bool, cfg.Boards),
-		crashEpochs:    make([]int, cfg.Boards),
-		restartBarrier: make([]int, cfg.Boards),
-		restarts:       make([]int, cfg.Boards),
-		quarantined:    make([]bool, cfg.Boards),
-		crashedAt:      make([]int, cfg.Boards),
-		orphans:        make([][]Submission, cfg.Boards),
-		stallMiss:      make([]int, cfg.Boards),
-		stallQ:         make([]bool, cfg.Boards),
-		stallPending:   make([][]Submission, cfg.Boards),
-		stallCarry:     make([]projCarry, cfg.Boards),
-
-		reg: telemetry.NewRegistry(),
-	}
-	for i := range f.restartBarrier {
-		f.restartBarrier[i] = -1
+		cfg:   cfg,
+		disp:  NewShardedDispatcher(cfg.Shards, cfg.Hysteresis, sim.DeriveSeed(cfg.Seed, routeSeedStream)),
+		recs:  make([]boardRec, cfg.Boards),
+		snaps: make([]Snapshot, cfg.Boards),
+		carry: make([]projCarry, cfg.Boards),
+		reg:   telemetry.NewRegistry(),
 	}
 	if cfg.Trace {
 		f.tracer = trace.NewTracer(cfg.Boards)
@@ -478,7 +405,7 @@ func (f *Fleet) registerMetrics() {
 	f.reg.GaugeFunc("pricepower_fleet_batches", "Batch barriers collected.",
 		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.batch) })
 	f.reg.GaugeFunc("pricepower_fleet_inflight_tasks", "Tasks assigned at uncollected barriers (bounded skew).",
-		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.inflightTasks) })
+		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.ledgerLocked().InFlight) })
 	counter := func(name, help string, v *uint64) {
 		f.reg.GaugeFunc(name, help, func() float64 {
 			f.mu.Lock()
@@ -500,9 +427,9 @@ func (f *Fleet) registerMetrics() {
 	counter("pricepower_fleet_replaced_total", "Orphaned tasks re-placed through the dispatcher.", &f.counters.Replaced)
 	counter("pricepower_fleet_evicted_total", "Queued submissions evicted to an external owner (migration).", &f.counters.Evicted)
 	f.reg.GaugeFunc("pricepower_fleet_orphaned_tasks", "Tasks held by the crash supervisor awaiting re-placement.",
-		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.orphanedCount) })
+		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.ledgerLocked().Orphaned) })
 	f.reg.GaugeFunc("pricepower_fleet_completed_tasks", "Tasks that finished and were retired from their boards (per the collected snapshots).",
-		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(sumCompleted(f.snaps)) })
+		func() float64 { f.mu.Lock(); defer f.mu.Unlock(); return float64(f.ledgerLocked().Completed) })
 }
 
 // Registry is the fleet-level metrics registry (queue depth, routing
@@ -664,8 +591,15 @@ func (f *Fleet) SubmitAt(at sim.Time, spec task.Spec) {
 	sub := NewSubmission(spec)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sched = append(f.sched, timedSpec{at: at, seq: len(f.sched), sub: sub})
-	sort.SliceStable(f.sched, func(i, j int) bool { return f.sched[i].at < f.sched[j].at })
+	f.sched.Push(at, sub)
+}
+
+// releaseLocked admits the scheduled arrivals due before horizon, in
+// (at, submission order), behind any carried pending work.
+func (f *Fleet) releaseLocked(horizon sim.Time) {
+	for at, ok := f.sched.Next(); ok && at < horizon; at, ok = f.sched.Next() {
+		f.submitOneLocked(f.sched.Pop())
+	}
 }
 
 // Step issues one batch barrier and keeps the pipeline within the skew
@@ -690,11 +624,7 @@ func (f *Fleet) Step() error {
 	}
 	// Release due trace arrivals into the queue, after any carried
 	// pending work (older submissions route first).
-	horizon := f.now + f.cfg.Batch
-	for len(f.sched) > 0 && f.sched[0].at < horizon {
-		f.submitOneLocked(f.sched[0].sub)
-		f.sched = f.sched[1:]
-	}
+	f.releaseLocked(f.now + f.cfg.Batch)
 	snaps := append(f.routeSnaps[:0], f.snaps...)
 	f.routeSnaps = snaps
 	for i := range snaps {
@@ -744,13 +674,7 @@ func (f *Fleet) Step() error {
 	}
 	// Materialize the unrouted tail before anything can call Route again
 	// (rb's slices are dispatcher scratch).
-	var unrouted []Submission
-	if len(rb.Unrouted) > 0 {
-		unrouted = make([]Submission, 0, len(rb.Unrouted))
-		for _, si := range rb.Unrouted {
-			unrouted = append(unrouted, subs[si])
-		}
-	}
+	unrouted := pick(subs, rb.Unrouted)
 
 	// Fan the batch out; each board advances on its own goroutine and the
 	// barrier joins the pipeline instead of blocking here. Boards receive
@@ -769,15 +693,13 @@ func (f *Fleet) Step() error {
 		bar.mine[i] = mine
 		bar.total += len(mine)
 	}
-	f.inflight = append(f.inflight, bar)
 
 	f.mu.Lock()
 	f.issued++
 	f.now += f.cfg.Batch
-	f.inflightTasks += bar.total
+	f.inflight = append(f.inflight, bar)
 	for i := range f.carry {
-		f.carry[i].tasks += bar.add[i].tasks
-		f.carry[i].demandPU += bar.add[i].demandPU
+		f.carry[i].add(bar.add[i])
 	}
 	f.counters.Routed += uint64(rb.Routed)
 	f.counters.Queued += uint64(len(unrouted))
@@ -820,41 +742,10 @@ func (f *Fleet) collectTo(maxOutstanding int) (resubmit []Submission, firstErr e
 			ops := f.ops
 			f.ops = nil
 			for _, op := range ops {
-				switch {
-				case op.restart:
-					resubmit = append(resubmit, f.restartBoard(op.board)...)
-				case op.replace:
-					subs := f.takeOrphans(op.board)
-					resubmit = append(resubmit, subs...)
-					f.emitBoardEvent(op.board, "replace", float64(len(subs)))
-				case op.resume:
-					if f.crashed[op.board] || f.quarantined[op.board] {
-						continue // moot: the board crashed since the op queued
-					}
-					f.boards[op.board].resume()
-					f.mu.Lock()
-					f.snaps[op.board].Draining = false
-					f.mu.Unlock()
-					f.emitDrainEvent(op.board, "resume", 0)
-				default:
-					if f.crashed[op.board] || f.quarantined[op.board] {
-						continue // moot: the supervisor owns this board's work
-					}
-					subs := f.drainBoard(op.board)
-					resubmit = append(resubmit, subs...)
-					f.mu.Lock()
-					f.snaps[op.board].Draining = true
-					f.snaps[op.board].Tasks = 0
-					if op.redrain {
-						f.counters.Redrained++
-					}
-					f.mu.Unlock()
-					class := "drain"
-					if op.redrain {
-						class = "redrain"
-					}
-					f.emitDrainEvent(op.board, class, len(subs))
-				}
+				// A deferred op is never refused: one the board outlived
+				// (it crashed since) is moot.
+				subs, _ := f.runOp(op.board, op.ev)
+				resubmit = append(resubmit, subs...)
 			}
 			continue
 		}
@@ -950,11 +841,14 @@ func (f *Fleet) collectReplies(batch int) ([]stepReply, []int) {
 // yield one errors.Join of two CrashErrors.
 func (f *Fleet) collectOldest() error {
 	bar := f.inflight[0]
+	replies, hung := f.collectReplies(bar.batch)
+	f.mu.Lock()
 	n := copy(f.inflight, f.inflight[1:])
 	f.inflight[n] = inflightBarrier{}
 	f.inflight = f.inflight[:n]
-	replies, hung := f.collectReplies(bar.batch)
 	if hung != nil {
+		f.abandoned = append(f.abandoned, bar)
+		f.mu.Unlock()
 		return &LivenessError{Barrier: bar.batch, Deadline: f.cfg.Liveness, Boards: hung}
 	}
 	if cap(f.fresh) < len(f.boards) {
@@ -962,55 +856,58 @@ func (f *Fleet) collectOldest() error {
 	}
 	fresh := f.fresh[:len(f.boards)]
 	var events []telemetry.Event
-	var bevents []boardEvent // crash/stall lifecycle, emitted after unlock
+	var notes []telemetry.Event // lifecycle events, emitted after unlock
 	var errs []error
-	f.mu.Lock()
-	// Unwind the barrier's projection first; the resolvers below re-pin
+	// Unwind the barrier's projection first; the transitions below re-pin
 	// the share belonging to stalled boards and move crashed boards'
 	// shares to the orphan ledger.
 	f.batch++
-	f.inflightTasks -= bar.total
 	for i := range f.carry {
-		f.carry[i].tasks -= bar.add[i].tasks
-		f.carry[i].demandPU -= bar.add[i].demandPU
+		f.carry[i].sub(bar.add[i])
 	}
 	for i := range f.boards {
 		r := replies[i]
+		var ev event
 		switch {
 		case r.crashed:
-			fresh[i] = f.resolveCrashLocked(i, bar, r, &errs, &bevents)
+			fresh[i], ev = f.crashReplyLocked(i, &bar, r, &errs)
 		case r.stalled:
-			fresh[i] = f.resolveStallLocked(i, bar, &bevents)
+			fresh[i] = f.snaps[i]
+			fresh[i].Batch = bar.batch
+			ev = event{kind: evStall, add: bar.add[i], subs: pick(bar.subs, bar.mine[i])}
 		default:
 			fresh[i] = r.snap
-			if f.stallMiss[i] > 0 {
-				f.resolveCatchupLocked(i, &bevents)
+			if f.recs[i].state == stStalled {
+				ev.kind = evCatchup
 			}
 			if f.evSink != nil && len(r.events) > 0 {
-				for _, ev := range r.events {
-					ev.Board = i
+				for _, be := range r.events {
+					be.Board = i
 					// Restamp Round with the fold round (the barrier number):
 					// emit sites stamp market rounds inconsistently (migration
 					// leaves it zero, fault uses its own period), so the fold
 					// round is the only key that is monotone across the log.
-					// Exact virtual time is preserved in ev.Time.
-					ev.Round = int(bar.batch)
-					events = append(events, ev)
+					// Exact virtual time is preserved in be.Time.
+					be.Round = int(bar.batch)
+					events = append(events, be)
 				}
 			}
 			if r.err != nil {
 				errs = append(errs, fmt.Errorf("fleet: board %d: %w", i, r.err))
 			}
 		}
+		if ev.kind != evNone {
+			out := f.apply(i, ev)
+			notes = append(notes, out.notes...)
+			f.queue(i, out.op)
+		}
+		f.recs[i].mark(&fresh[i], f.cfg.StallBarriers)
 	}
 	copy(f.snaps, fresh)
 	lag := f.issued - bar.batch
 	f.mu.Unlock()
-	for _, be := range bevents {
-		f.emitBoardEvent(be.board, be.class, be.value)
-	}
-	f.noteDrainStreaks(fresh)
-	f.pendRestarts(bar.batch)
+	f.emit(notes)
+	f.noteBarrier(fresh, bar.batch)
 	if f.tracer != nil {
 		// The barrier span is fully known at collect time: it covered one
 		// batch of virtual time, and its lag is how many barriers issuance
@@ -1045,237 +942,6 @@ func (f *Fleet) collectOldest() error {
 	return errors.Join(errs...)
 }
 
-// boardEvent is one gathered crash/stall lifecycle event, emitted after
-// the resolvers release f.mu (the emitter's clock takes the fleet lock).
-type boardEvent struct {
-	board int
-	class string
-	value float64
-}
-
-// resolveCrashLocked handles one crashed reply under f.mu. On first
-// detection it orphans the board's recoverable work — the last good
-// checkpoint's residents, every stall-deferred batch, and this barrier's
-// never-run assignments — unpins the stall carry, schedules the restart
-// (or permanent quarantine), and reports a CrashError. Later crashed
-// replies from the same epoch only orphan that barrier's skew-issued
-// assignments (routing already excludes the board once the crash
-// snapshot publishes).
-func (f *Fleet) resolveCrashLocked(i int, bar inflightBarrier, r stepReply, errs *[]error, bevents *[]boardEvent) Snapshot {
-	var orphaned []Submission
-	for _, si := range bar.mine[i] {
-		orphaned = append(orphaned, bar.subs[si])
-	}
-	snap := f.snaps[i]
-	if !f.crashed[i] {
-		// First detection for this epoch.
-		f.crashed[i] = true
-		f.crashedAt[i] = bar.batch
-		f.counters.Crashes++
-		*errs = append(*errs, &CrashError{Board: i, Barrier: bar.batch, Err: r.err})
-		*bevents = append(*bevents, boardEvent{board: i, class: "crash", value: float64(bar.batch)})
-		// The stall ledger's deferrals died with the board: unpin their
-		// carry and move the submissions to the orphan set.
-		orphaned = append(orphaned, f.stallPending[i]...)
-		f.carry[i].tasks -= f.stallCarry[i].tasks
-		f.carry[i].demandPU -= f.stallCarry[i].demandPU
-		f.inflightTasks -= f.stallCarry[i].tasks
-		f.stallCarry[i] = projCarry{}
-		f.stallPending[i] = nil
-		f.stallMiss[i] = 0
-		f.stallQ[i] = false
-		// The checkpoint's residents and completed count (folded at the
-		// last successful barrier; nil when the board never completed
-		// one, in which case the snapshot still holds the count the board
-		// booted with). Completions inside the crashed step die with it:
-		// those tasks are still residents of this image.
-		if ck, err := DecodeCheckpoint(r.ckpt); err != nil {
-			*errs = append(*errs, fmt.Errorf("fleet: board %d checkpoint: %w", i, err))
-		} else if ck != nil {
-			snap.Completed = ck.Completed
-			for _, ct := range ck.Tasks {
-				s := NewSubmission(ct.Spec)
-				s.Trace = ct.Trace
-				orphaned = append(orphaned, s)
-			}
-		}
-		// Schedule the resurrection, or retire the board for good.
-		if f.cfg.RestartAfter > 0 && (f.cfg.MaxRestarts <= 0 || f.restarts[i] < f.cfg.MaxRestarts) {
-			f.restartBarrier[i] = bar.batch + f.restartDelayBarriers(i)
-		} else {
-			f.quarantined[i] = true
-			f.ops = append(f.ops, drainOp{board: i, replace: true})
-			*bevents = append(*bevents, boardEvent{board: i, class: "quarantine", value: float64(f.restarts[i])})
-		}
-	}
-	f.orphans[i] = append(f.orphans[i], orphaned...)
-	f.orphanedCount += len(orphaned)
-	f.counters.Orphaned += uint64(len(orphaned))
-	snap.Batch = bar.batch
-	snap.Crashed = true
-	snap.Stalled = false
-	snap.Tasks = 0
-	snap.DemandPU = 0
-	return snap
-}
-
-// resolveStallLocked handles one stall-sentinel reply under f.mu: the
-// barrier's assignments stay pinned in the in-flight ledger (the board
-// holds the batch for catch-up), the actual submissions join the
-// stall-pending recovery set, and the board quarantines from routing
-// once it has missed Config.StallBarriers barriers in a row.
-func (f *Fleet) resolveStallLocked(i int, bar inflightBarrier, bevents *[]boardEvent) Snapshot {
-	f.carry[i].tasks += bar.add[i].tasks
-	f.carry[i].demandPU += bar.add[i].demandPU
-	f.inflightTasks += bar.add[i].tasks
-	f.stallCarry[i].tasks += bar.add[i].tasks
-	f.stallCarry[i].demandPU += bar.add[i].demandPU
-	for _, si := range bar.mine[i] {
-		f.stallPending[i] = append(f.stallPending[i], bar.subs[si])
-	}
-	f.stallMiss[i]++
-	if !f.stallQ[i] && f.stallMiss[i] >= f.cfg.StallBarriers {
-		f.stallQ[i] = true
-		f.counters.Stalls++
-		*bevents = append(*bevents, boardEvent{board: i, class: "stall", value: float64(f.stallMiss[i])})
-	}
-	snap := f.snaps[i]
-	snap.Batch = bar.batch
-	snap.Stalled = f.stallQ[i]
-	return snap
-}
-
-// resolveCatchupLocked clears a board's stall state on its first real
-// reply after a stall window: the caught-up snapshot already counts the
-// deferred batches' tasks as live, so the pinned carry unwinds here,
-// exactly once.
-func (f *Fleet) resolveCatchupLocked(i int, bevents *[]boardEvent) {
-	f.carry[i].tasks -= f.stallCarry[i].tasks
-	f.carry[i].demandPU -= f.stallCarry[i].demandPU
-	f.inflightTasks -= f.stallCarry[i].tasks
-	f.stallCarry[i] = projCarry{}
-	f.stallPending[i] = nil
-	if f.stallQ[i] {
-		*bevents = append(*bevents, boardEvent{board: i, class: "catch-up", value: float64(f.stallMiss[i])})
-	}
-	f.stallMiss[i] = 0
-	f.stallQ[i] = false
-}
-
-// pendRestarts queues restart ops for crashed boards whose backoff
-// expired at or before the just-collected barrier. The op mechanism
-// flushes the pipeline before executing, so every skew-issued barrier's
-// orphans are appended before the restart re-places them.
-func (f *Fleet) pendRestarts(collected int) {
-	for i := range f.boards {
-		if f.restartBarrier[i] >= 0 && collected >= f.restartBarrier[i] {
-			f.restartBarrier[i] = -1
-			f.ops = append(f.ops, drainOp{board: i, restart: true})
-		}
-	}
-}
-
-// restartDelayBarriers derives the barriers between a crash detection
-// and the board's resurrection: RestartAfter on the first crash, backing
-// off exponentially per repeat with deterministic seeded jitter (its own
-// lane of the restart seed stream, disjoint from the epoch-seed lane).
-func (f *Fleet) restartDelayBarriers(board int) int {
-	bo := fault.Backoff{
-		Base:   sim.Time(f.cfg.RestartAfter) * f.cfg.Batch,
-		Factor: 2,
-		Jitter: 0.25,
-		Seed:   sim.DeriveSeed(f.cfg.Seed, restartSeedStream+0x8000+uint64(board)),
-	}
-	barriers := int((bo.Next(f.restarts[board]) + f.cfg.Batch - 1) / f.cfg.Batch)
-	if barriers < f.cfg.RestartAfter {
-		barriers = f.cfg.RestartAfter
-	}
-	return barriers
-}
-
-// restartBoard resurrects a crashed board under the same ID: the dead
-// goroutine stops, a fresh platform boots under the derived
-// restart-epoch seed, and the orphaned work re-enters the dispatcher as
-// ordinary submissions (returned for requeueing at the queue head).
-// Runs only on a flushed pipeline (drainOp contract), so the old
-// board's command queue is empty and its every skewed barrier has been
-// orphan-accounted.
-func (f *Fleet) restartBoard(i int) []Submission {
-	f.boards[i].stop()
-
-	epoch := f.crashEpochs[i] + 1
-	completed := f.snaps[i].Completed // the crash snapshot's checkpoint count
-	b, err := newBoard(i, f.cfg, f.tracer.Board(i), epoch, completed)
-	if err != nil {
-		// Can only happen if the board's fault scenario fails validation,
-		// which New() already vetted — but if it does, retire the board
-		// rather than crash the fleet.
-		f.quarantined[i] = true
-		f.emitBoardEvent(i, "quarantine", float64(f.restarts[i]))
-		return f.takeOrphans(i)
-	}
-	f.crashEpochs[i] = epoch
-	f.restarts[i]++
-	f.crashed[i] = false
-	f.degraded[i], f.healthy[i], f.auto[i] = 0, 0, false
-
-	f.mu.Lock()
-	f.boards[i] = b // under mu: Boards() is read from HTTP goroutines
-	f.counters.Restarts++
-	f.snaps[i] = Snapshot{Board: i, Epoch: epoch, MaxSupplyPU: b.p.MaxSupplyPU(), Completed: completed}
-	latency := f.batch - f.crashedAt[i]
-	f.mu.Unlock()
-	if f.histRestart != nil {
-		f.histRestart.Record(float64(latency))
-	}
-	f.emitBoardEvent(i, "restart", float64(epoch))
-	return f.takeOrphans(i)
-}
-
-// takeOrphans drains a board's orphan ledger into submissions ready for
-// the queue head: each keeps its trace ID and reopens a queue span
-// attributed to the requeue, so a task's crash → re-place journey reads
-// as one timeline.
-func (f *Fleet) takeOrphans(i int) []Submission {
-	subs := f.orphans[i]
-	f.orphans[i] = nil
-	if len(subs) == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	now := f.now
-	f.orphanedCount -= len(subs)
-	f.counters.Replaced += uint64(len(subs))
-	if f.tracer != nil {
-		for j := range subs {
-			if subs[j].Trace == 0 {
-				continue
-			}
-			subs[j].EnqueuedAt = now
-			f.tracer.Fleet().Open(trace.Span{
-				Trace: subs[j].Trace, Stage: trace.StageQueue, Board: -1,
-				Start: now, Class: "requeue",
-			})
-		}
-	}
-	f.mu.Unlock()
-	return subs
-}
-
-// emitBoardEvent publishes one KindBoard lifecycle event (class = crash /
-// stall / catch-up / restart / replace / quarantine). Never call under
-// f.mu: the emitter's clock is f.Now.
-func (f *Fleet) emitBoardEvent(board int, class string, value float64) {
-	if !f.em.Enabled(telemetry.KindBoard) {
-		return
-	}
-	ev := telemetry.E(telemetry.KindBoard)
-	ev.Name = fmt.Sprintf("board-%d", board)
-	ev.Class = class
-	ev.Value = value
-	f.em.Emit(ev)
-}
-
 // Flush collects every outstanding barrier and executes pending
 // drain/resume decisions, bringing the published state fully current
 // (bounded-skew runs leave up to MaxSkew barriers in flight). A no-op in
@@ -1288,210 +954,60 @@ func (f *Fleet) Flush() error {
 	return err
 }
 
-// cooldownBarriers derives the healthy-barrier streak a board must show
-// before its next resume: DrainDegradedAfter barriers on the first drain,
-// doubling per re-drain (capped at 32×), with deterministic seeded jitter
-// so a fleet of flapping boards doesn't resume in thundering-herd unison.
-func (f *Fleet) cooldownBarriers(board int) int {
-	n := f.cfg.DrainDegradedAfter
-	bo := fault.Backoff{
-		Base:   sim.Time(n) * f.cfg.Batch,
-		Factor: 2,
-		Jitter: 0.25,
-		Seed:   sim.DeriveSeed(f.cfg.Seed, drainSeedStream+uint64(board)),
-	}
-	barriers := int((bo.Next(f.drainCount[board]) + f.cfg.Batch - 1) / f.cfg.Batch)
-	if barriers < n {
-		barriers = n
-	}
-	return barriers
-}
-
-// noteDrainStreaks tracks per-board degraded streaks against one
-// collected barrier, queueing drain decisions for boards that stayed
-// degraded too long and resume decisions once a drained board stays
-// healthy through its cooldown. Decisions are deferred (drainOp) so they
-// execute on a flushed pipeline.
-func (f *Fleet) noteDrainStreaks(fresh []Snapshot) {
-	if f.cfg.DrainDegradedAfter <= 0 {
-		return
-	}
-	for i, s := range fresh {
-		if f.crashed[i] || f.quarantined[i] || f.stallMiss[i] > 0 {
-			// Dead or silent boards republish stale snapshots; their
-			// Degraded bit is old news, and draining them is the
-			// supervisor's job, not the sensor-health path's.
-			f.degraded[i] = 0
-			f.healthy[i] = 0
-			continue
-		}
-		if s.Degraded {
-			f.degraded[i]++
-			f.healthy[i] = 0
-		} else {
-			f.degraded[i] = 0
-			if f.auto[i] {
-				f.healthy[i]++
-			}
-		}
-		// Cooldown decay: surviving twice the last cooldown after a
-		// resume earns the exponential counter back. Only trusted
-		// (non-degraded) barriers count as surviving.
-		if !f.auto[i] && f.drainCount[i] > 0 && !s.Degraded {
-			f.sinceResume[i]++
-			if f.sinceResume[i] >= 2*f.resumeAfter[i] {
-				f.drainCount[i] = 0
-			}
-		}
-		if !f.auto[i] && f.degraded[i] >= f.cfg.DrainDegradedAfter {
-			f.auto[i] = true
-			f.healthy[i] = 0
-			f.resumeAfter[i] = f.cooldownBarriers(i)
-			f.drainCount[i]++
-			f.sinceResume[i] = 0
-			f.ops = append(f.ops, drainOp{board: i, redrain: f.drainCount[i] > 1})
-			continue
-		}
-		if f.auto[i] && f.healthy[i] >= f.resumeAfter[i] {
-			f.auto[i] = false
-			f.healthy[i] = 0
-			f.sinceResume[i] = 0
-			f.ops = append(f.ops, drainOp{board: i, resume: true})
-		}
-	}
-}
-
-// emitDrainEvent publishes one KindDrain lifecycle event (class = drain /
-// redrain / resume / manual-drain / manual-resume).
-func (f *Fleet) emitDrainEvent(board int, class string, evacuated int) {
-	if !f.em.Enabled(telemetry.KindDrain) {
-		return
-	}
-	ev := telemetry.E(telemetry.KindDrain)
-	ev.Name = fmt.Sprintf("board-%d", board)
-	ev.Class = class
-	ev.Value = float64(evacuated)
-	ev.Prev = float64(f.resumeAfter[board])
-	f.em.Emit(ev)
-}
-
-func (f *Fleet) drainBoard(i int) []Submission {
-	evs := f.boards[i].drain()
-	subs := make([]Submission, len(evs))
-	f.mu.Lock()
-	now := f.now
-	f.counters.Drained += uint64(len(subs))
-	f.counters.Resubmitted += uint64(len(subs))
-	f.mu.Unlock()
-	for j, e := range evs {
-		s := NewSubmission(e.spec)
-		if f.tracer != nil && e.id != 0 {
-			// The evacuated task keeps its trace ID: its board span just
-			// closed attributed to the drain, and a fresh queue span opens
-			// here so the requeue leg shows up on the same timeline.
-			s.Trace = e.id
-			s.EnqueuedAt = now
-			f.tracer.Fleet().Open(trace.Span{
-				Trace: e.id, Stage: trace.StageQueue, Board: -1,
-				Start: now, Class: "requeue",
-			})
-		}
-		subs[j] = s
-	}
-	return subs
-}
-
-// Drain evacuates board i immediately (manual hot-unplug path): the
-// pipeline is flushed, the board's tasks re-enter the admission queue
-// head (overflow sheds with accounting, like every requeue), and the
-// board stops receiving work until Resume. Safe only between Steps
-// (fleetd's driver serializes them).
-func (f *Fleet) Drain(i int) error {
-	if i < 0 || i >= len(f.boards) {
-		return fmt.Errorf("fleet: no board %d", i)
-	}
-	if f.crashed[i] || f.quarantined[i] {
-		return fmt.Errorf("fleet: board %d crashed; the supervisor owns its work", i)
-	}
-	if err := f.Flush(); err != nil {
-		return err
-	}
-	subs := f.drainBoard(i)
-	f.mu.Lock()
-	f.snaps[i].Draining = true
-	f.snaps[i].Tasks = 0
-	f.requeueLocked(subs)
-	f.mu.Unlock()
-	f.emitDrainEvent(i, "manual-drain", len(subs))
-	return nil
-}
-
-// Resume lets a manually drained board accept work again.
-func (f *Fleet) Resume(i int) error {
-	if i < 0 || i >= len(f.boards) {
-		return fmt.Errorf("fleet: no board %d", i)
-	}
-	if f.crashed[i] || f.quarantined[i] {
-		return fmt.Errorf("fleet: board %d crashed; resume waits on the supervisor", i)
-	}
-	if err := f.Flush(); err != nil {
-		return err
-	}
-	f.boards[i].resume()
-	f.mu.Lock()
-	f.snaps[i].Draining = false
-	f.mu.Unlock()
-	f.emitDrainEvent(i, "manual-resume", 0)
-	return nil
-}
-
 // StateSnapshot publishes the fleet-wide view of the newest collected
 // barrier.
 func (f *Fleet) StateSnapshot() State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	shards := f.cfg.Shards
-	if shards > len(f.boards) {
-		shards = len(f.boards)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	st := State{
+	l := f.ledgerLocked()
+	return State{
 		Batch:     f.batch,
 		Issued:    f.issued,
 		Time:      f.now,
 		Boards:    append([]Snapshot(nil), f.snaps...),
 		QueueLen:  len(f.pending),
-		InFlight:  f.inflightTasks,
-		Orphaned:  f.orphanedCount,
-		Completed: sumCompleted(f.snaps),
+		InFlight:  int(l.InFlight),
+		Orphaned:  int(l.Orphaned),
+		Completed: int(l.Completed),
 		Counters:  f.counters,
-		Shards:    shards,
+		Shards:    max(1, min(f.cfg.Shards, len(f.boards))),
 	}
-	return st
 }
 
 // FleetAccounting reports the zero-loss ledger terms at the newest
 // collected barrier, for check.CheckFleetConservation: accepted =
 // submitted − shed − evicted must equal live + queued + in-flight +
-// orphaned + completed. Live and completed both come from the collected
-// snapshots, i.e. from board state: a board retires the tasks that
-// finished in a batch before it publishes that barrier's snapshot, so
-// each completion leaves "live" and enters "completed" at the same
-// barrier. (Evicted work belongs to whoever called EvictQueued.)
+// orphaned + completed. (Evicted work belongs to whoever called
+// EvictQueued.)
 func (f *Fleet) FleetAccounting() check.Ledger {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.ledgerLocked()
+}
+
+// ledgerLocked derives every ledger term from state. Live and completed
+// come from the collected snapshots, i.e. from board state: a board
+// retires the tasks that finished in a batch before it publishes that
+// barrier's snapshot, so each completion leaves "live" and enters
+// "completed" at the same barrier. In-flight is the tasks assigned at
+// uncollected (or abandoned) barriers plus the stalled boards' pinned
+// deferrals; orphaned is the crashed boards' recovered work awaiting
+// re-placement.
+func (f *Fleet) ledgerLocked() check.Ledger {
 	l := check.Ledger{
-		Accepted:  f.counters.Submitted - f.counters.Shed - f.counters.Evicted,
-		Queued:    uint64(len(f.pending)),
-		InFlight:  uint64(f.inflightTasks),
-		Orphaned:  uint64(f.orphanedCount),
-		Completed: uint64(sumCompleted(f.snaps)),
+		Accepted: f.counters.Submitted - f.counters.Shed - f.counters.Evicted,
+		Queued:   uint64(len(f.pending)),
 	}
 	for i := range f.snaps {
 		l.Live += uint64(f.snaps[i].Tasks)
+		l.Completed += uint64(f.snaps[i].Completed)
+		l.InFlight += uint64(f.recs[i].stallCarry.tasks)
+		l.Orphaned += uint64(len(f.recs[i].orphans))
+	}
+	for _, bars := range [2][]inflightBarrier{f.inflight, f.abandoned} {
+		for _, bar := range bars {
+			l.InFlight += uint64(bar.total)
+		}
 	}
 	return l
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -413,7 +415,7 @@ func TestFleetDrainCooldownBacksOff(t *testing.T) {
 	f.AttachTelemetry(telemetry.NewEmitter(nil, ring))
 
 	// Synthetic collected barriers: board 0 degraded or healthy, board 1
-	// always fine. Feeding noteDrainStreaks directly decouples the
+	// always fine. Feeding noteBarrier directly decouples the
 	// cooldown machine from the market's sensor heuristics; Flush
 	// executes the queued drain/resume ops against the (empty) boards.
 	barrier := func(deg bool) []Snapshot {
@@ -431,24 +433,24 @@ func TestFleetDrainCooldownBacksOff(t *testing.T) {
 		// Re-trip immediately after the previous resume: the degraded
 		// streak needs DrainDegradedAfter consecutive barriers.
 		for j := 0; j < f.cfg.DrainDegradedAfter; j++ {
-			f.noteDrainStreaks(barrier(true))
+			f.noteBarrier(barrier(true), 0)
 		}
-		if !f.auto[0] {
+		if !f.recs[0].auto {
 			t.Fatalf("cycle %d: degraded streak did not trip auto-drain", c)
 		}
-		cooldowns = append(cooldowns, f.resumeAfter[0])
+		cooldowns = append(cooldowns, f.recs[0].cooldown)
 		if err := f.Flush(); err != nil { // executes the drain op
 			t.Fatal(err)
 		}
 		// Idle healthy through exactly the cooldown; the board must not
 		// resume a single barrier earlier.
 		for j := 0; j < cooldowns[c]; j++ {
-			if !f.auto[0] {
+			if !f.recs[0].auto {
 				t.Fatalf("cycle %d: resumed after %d healthy barriers, want cooldown %d", c, j, cooldowns[c])
 			}
-			f.noteDrainStreaks(barrier(false))
+			f.noteBarrier(barrier(false), 0)
 		}
-		if f.auto[0] {
+		if f.recs[0].auto {
 			t.Fatalf("cycle %d: still drained after full cooldown of %d", c, cooldowns[c])
 		}
 		if err := f.Flush(); err != nil { // executes the resume op
@@ -509,17 +511,17 @@ func TestFleetDrainCooldownDecays(t *testing.T) {
 	}
 	trip := func() int {
 		for j := 0; j < f.cfg.DrainDegradedAfter; j++ {
-			f.noteDrainStreaks(barrier(true))
+			f.noteBarrier(barrier(true), 0)
 		}
-		if !f.auto[0] {
+		if !f.recs[0].auto {
 			t.Fatal("degraded streak did not trip auto-drain")
 		}
-		cd := f.resumeAfter[0]
+		cd := f.recs[0].cooldown
 		if err := f.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < cd; j++ {
-			f.noteDrainStreaks(barrier(false))
+			f.noteBarrier(barrier(false), 0)
 		}
 		if err := f.Flush(); err != nil {
 			t.Fatal(err)
@@ -561,10 +563,10 @@ func TestFleetDrainCooldownDecays(t *testing.T) {
 	// base cooldown, regardless of how deep the backoff had grown.
 	last := cooldowns[len(cooldowns)-1]
 	for j := 0; j < 2*last; j++ {
-		f.noteDrainStreaks(barrier(false))
+		f.noteBarrier(barrier(false), 0)
 	}
-	if f.drainCount[0] != 0 {
-		t.Fatalf("drain count = %d after surviving 2×cooldown, want 0", f.drainCount[0])
+	if f.recs[0].drains != 0 {
+		t.Fatalf("drain count = %d after surviving 2×cooldown, want 0", f.recs[0].drains)
 	}
 	if decayed := trip(); decayed != n {
 		t.Errorf("cooldown after decay = %d, want base %d again", decayed, n)
@@ -582,5 +584,65 @@ func TestTraceResolvesCaseInsensitively(t *testing.T) {
 	}
 	if specs[0].Spec.Name != "swaptions_n" {
 		t.Errorf("task name = %q, want canonical swaptions_n", specs[0].Spec.Name)
+	}
+}
+
+// TestSubmitAtReleasesInStableOrder: arrivals scheduled in reverse time
+// order, three to a due time, are admitted barrier by barrier exactly as
+// a stable sort by due time orders them, each before the first barrier
+// horizon past its due time.
+func TestSubmitAtReleasesInStableOrder(t *testing.T) {
+	f, err := New(Config{Boards: 1, Seed: 5, QueueCap: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type arrival struct {
+		at   sim.Time
+		name string
+	}
+	var oracle []arrival
+	for i := 0; i < 300; i++ {
+		a := arrival{at: sim.Time((299-i)/3) * 30 * sim.Millisecond, name: fmt.Sprintf("a%03d", i)}
+		oracle = append(oracle, a)
+		f.SubmitAt(a.at, lightSpec(a.name))
+	}
+	sort.SliceStable(oracle, func(i, j int) bool { return oracle[i].at < oracle[j].at })
+	var got []arrival
+	for horizon := f.cfg.Batch; len(got) < len(oracle); horizon += f.cfg.Batch {
+		f.mu.Lock()
+		f.releaseLocked(horizon)
+		f.mu.Unlock()
+		for _, s := range f.EvictQueued(len(oracle)) {
+			got = append(got, arrival{name: s.Spec.Name})
+		}
+		due := sort.Search(len(oracle), func(i int) bool { return oracle[i].at >= horizon })
+		if len(got) != due {
+			t.Fatalf("horizon %v: released %d arrivals, want the %d due before it", horizon, len(got), due)
+		}
+	}
+	for i := range oracle {
+		if got[i].name != oracle[i].name {
+			t.Fatalf("release %d is %s, stable order says %s", i, got[i].name, oracle[i].name)
+		}
+	}
+}
+
+// BenchmarkSubmitAt schedules 16,384 arrivals in reverse time order, the
+// worst case for a schedule kept sorted on insert.
+func BenchmarkSubmitAt(b *testing.B) {
+	spec := lightSpec("t")
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f, err := New(Config{Boards: 1, Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j := 16384; j > 0; j-- {
+			f.SubmitAt(sim.Time(j)*sim.Millisecond, spec)
+		}
+		b.StopTimer()
+		f.Close()
 	}
 }

@@ -98,7 +98,7 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 				}
 				stepChecked(t, f)
 				for i, b := range f.boards {
-					if b == prev[i] && !f.crashed[i] && f.stallMiss[i] == 0 {
+					if b == prev[i] && f.recs[i].state <= stDraining {
 						want[i] = eagerCheckpoint(b, f.batch) // the step succeeded: the image moved
 					}
 				}
@@ -106,7 +106,7 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 					crashImage = want[2]
 				}
 				check(fmt.Sprintf("barrier %d", n))
-				autoDrained = autoDrained || f.auto[4]
+				autoDrained = autoDrained || f.recs[4].auto
 
 				switch n {
 				case 12:

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // TickHook is a component that wants to be driven once per engine tick.
 // Hooks run in registration order; now is the time at the *end* of the tick,
@@ -33,42 +30,14 @@ type TickFunc func(now Time)
 // Tick calls f(now).
 func (f TickFunc) Tick(now Time) { f(now) }
 
-// event is a one-shot callback scheduled at a specific virtual time.
-type event struct {
-	at  Time
-	seq int64 // tie-break so equal-time events fire FIFO
-	fn  func(now Time)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
 // Engine advances a virtual clock in fixed steps, firing scheduled one-shot
 // events and per-tick hooks. The zero value is not usable; call NewEngine.
 type Engine struct {
 	now    Time
 	step   Time
 	hooks  []TickHook
-	span   Spanner // hooks[0] when it is the only hook and a Spanner
-	events eventQueue
-	seq    int64
+	span   Spanner                  // hooks[0] when it is the only hook and a Spanner
+	events Schedule[func(now Time)] // one-shot events, FIFO at equal times
 }
 
 // NewEngine returns an engine whose clock starts at zero and advances in
@@ -99,10 +68,7 @@ func (e *Engine) AddHook(h TickHook) {
 // At schedules fn to run at virtual time at. Events scheduled in the past
 // (or at the current time) fire at the start of the next tick. Events at the
 // same time fire in scheduling order, always before that tick's hooks.
-func (e *Engine) At(at Time, fn func(now Time)) {
-	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(at Time, fn func(now Time)) { e.events.Push(at, fn) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn func(now Time)) { e.At(e.now+d, fn) }
@@ -130,8 +96,8 @@ func (e *Engine) RunUntil(end Time) {
 // the first tick ending at or after it).
 func (e *Engine) spanTicks(end Time) int {
 	n := int((end - e.now) / e.step)
-	if len(e.events) > 0 {
-		n = min(n, e.TicksBefore(e.events[0].at))
+	if at, ok := e.events.Next(); ok {
+		n = min(n, e.TicksBefore(at))
 	}
 	return n
 }
@@ -152,9 +118,8 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // all hooks.
 func (e *Engine) StepOnce() {
 	e.now += e.step
-	for len(e.events) > 0 && e.events[0].at <= e.now {
-		ev := heap.Pop(&e.events).(*event)
-		ev.fn(e.now)
+	for at, ok := e.events.Next(); ok && at <= e.now; at, ok = e.events.Next() {
+		e.events.Pop()(e.now)
 	}
 	for _, h := range e.hooks {
 		h.Tick(e.now)
@@ -162,4 +127,4 @@ func (e *Engine) StepOnce() {
 }
 
 // Pending reports the number of scheduled one-shot events not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.Len() }

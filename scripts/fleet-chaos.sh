@@ -2,7 +2,8 @@
 # fleet-chaos: the failure-domain gate, in two halves.
 #
 # Test half: the board crash/stall/restart suite under the race detector —
-# orphan accounting, joined crash errors, the crash+stall-in-one-barrier
+# the lifecycle transition table, the derived ledger under concurrent
+# readers, orphan accounting, joined crash errors, the crash+stall-in-one-barrier
 # acceptance case, stall quarantine and catch-up, zero-loss across
 # crash -> restart -> re-place for S ∈ {1,2,4,8}, permanent quarantine,
 # restart caps, the liveness deadline, the checkpoint codec (round-trip,
@@ -26,7 +27,7 @@ trap 'rm -f "$LOG"' EXIT
 
 echo "fleet-chaos: failure-domain suite (race detector)"
 go test -race -count=1 -run \
-  'TestBoardCrash|TestCollectJoins|TestCrashAndStall|TestStallQuarantine|TestZeroLossAcrossCrashRestart|TestPermanentQuarantine|TestMaxRestarts|TestLivenessDeadline|TestInjectedStalls|TestFaultedFleetReplays|TestCheckpoint|FuzzCheckpointRoundTrip' \
+  'TestBoardCrash|TestCollectJoins|TestCrashAndStall|TestStallQuarantine|TestZeroLossAcrossCrashRestart|TestPermanentQuarantine|TestMaxRestarts|TestLivenessDeadline|TestInjectedStalls|TestFaultedFleetReplays|TestCheckpoint|FuzzCheckpointRoundTrip|TestLifecycleTransitionTable|TestLedgerDerivedUnderConcurrentReaders' \
   ./internal/fleet
 go test -race -count=1 -run 'TestBoardFault|TestIsBoardFault' ./internal/fault
 
