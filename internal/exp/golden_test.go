@@ -39,8 +39,8 @@ func tableDigest(tables ...*Table) string {
 // goldenRuns enumerates the pinned experiments: the paper's running
 // examples (Tables 1–3), the platform tables (4–6), a deterministic
 // Table-7-scale market trace, short comparative runs behind Figures 4–6,
-// the priority study (Figure 7), the dormant/active trace (Figure 8), and
-// per-governor replay traces of one workload set.
+// the priority study (Figure 7), the dormant/active trace (Figure 8), the
+// design-knob ablation, and per-governor replay traces of one workload set.
 func goldenRuns() []goldenRun {
 	runs := []goldenRun{
 		{"table1", func() (string, error) { return tableDigest(Table1()), nil }},
@@ -83,6 +83,13 @@ func goldenRuns() []goldenRun {
 		}},
 		{"fig8", func() (string, error) {
 			tb, _, err := Fig8(sim.Second, sim.Second)
+			if err != nil {
+				return "", err
+			}
+			return tableDigest(tb), nil
+		}},
+		{"ablation", func() (string, error) {
+			tb, err := Ablation(sim.Second)
 			if err != nil {
 				return "", err
 			}
