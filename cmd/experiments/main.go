@@ -89,14 +89,14 @@ func run(name string, dur sim.Time, iters int, csvDir string) error {
 		}
 		tbl.Render(out)
 		if csvDir != "" {
-			if err := writeSeries(csvDir, "fig7a.csv", map[string]*metrics.Series{
-				"swaptions": a.SwaptionsSeries, "bodytrack": a.BodytrackSeries,
-			}); err != nil {
+			if err := writeCSV(csvDir, "fig7a.csv",
+				metrics.Column{Name: "bodytrack", Series: a.BodytrackSeries},
+				metrics.Column{Name: "swaptions", Series: a.SwaptionsSeries}); err != nil {
 				return err
 			}
-			if err := writeSeries(csvDir, "fig7b.csv", map[string]*metrics.Series{
-				"swaptions": b.SwaptionsSeries, "bodytrack": b.BodytrackSeries,
-			}); err != nil {
+			if err := writeCSV(csvDir, "fig7b.csv",
+				metrics.Column{Name: "bodytrack", Series: b.BodytrackSeries},
+				metrics.Column{Name: "swaptions", Series: b.SwaptionsSeries}); err != nil {
 				return err
 			}
 		}
@@ -107,10 +107,10 @@ func run(name string, dur sim.Time, iters int, csvDir string) error {
 		}
 		tbl.Render(out)
 		if csvDir != "" {
-			if err := writeSeries(csvDir, "fig8.csv", map[string]*metrics.Series{
-				"swaptions": r.SwaptionsSeries, "x264": r.X264Series,
-				"savings": r.SavingsSeries,
-			}); err != nil {
+			if err := writeCSV(csvDir, "fig8.csv",
+				metrics.Column{Name: "savings", Series: r.SavingsSeries},
+				metrics.Column{Name: "swaptions", Series: r.SwaptionsSeries},
+				metrics.Column{Name: "x264", Series: r.X264Series}); err != nil {
 				return err
 			}
 		}
@@ -126,8 +126,9 @@ func run(name string, dur sim.Time, iters int, csvDir string) error {
 	return nil
 }
 
-// writeSeries dumps named series with a shared time axis to one CSV file.
-func writeSeries(dir, file string, series map[string]*metrics.Series) error {
+// writeCSV writes the columns to dir/file, joined on their sample times
+// (metrics.WriteCSV).
+func writeCSV(dir, file string, cols ...metrics.Column) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -135,49 +136,9 @@ func writeSeries(dir, file string, series map[string]*metrics.Series) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	// Collect names deterministically.
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
+	if err := metrics.WriteCSV(f, cols); err != nil {
+		f.Close()
+		return err
 	}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	fmt.Fprint(f, "t_seconds")
-	for _, n := range names {
-		fmt.Fprintf(f, ",%s", n)
-	}
-	fmt.Fprintln(f)
-	// Use the longest series' time axis; sample others by index.
-	longest := 0
-	for _, s := range series {
-		if s != nil && s.Len() > longest {
-			longest = s.Len()
-		}
-	}
-	for i := 0; i < longest; i++ {
-		var ts sim.Time
-		for _, n := range names {
-			if s := series[n]; s != nil && i < s.Len() {
-				ts = s.Times[i]
-				break
-			}
-		}
-		fmt.Fprintf(f, "%.3f", ts.Seconds())
-		for _, n := range names {
-			s := series[n]
-			if s != nil && i < s.Len() {
-				fmt.Fprintf(f, ",%.4f", s.Values[i])
-			} else {
-				fmt.Fprint(f, ",")
-			}
-		}
-		fmt.Fprintln(f)
-	}
-	return nil
+	return f.Close()
 }

@@ -22,18 +22,12 @@ import (
 	"net"
 	"os"
 
-	"pricepower/internal/check"
-	"pricepower/internal/core"
 	"pricepower/internal/exp"
 	"pricepower/internal/fault"
 	"pricepower/internal/httpd"
-	"pricepower/internal/hw"
-	"pricepower/internal/metrics"
 	"pricepower/internal/platform"
-	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
 	"pricepower/internal/telemetry"
-	"pricepower/internal/trace"
 	"pricepower/internal/workload"
 )
 
@@ -144,17 +138,25 @@ func main() {
 		srv.Start(ln)
 	}
 
-	var r exp.RunResult
-	var err error
-	if *traceFile != "" || *checkRun {
-		r, err = runCustom(*governor, set, *tdp, sim.FromSeconds(*dur), *traceFile, *checkRun, em, inj)
-	} else {
-		opts := exp.RunOptions{Telemetry: em}
-		if inj != nil {
-			opts.Faults = inj
-			opts.MaxOverRounds = faultMaxOverRounds
+	opts := exp.RunOptions{Telemetry: em, Check: *checkRun}
+	if inj != nil {
+		opts.Faults = inj
+		opts.MaxOverRounds = faultMaxOverRounds
+	}
+	var trace *os.File
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ppmsim: %v\n", err)
+			os.Exit(1)
 		}
-		r, err = exp.RunSetOpts(*governor, set, *tdp, sim.FromSeconds(*dur), opts)
+		trace, opts.Trace = f, f
+	}
+	r, err := exp.RunSetOpts(*governor, set, *tdp, sim.FromSeconds(*dur), opts)
+	if trace != nil {
+		if cerr := trace.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppmsim: %v\n", err)
@@ -208,83 +210,3 @@ func main() {
 // legitimately pin the smoothed power above the slack band for the length
 // of the fault window.
 const faultMaxOverRounds = 64
-
-// runCustom mirrors exp.RunSet with an optional CSV recorder, invariant
-// checker, telemetry emitter and/or fault injector attached. With checking
-// on, every violation is listed on stderr and the run fails.
-func runCustom(governor string, set workload.Set, wtdp float64, dur sim.Time, file string, checked bool, em *telemetry.Emitter, inj *fault.Injector) (exp.RunResult, error) {
-	specs, err := set.Specs(1)
-	if err != nil {
-		return exp.RunResult{}, err
-	}
-	p := platform.NewTC2()
-	g, err := exp.NewGovernor(governor, wtdp)
-	if err != nil {
-		return exp.RunResult{}, err
-	}
-	p.SetGovernor(g)
-	if em != nil {
-		p.AttachTelemetry(em)
-	}
-	if inj != nil {
-		p.AttachFaults(inj)
-	}
-	exp.PlaceOnLittle(p, specs)
-	pr := metrics.NewProbe(p, exp.Warmup)
-	pr.Attach()
-	thermal := hw.NewThermalModel(p.Chip, nil, 25)
-	p.AttachThermal(thermal)
-
-	var rec *trace.Recorder
-	if file != "" {
-		rec = trace.New(p, thermal, 100*sim.Millisecond)
-		rec.Attach()
-	}
-	var checker *check.Checker
-	if checked {
-		var market *core.Market
-		if pg, ok := g.(*ppm.Governor); ok {
-			market = pg.Market()
-		}
-		opt := check.Options{Market: market, Thermal: thermal, TDP: wtdp}
-		if inj != nil {
-			opt.MaxOverRounds = faultMaxOverRounds
-		}
-		checker = check.New(opt)
-		p.AttachChecker(checker)
-	}
-
-	p.Run(exp.Warmup + dur)
-
-	if rec != nil {
-		f, err := os.Create(file)
-		if err != nil {
-			return exp.RunResult{}, err
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			return exp.RunResult{}, err
-		}
-	}
-	if checker != nil && checker.Total() > 0 {
-		for _, v := range checker.Violations() {
-			fmt.Fprintf(os.Stderr, "ppmsim: violation: %s\n", v)
-		}
-		return exp.RunResult{}, fmt.Errorf("%d invariant violation(s)", checker.Total())
-	}
-
-	total, cross := p.Migrations()
-	trans := 0
-	peakT := 25.0
-	for i, cl := range p.Chip.Clusters {
-		trans += cl.Transitions()
-		if t := thermal.Peak(i); t > peakT {
-			peakT = t
-		}
-	}
-	return exp.RunResult{
-		Governor: governor, Set: set.Name,
-		MissFrac: pr.AnyBelowFrac(), AvgPower: pr.AveragePower(), Energy: pr.Energy(),
-		Migrations: total, CrossMigrations: cross, Transitions: trans, PeakTempC: peakT,
-	}, nil
-}

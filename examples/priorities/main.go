@@ -3,72 +3,31 @@
 // equal priorities and with swaptions at priority 7 — and the fraction of
 // time each task spends outside its normalized performance goal
 // [0.95, 1.05] is reported. Higher priority buys a larger allowance, which
-// buys supply.
+// buys supply. The runs are exp.RunFig7's, 60 s measured after the warm-up.
 //
 //	go run ./examples/priorities
 package main
 
 import (
 	"fmt"
+	"os"
 
-	"pricepower"
+	"pricepower/internal/exp"
+	"pricepower/internal/sim"
 )
 
-// spec builds a phase-structured task whose average demand on the shared
-// big core is demandPU (the phase multipliers modulate it so the pair's
-// contention is intermittent, as the Figure 7 traces show), with the ±5 %
-// goal around a 30 hb/s target.
-func spec(name string, demandPU float64, prio int, mults []float64, phase pricepower.Time) pricepower.TaskSpec {
-	const target = 30.0
-	s := pricepower.TaskSpec{
-		Name:     name,
-		Priority: prio,
-		MinHR:    target * 0.95,
-		MaxHR:    target * 1.05,
-		Loop:     true,
-	}
-	for _, m := range mults {
-		s.Phases = append(s.Phases, pricepower.TaskPhase{
-			// Costs are expressed per LITTLE-core cycle budget; the 2×
-			// big-core speedup halves them on the big core the pair shares.
-			HBCostLittle: 2 * demandPU * m / target,
-			SpeedupBig:   2,
-			SelfCapHR:    target * 1.35,
-			Duration:     phase,
-		})
-	}
-	return s
-}
-
-func run(prioSwaptions, prioBodytrack int) (swOut, btOut float64) {
-	p := pricepower.NewTC2Platform()
-	cfg := pricepower.PPMDefaults(0) // no TDP constraint
-	cfg.DisableLBT = true            // §5.4: isolate the market dynamics
-	p.SetGovernor(pricepower.NewPPM(cfg))
-
-	// Combined demand hovers around the big core's 1200 PU ceiling: mild,
-	// intermittent overload, so the priorities decide who holds the range.
-	sw := p.AddTask(spec("swaptions_native", 625, prioSwaptions,
-		[]float64{1.0, 1.08, 0.92}, 9*pricepower.Second), 0)
-	bt := p.AddTask(spec("bodytrack_native", 625, prioBodytrack,
-		[]float64{0.92, 1.08, 1.0}, 7*pricepower.Second), 0)
-
-	probe := pricepower.NewProbe(p, 5*pricepower.Second)
-	probe.Attach()
-	p.Run(65 * pricepower.Second)
-	return probe.OutsideFrac(sw), probe.OutsideFrac(bt)
-}
-
 func main() {
-	swA, btA := run(1, 1)
+	_, a, b, err := exp.Fig7(60 * sim.Second)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "priorities: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Println("(a) equal priorities (1, 1):")
-	fmt.Printf("    swaptions outside goal: %5.1f %%\n", swA*100)
-	fmt.Printf("    bodytrack outside goal: %5.1f %%\n", btA*100)
-
-	swB, btB := run(7, 1)
+	fmt.Printf("    swaptions outside goal: %5.1f %%\n", a.SwaptionsOutside*100)
+	fmt.Printf("    bodytrack outside goal: %5.1f %%\n", a.BodytrackOutside*100)
 	fmt.Println("(b) swaptions at priority 7:")
-	fmt.Printf("    swaptions outside goal: %5.1f %%  (was %.1f %%)\n", swB*100, swA*100)
-	fmt.Printf("    bodytrack outside goal: %5.1f %%  (was %.1f %%)\n", btB*100, btA*100)
+	fmt.Printf("    swaptions outside goal: %5.1f %%  (was %.1f %%)\n", b.SwaptionsOutside*100, a.SwaptionsOutside*100)
+	fmt.Printf("    bodytrack outside goal: %5.1f %%  (was %.1f %%)\n", b.BodytrackOutside*100, a.BodytrackOutside*100)
 	fmt.Println("higher priority → larger allowance → more supply: the")
 	fmt.Println("prioritized task holds its range while its neighbour suffers.")
 }

@@ -62,6 +62,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -173,14 +174,17 @@ func (c *Checker) Violations() []Violation { return c.violations }
 // Total reports how many breaches occurred, including unrecorded ones.
 func (c *Checker) Total() int { return c.total }
 
-// Err summarizes the violations as one error, or nil when the run was
-// clean.
+// Err reports the count and then every recorded violation, one per line,
+// or nil when the run was clean.
 func (c *Checker) Err() error {
 	if c.total == 0 {
 		return nil
 	}
-	first := c.violations[0]
-	return fmt.Errorf("check: %d invariant violation(s), first: %s", c.total, first)
+	errs := []error{fmt.Errorf("check: %d invariant violation(s)", c.total)}
+	for _, v := range c.violations {
+		errs = append(errs, errors.New(v.String()))
+	}
+	return errors.Join(errs...)
 }
 
 func (c *Checker) report(now sim.Time, invariant, format string, args ...interface{}) {

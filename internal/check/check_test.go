@@ -261,7 +261,17 @@ func TestMaxViolationsCap(t *testing.T) {
 	if c.Total() <= 2 {
 		t.Errorf("Total=%d, want > 2", c.Total())
 	}
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "invariant violation") {
+	err := c.Err()
+	if err == nil || !strings.Contains(err.Error(), "invariant violation") {
 		t.Errorf("Err() = %v", err)
+	}
+	// The error lists every recorded violation, not only the first.
+	if got, want := strings.Count(err.Error(), "\n"), len(c.Violations()); got != want {
+		t.Errorf("Err() lists %d violations, want %d:\n%v", got, want, err)
+	}
+	for _, v := range c.Violations() {
+		if !strings.Contains(err.Error(), v.String()) {
+			t.Errorf("Err() lacks violation %s", v)
+		}
 	}
 }

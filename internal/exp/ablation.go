@@ -3,51 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"pricepower/internal/metrics"
-	"pricepower/internal/platform"
 	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
 	"pricepower/internal/workload"
 )
-
-// AblationResult is one row of the design-knob study.
-type AblationResult struct {
-	Name        string
-	MissFrac    float64
-	AvgPower    float64
-	Transitions int
-	Migrations  int
-}
-
-// RunPPMVariant runs one workload set under a custom PPM configuration and
-// reports the evaluation metrics — the primitive the ablation studies (and
-// any downstream tuning) are built from.
-func RunPPMVariant(cfg ppm.Config, set workload.Set, dur sim.Time) (AblationResult, error) {
-	specs, err := set.Specs(1)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	if cfg.Profiles == nil {
-		cfg.Profiles = WorkloadProfiles
-	}
-	p := platform.NewTC2()
-	p.SetGovernor(ppm.New(cfg))
-	PlaceOnLittle(p, specs)
-	pr := metrics.NewProbe(p, Warmup)
-	pr.Attach()
-	p.Run(Warmup + dur)
-	trans := 0
-	for _, cl := range p.Chip.Clusters {
-		trans += cl.Transitions()
-	}
-	migs, _ := p.Migrations()
-	return AblationResult{
-		MissFrac:    pr.AnyBelowFrac(),
-		AvgPower:    pr.AveragePower(),
-		Transitions: trans,
-		Migrations:  migs,
-	}, nil
-}
 
 // Ablation sweeps the design knobs DESIGN.md calls out, one variant at a
 // time against the PPM defaults, on a medium workload set (m2) under the
@@ -72,42 +31,20 @@ func Ablation(dur sim.Time) (*Table, error) {
 
 	variants := []struct {
 		name string
-		cfg  func() ppm.Config
+		set  func(*ppm.Config)
 	}{
-		{"defaults", func() ppm.Config { return ppm.DefaultConfig(wtdp) }},
-		{"δ=0.05 (twitchy)", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.Market.Tolerance = 0.05
-			return c
-		}},
-		{"δ=0.5 (sluggish)", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.Market.Tolerance = 0.5
-			return c
-		}},
-		{"buffer Wth=0.7·Wtdp", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.Market.Wth = 0.7 * wtdp
-			return c
-		}},
-		{"buffer Wth=0.97·Wtdp", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.Market.Wth = 0.97 * wtdp
-			return c
-		}},
-		{"savings off", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.Market.SavingsCap = 1e-9
-			return c
-		}},
-		{"LBT off", func() ppm.Config {
-			c := ppm.DefaultConfig(wtdp)
-			c.DisableLBT = true
-			return c
-		}},
+		{"defaults", func(*ppm.Config) {}},
+		{"δ=0.05 (twitchy)", func(c *ppm.Config) { c.Market.Tolerance = 0.05 }},
+		{"δ=0.5 (sluggish)", func(c *ppm.Config) { c.Market.Tolerance = 0.5 }},
+		{"buffer Wth=0.7·Wtdp", func(c *ppm.Config) { c.Market.Wth = 0.7 * wtdp }},
+		{"buffer Wth=0.97·Wtdp", func(c *ppm.Config) { c.Market.Wth = 0.97 * wtdp }},
+		{"savings off", func(c *ppm.Config) { c.Market.SavingsCap = 1e-9 }},
+		{"LBT off", func(c *ppm.Config) { c.DisableLBT = true }},
 	}
 	for _, v := range variants {
-		r, err := RunPPMVariant(v.cfg(), set, dur)
+		cfg := ppm.DefaultConfig(wtdp)
+		v.set(&cfg)
+		r, err := RunPPMVariant(cfg, set, dur)
 		if err != nil {
 			return nil, err
 		}

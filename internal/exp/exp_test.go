@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"pricepower/internal/metrics"
 	"pricepower/internal/sim"
 	"pricepower/internal/workload"
 )
@@ -235,6 +238,30 @@ func TestFig7PriorityIsolation(t *testing.T) {
 	}
 	if prio.SwaptionsSeries.Len() == 0 {
 		t.Error("no heart-rate series captured")
+	}
+}
+
+// TestFig8SeriesShareGrid: the heart-rate and savings series are sampled
+// together on the figure grid, so each row of fig8.csv holds all three
+// values of one instant.
+func TestFig8SeriesShareGrid(t *testing.T) {
+	r, err := RunFig8(sim.Second, 2*sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.X264Series.Times
+	if len(want) != 13 { // the first measured tick, then 5.25 s … 8 s
+		t.Fatalf("x264 series has %d samples, want 13", len(want))
+	}
+	for name, s := range map[string]*metrics.Series{"swaptions": r.SwaptionsSeries, "savings": r.SavingsSeries} {
+		if !slices.Equal(s.Times, want) {
+			t.Errorf("%s sampled at %v, x264 at %v", name, s.Times, want)
+		}
+		for i, v := range s.Values {
+			if math.IsNaN(v) {
+				t.Errorf("%s sample %d is NaN", name, i)
+			}
+		}
 	}
 }
 

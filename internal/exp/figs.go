@@ -2,12 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"pricepower/internal/metrics"
 	"pricepower/internal/platform"
 	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
+	"pricepower/internal/workload"
 )
 
 // Comparative holds the Figure 4/5 (or Figure 6) measurement matrix.
@@ -16,14 +18,22 @@ type Comparative struct {
 	Wtdp    float64
 }
 
-// RunComparative performs the 9-set × 3-governor sweep once; Figures 4 and
-// 5 read different columns of the same runs (as in the paper).
+// RunComparative runs every Table 6 workload set under every governor
+// once; Figures 4 and 5 read different columns of the same runs (as in the
+// paper).
 func RunComparative(wtdp float64, dur sim.Time) (*Comparative, error) {
-	res, err := RunAllSets(wtdp, dur)
-	if err != nil {
-		return nil, err
+	c := &Comparative{Results: make([][]RunResult, len(workload.Sets)), Wtdp: wtdp}
+	for i, set := range workload.Sets {
+		c.Results[i] = make([]RunResult, len(GovernorNames))
+		for j, gov := range GovernorNames {
+			r, err := RunSet(gov, set, wtdp, dur)
+			if err != nil {
+				return nil, err
+			}
+			c.Results[i][j] = r
+		}
 	}
-	return &Comparative{Results: res, Wtdp: wtdp}, nil
+	return c, nil
 }
 
 // MissTable renders the miss-rate comparison (Figure 4 without TDP,
@@ -112,6 +122,10 @@ func (c *Comparative) MeanPower() [3]float64 {
 	return out
 }
 
+// figSeriesPeriod is the series grid of the behaviour figures (7 and 8),
+// which starts at the end of the warm-up.
+const figSeriesPeriod = 250 * sim.Millisecond
+
 // Fig7Result is one priority case-study run.
 type Fig7Result struct {
 	// Outside fractions of time outside the reference range, per task.
@@ -157,14 +171,14 @@ func RunFig7(prioSwaptions, prioBodytrack int, dur sim.Time) (*Fig7Result, error
 	bt := p.AddTask(fig7Spec("bodytrack_native", 1250, prioBodytrack,
 		[]float64{0.92, 1.08, 1.0}, 7*sim.Second), 0)
 	pr := metrics.NewProbe(p, Warmup)
-	pr.EnableSeries(250 * sim.Millisecond)
+	pr.EnableSeries(Warmup, figSeriesPeriod)
 	pr.Attach()
 	p.Run(Warmup + dur)
 	return &Fig7Result{
 		SwaptionsOutside: pr.OutsideFrac(sw),
 		BodytrackOutside: pr.OutsideFrac(bt),
-		SwaptionsSeries:  pr.HRSeries[sw],
-		BodytrackSeries:  pr.HRSeries[bt],
+		SwaptionsSeries:  pr.HRSeries(sw),
+		BodytrackSeries:  pr.HRSeries(bt),
 	}, nil
 }
 
@@ -203,6 +217,8 @@ type Fig8Result struct {
 	// SavingsDepleted reports when the x264 agent's savings ran out
 	// (0 = never during the run).
 	SavingsDepleted sim.Time
+	// Series on the 250 ms figure grid from the end of the warm-up: x264's
+	// and swaptions' heart rate over target, and x264's savings.
 	X264Series      *metrics.Series
 	SwaptionsSeries *metrics.Series
 	SavingsSeries   *metrics.Series
@@ -249,20 +265,23 @@ func RunFig8(dormant, active sim.Time) (*Fig8Result, error) {
 	}, 0)
 
 	pr := metrics.NewProbe(p, Warmup)
-	pr.EnableSeries(250 * sim.Millisecond)
+	pr.EnableSeries(Warmup, figSeriesPeriod)
 	pr.Attach()
 
-	res := &Fig8Result{SavingsSeries: &metrics.Series{}}
+	res := &Fig8Result{SavingsSeries: pr.Gauge("x264_savings", func() float64 {
+		if a := g.AgentOf(x264); a != nil {
+			return a.Savings()
+		}
+		return math.NaN()
+	})}
 	var depleted sim.Time
 	var dormantSamples, dormantOutside, dormantBelow, activeSamples, activeOutside, swapActiveOutside int
 	p.Engine.AddHook(sim.TickFunc(func(now sim.Time) {
 		if now <= Warmup {
 			return
 		}
-		if a := g.AgentOf(x264); a != nil {
-			res.SavingsSeries.Add(now, a.Savings())
-			inActive := now > Warmup+dormant
-			if inActive && depleted == 0 && a.Savings() < 1e-6 {
+		if now > Warmup+dormant && depleted == 0 {
+			if a := g.AgentOf(x264); a != nil && a.Savings() < 1e-6 {
 				depleted = now
 			}
 		}
@@ -297,8 +316,8 @@ func RunFig8(dormant, active sim.Time) (*Fig8Result, error) {
 		res.X264OutsideActive = float64(activeOutside) / float64(activeSamples)
 		res.SwapOutsideActive = float64(swapActiveOutside) / float64(activeSamples)
 	}
-	res.X264Series = pr.HRSeries[x264]
-	res.SwaptionsSeries = pr.HRSeries[sw]
+	res.X264Series = pr.HRSeries(x264)
+	res.SwaptionsSeries = pr.HRSeries(sw)
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"pricepower/internal/check"
@@ -118,7 +119,15 @@ type RunOptions struct {
 	// (fault windows legitimately pin the smoothed power above the band —
 	// a refused down-step has no physical recourse until the window ends).
 	MaxOverRounds int
+	// Trace, when set, receives the run's time series as CSV
+	// (metrics.Probe.WriteCSV), sampled every 100 ms from the first tick,
+	// warm-up included. It is written even when the checker fails the
+	// run.
+	Trace io.Writer
 }
+
+// tracePeriod is the sampling period of RunOptions.Trace.
+const tracePeriod = 100 * sim.Millisecond
 
 // RunSet executes one workload set under one governor on a fresh TC2
 // platform for the given measured duration and returns the summary.
@@ -143,11 +152,30 @@ func RunSetOpts(governor string, set workload.Set, wtdp float64, dur sim.Time, o
 // that have no Table 6 set behind them. name labels the run in results and
 // error messages.
 func RunSpecs(governor, name string, specs []task.Spec, wtdp float64, dur sim.Time, opts RunOptions) (RunResult, error) {
-	p := platform.NewTC2()
 	g, err := NewGovernor(governor, wtdp)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return runSpecs(g, governor, name, specs, wtdp, dur, opts)
+}
+
+// RunPPMVariant runs one workload set under a custom PPM configuration
+// (TDP from cfg.Market.Wtdp) — the primitive the ablation studies (and any
+// downstream tuning) are built from.
+func RunPPMVariant(cfg ppm.Config, set workload.Set, dur sim.Time) (RunResult, error) {
+	specs, err := set.Specs(1)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if cfg.Profiles == nil {
+		cfg.Profiles = WorkloadProfiles
+	}
+	return runSpecs(ppm.New(cfg), "PPM", set.Name, specs, cfg.Market.Wtdp, dur, RunOptions{})
+}
+
+// runSpecs runs specs on a fresh TC2 platform under g, labelled governor.
+func runSpecs(g platform.Governor, governor, name string, specs []task.Spec, wtdp float64, dur sim.Time, opts RunOptions) (RunResult, error) {
+	p := platform.NewTC2()
 	p.SetGovernor(g)
 	if opts.Telemetry != nil {
 		p.AttachTelemetry(opts.Telemetry)
@@ -156,10 +184,13 @@ func RunSpecs(governor, name string, specs []task.Spec, wtdp float64, dur sim.Ti
 		p.AttachFaults(opts.Faults)
 	}
 	PlaceOnLittle(p, specs)
-	pr := metrics.NewProbe(p, Warmup)
-	pr.Attach()
 	thermal := hw.NewThermalModel(p.Chip, nil, 25)
 	p.AttachThermal(thermal)
+	pr := metrics.NewProbe(p, Warmup)
+	if opts.Trace != nil {
+		pr.EnableSeries(0, tracePeriod)
+	}
+	pr.Attach()
 
 	var market *core.Market
 	if pg, ok := g.(*ppm.Governor); ok {
@@ -177,6 +208,11 @@ func RunSpecs(governor, name string, specs []task.Spec, wtdp float64, dur sim.Ti
 	}
 
 	p.Run(Warmup + dur)
+	if opts.Trace != nil {
+		if err := pr.WriteCSV(opts.Trace); err != nil {
+			return RunResult{}, err
+		}
+	}
 	if checker != nil {
 		if err := checker.Err(); err != nil {
 			return RunResult{}, fmt.Errorf("%s/%s: %w", governor, name, err)
@@ -221,21 +257,4 @@ func PlaceOnLittle(p *platform.Platform, specs []task.Spec) {
 	for i, s := range specs {
 		p.AddTask(s, littleCores[i%len(littleCores)])
 	}
-}
-
-// RunAllSets runs every Table 6 workload set under every governor and
-// returns results indexed [set][governor].
-func RunAllSets(wtdp float64, dur sim.Time) ([][]RunResult, error) {
-	out := make([][]RunResult, len(workload.Sets))
-	for i, set := range workload.Sets {
-		out[i] = make([]RunResult, len(GovernorNames))
-		for j, gov := range GovernorNames {
-			r, err := RunSet(gov, set, wtdp, dur)
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = r
-		}
-	}
-	return out, nil
 }

@@ -31,8 +31,10 @@ func (s boardState) supervised() bool { return s >= stCrashed }
 type boardRec struct {
 	state boardState
 	// drained is the drain mark (Snapshot.Draining). It outlives a stall
-	// or a crash: a drained board that stalls is still drained.
-	drained bool
+	// or a crash: a drained board that stalls is still drained. manual is
+	// the operator's drain: set by Drain and cleared only by Resume, so
+	// neither the cooldown machine nor a restart undoes it.
+	drained, manual bool
 
 	// Drain cooldown (Config.DrainDegradedAfter): consecutive degraded
 	// barriers; healthy barriers while auto-drained; auto-drains since the
@@ -156,10 +158,11 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 	}
 	switch ev.kind {
 	case evHealthy, evDegraded:
-		if r.state > stDraining {
+		if r.state > stDraining || r.manual {
 			// Silent or dead boards republish stale snapshots; their
 			// Degraded bit is old news, and draining them is the
-			// supervisor's job, not the sensor-health path's.
+			// supervisor's job, not the sensor-health path's. A manually
+			// drained board is the operator's until Resume.
 			r.degraded, r.healthy = 0, 0
 			break
 		}
@@ -263,7 +266,8 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 		if r.state != stRestarting {
 			break
 		}
-		r.state, r.drained = stLive, false
+		r.drained = r.manual
+		r.settle()
 		r.epoch++
 		r.restarts++
 		r.degraded, r.healthy, r.auto = 0, 0, false
@@ -291,7 +295,13 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 			out.err = r.refuse(i, ev.kind)
 			break
 		}
-		r.drained = ev.kind != evAutoResume && ev.kind != evResume
+		if ev.kind == evDrain || ev.kind == evResume {
+			// The operator takes the board from the cooldown machine, or
+			// hands it back with a clean slate.
+			r.manual = ev.kind == evDrain
+			r.auto, r.degraded, r.healthy = false, 0, 0
+		}
+		r.drained = r.manual || ev.kind == evAutoDrain || ev.kind == evAutoRedrain
 		if r.state != stStalled {
 			r.settle()
 		}
@@ -427,6 +437,7 @@ func (f *Fleet) runOp(i int, kind evKind) ([]Submission, error) {
 	if next != nil {
 		f.boards[i] = next // under mu: Boards() is read from HTTP goroutines
 		f.snaps[i] = Snapshot{Board: i, Epoch: r.epoch, MaxSupplyPU: next.p.MaxSupplyPU(), Completed: f.snaps[i].Completed}
+		r.mark(&f.snaps[i], f.cfg.StallBarriers)
 		f.histRestart.Record(float64(f.batch - r.crashedAt))
 	}
 	f.reopenLocked(out.release) // orphans re-placed by a restart or replace

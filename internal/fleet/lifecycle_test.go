@@ -56,6 +56,9 @@ func unchanged(s boardState) cell {
 
 func refused(s boardState) cell { c := unchanged(s); c.refused = true; return c }
 
+// manualDrain marks a drained base record as the operator's drain.
+func manualDrain(r *boardRec) { r.manual = r.drained }
+
 func lifecycleSub(name string) Submission { return Submission{Spec: task.Spec{Name: name}} }
 
 // baseRec builds a representative record in state s: a degraded streak
@@ -147,6 +150,21 @@ func TestLifecycleTransitionTable(t *testing.T) {
 		{"manual drain", evDrain, nil,
 			[6]cell{u(L).to(D).emits("manual-drain").marks("D"), u(D).emits("manual-drain"), u(S).emits("manual-drain").marks("D"),
 				refused(C), refused(R), refused(Q)}},
+		// A manual drain is the operator's until Resume: the cooldown
+		// machine neither drains nor resumes it, and a restart keeps it.
+		{"degraded reply while manually drained", evDegraded, manualDrain,
+			[6]cell{u(L).queues(evAutoDrain), u(D), u(S), u(C), u(R), u(Q)}},
+		{"healthy through the cooldown while manually drained", evHealthy, func(r *boardRec) {
+			r.auto, r.cooldown = true, 1
+			manualDrain(r)
+		}, [6]cell{u(L).queues(evAutoResume), u(D), u(S), u(C), u(R), u(Q)}},
+		{"auto resume while manually drained", evAutoResume, manualDrain,
+			[6]cell{u(L).emits("resume"), u(D).emits("resume"), u(S).emits("resume"), u(C), u(R), u(Q)}},
+		{"restart of a manually drained board", evRestarted, func(r *boardRec) {
+			if r.state == stRestarting {
+				r.drained, r.manual = true, true
+			}
+		}, [6]cell{u(L), u(D), u(S), u(C), u(R).to(D).emits("restart").marks("D").ledger(0, 0, 0), u(Q)}},
 		{"manual resume", evResume, nil,
 			[6]cell{u(L).emits("manual-resume"), u(D).to(L).emits("manual-resume").marks(""), u(S).emits("manual-resume"),
 				refused(C), refused(R), refused(Q)}},

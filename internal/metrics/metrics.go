@@ -89,36 +89,33 @@ func (s *Series) Min() float64 {
 
 // Probe samples a running platform and accumulates the evaluation metrics.
 // Attach it with Attach after the governor is set; it observes every tick
-// after the warm-up period.
+// after the warm-up period. EnableSeries adds a series grid that samples
+// the board's observable state at a fixed period.
 type Probe struct {
 	p      *platform.Platform
 	warmup sim.Time
 
 	samples  int
 	anyBelow int
-	// records holds one record per task, in first-seen order; index finds
-	// a task's record, and slot[i] the record of the task at position i of
-	// the last tick's task list, so an unchanged list needs no lookup.
+	// records holds one record per task, indexed by task ID. IDs are dense
+	// and follow creation order, so a task first measured later has a
+	// larger ID and ID order is first-seen order.
 	records []taskRecord
-	index   map[*task.Task]int
-	slot    []int
 
 	powerSum   float64
 	powerPeak  float64
 	energyJ    float64
 	lastEnergy float64
 
-	// PowerSeries and HRSeries are optional high-resolution traces enabled
-	// by EnableSeries (Figures 7/8 need per-task normalized heart rates).
+	// PowerSeries is the chip power on the series grid (nil until
+	// EnableSeries).
 	PowerSeries *Series
-	HRSeries    map[*task.Task]*Series
-	seriesEvery sim.Time
-	nextSeries  sim.Time
+	grid        *grid
 }
 
 // taskRecord is one task's measurements over the measured interval.
 type taskRecord struct {
-	t       *task.Task
+	t       *task.Task // nil until the task is first measured
 	samples int
 	below   int // ticks below the minimum heart rate
 	outside int // ticks outside the reference range
@@ -130,35 +127,27 @@ type taskRecord struct {
 // warmup (letting HRM windows fill and the market settle, as the paper's
 // measurements do after boot).
 func NewProbe(p *platform.Platform, warmup sim.Time) *Probe {
-	return &Probe{p: p, warmup: warmup, index: make(map[*task.Task]int)}
+	return &Probe{p: p, warmup: warmup}
 }
 
-// record returns the record of t, the task at position i of this tick's
-// task list, creating it when t is first seen.
-func (pr *Probe) record(i int, t *task.Task) *taskRecord {
-	if i < len(pr.slot) {
-		if r := &pr.records[pr.slot[i]]; r.t == t {
-			return r
-		}
-	} else {
-		pr.slot = append(pr.slot, 0)
+// record returns the record of t, creating it when t is first measured.
+func (pr *Probe) record(t *task.Task) *taskRecord {
+	for t.ID >= len(pr.records) {
+		pr.records = append(pr.records, taskRecord{})
 	}
-	ri, ok := pr.index[t]
-	if !ok {
-		ri = len(pr.records)
-		pr.records = append(pr.records, taskRecord{t: t, hbBase: t.Heartbeats()})
-		pr.index[t] = ri
+	r := &pr.records[t.ID]
+	if r.t == nil {
+		*r = taskRecord{t: t, hbBase: t.Heartbeats()}
 	}
-	pr.slot[i] = ri
-	return &pr.records[ri]
+	return r
 }
 
-// EnableSeries turns on time-series capture with the given sampling period.
-func (pr *Probe) EnableSeries(every sim.Time) {
-	pr.PowerSeries = &Series{}
-	pr.HRSeries = make(map[*task.Task]*Series)
-	pr.seriesEvery = every
-	pr.nextSeries = pr.warmup
+// measured returns the record of t, or nil when t was never measured.
+func (pr *Probe) measured(t *task.Task) *taskRecord {
+	if t.ID < 0 || t.ID >= len(pr.records) || pr.records[t.ID].t != t {
+		return nil
+	}
+	return &pr.records[t.ID]
 }
 
 // Attach registers the probe on the platform's engine (after the platform's
@@ -169,14 +158,17 @@ func (pr *Probe) Attach() {
 }
 
 func (pr *Probe) tick(now sim.Time) {
+	if pr.grid != nil && now >= pr.grid.next {
+		pr.sample(now)
+	}
 	if now <= pr.warmup {
 		pr.lastEnergy = pr.p.Meter().Joules()
 		return
 	}
 	pr.samples++
 	below := false
-	for i, t := range pr.p.Tasks() {
-		r := pr.record(i, t)
+	for _, t := range pr.p.Tasks() {
+		r := pr.record(t)
 		r.samples++
 		r.hbLast = t.Heartbeats()
 		hr := t.HeartRate(now)
@@ -197,19 +189,6 @@ func (pr *Probe) tick(now sim.Time) {
 		pr.powerPeak = w
 	}
 	pr.energyJ = pr.p.Meter().Joules() - pr.lastEnergy
-
-	if pr.PowerSeries != nil && now >= pr.nextSeries {
-		pr.nextSeries += pr.seriesEvery
-		pr.PowerSeries.Add(now, w)
-		for _, t := range pr.p.Tasks() {
-			s, ok := pr.HRSeries[t]
-			if !ok {
-				s = &Series{}
-				pr.HRSeries[t] = s
-			}
-			s.Add(now, t.HeartRate(now)/t.TargetHR())
-		}
-	}
 }
 
 // AnyBelowFrac reports the fraction of measured time during which at least
@@ -224,22 +203,20 @@ func (pr *Probe) AnyBelowFrac() float64 {
 
 // BelowFrac reports the fraction of time one task spent below its minimum.
 func (pr *Probe) BelowFrac(t *task.Task) float64 {
-	ri, ok := pr.index[t]
-	if !ok {
+	r := pr.measured(t)
+	if r == nil {
 		return 0
 	}
-	r := &pr.records[ri]
 	return float64(r.below) / float64(r.samples)
 }
 
 // OutsideFrac reports the fraction of time one task spent outside its
 // reference range (below min or above max) — the Figure 7 metric.
 func (pr *Probe) OutsideFrac(t *task.Task) float64 {
-	ri, ok := pr.index[t]
-	if !ok {
+	r := pr.measured(t)
+	if r == nil {
 		return 0
 	}
-	r := &pr.records[ri]
 	return float64(r.outside) / float64(r.samples)
 }
 
@@ -267,7 +244,9 @@ func (pr *Probe) Samples() int { return pr.samples }
 func (pr *Probe) HeartbeatsDelivered() float64 {
 	var total float64
 	for i := range pr.records {
-		total += pr.records[i].hbLast - pr.records[i].hbBase
+		if r := &pr.records[i]; r.t != nil {
+			total += r.hbLast - r.hbBase
+		}
 	}
 	return total
 }

@@ -154,13 +154,13 @@ func TestProbeSeriesCapture(t *testing.T) {
 		Phases: []task.Phase{{HBCostLittle: 20, SpeedupBig: 2}},
 	}, 2)
 	pr := NewProbe(p, sim.Second)
-	pr.EnableSeries(100 * sim.Millisecond)
+	pr.EnableSeries(sim.Second, 100*sim.Millisecond)
 	pr.Attach()
 	p.Run(3 * sim.Second)
 	if pr.PowerSeries == nil || pr.PowerSeries.Len() == 0 {
 		t.Fatal("no power series captured")
 	}
-	hr := pr.HRSeries[tk]
+	hr := pr.HRSeries(tk)
 	if hr == nil || hr.Len() == 0 {
 		t.Fatal("no heart-rate series captured")
 	}

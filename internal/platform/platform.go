@@ -319,7 +319,7 @@ func (p *Platform) AttachRoundObserver(c Checker) {
 
 // AttachThermal registers a thermal model, built over the platform's chip,
 // to advance once per platform tick on the tick's cluster power samples.
-// The platform owns thermal time: observers (trace recorders, thermal
+// The platform owns thermal time: observers (probes, checkers, thermal
 // governors) read temperatures but never advance the model themselves, so
 // attaching several consumers cannot double-step the thermal state.
 // Attaching the same model twice is a no-op.

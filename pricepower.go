@@ -182,8 +182,8 @@ func ChainProfiles(sources ...ppm.ProfileFunc) ppm.ProfileFunc {
 type ThermalModel = hw.ThermalModel
 
 // NewThermalModel builds a thermal model over a chip (params nil = mobile
-// defaults) at the given ambient temperature in °C. Drive it from an engine
-// hook or a trace recorder.
+// defaults) at the given ambient temperature in °C. Platform.AttachThermal
+// advances it once per tick.
 func NewThermalModel(chip *Chip, ambient float64) *ThermalModel {
 	return hw.NewThermalModel(chip, nil, ambient)
 }
