@@ -12,6 +12,8 @@ import (
 
 	"pricepower/internal/exp"
 	"pricepower/internal/fleet"
+	"pricepower/internal/hw"
+	"pricepower/internal/metrics"
 	"pricepower/internal/platform"
 	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
@@ -57,7 +59,8 @@ func newLoadedPlatform(n int) *platform.Platform {
 // every tick, as a fleet board drains at its barrier). Each case measures
 // a whole 200-tick window as one run, so a single allocation anywhere in
 // it fails the test. The "spans" case runs whole PPM bid periods through
-// Platform.Run, steady spans included.
+// Platform.Run, steady spans included; the "replay" case does the same
+// beside a probe and a thermal model, replayed ticks included.
 func TestTickAllocationFree(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -127,6 +130,34 @@ func TestTickAllocationFree(t *testing.T) {
 	}
 	if reg.Counter("pricepower_span_ticks_total", "").Value() == spanned {
 		t.Error("spans: no tick of the measured run was played inside a span")
+	}
+
+	// replay: the same under per-tick observers — a metrics.Probe (an
+	// engine hook beside the platform's, so no spans) and a thermal model
+	// — where the ticks between bid rounds replay the last full tick.
+	p = newLoadedPlatform(12)
+	reg = telemetry.NewRegistry()
+	em = telemetry.NewEmitter(reg)
+	em.SetKinds(0)
+	p.AttachTelemetry(em)
+	p.SetGovernor(ppm.New(ppm.DefaultConfig(4)))
+	p.AttachThermal(hw.NewThermalModel(p.Chip, nil, 25))
+	metrics.NewProbe(p, 0).Attach()
+	p.Run(3 * sim.Second)
+	replayed := reg.Counter("pricepower_replay_ticks_total", "").Value()
+	migs, _ = p.Migrations()
+	allocs = testing.AllocsPerRun(1, func() { p.Run(500 * sim.Millisecond) })
+	if now, _ := p.Migrations(); now != migs {
+		t.Errorf("replay: %d LBT migrations in the measured window, want 0", now-migs)
+	}
+	if allocs != 0 {
+		t.Errorf("replay: Platform.Run(500ms) under PPM with a probe and a thermal model allocates %.0f objects, want 0", allocs)
+	}
+	if reg.Counter("pricepower_replay_ticks_total", "").Value() == replayed {
+		t.Error("replay: no tick of the measured run was replayed")
+	}
+	if n := reg.Counter("pricepower_span_ticks_total", "").Value(); n != 0 {
+		t.Errorf("replay: %d ticks played inside spans beside a probe, want 0", n)
 	}
 }
 

@@ -111,3 +111,32 @@ func TestThrottleEpisodeReconstructedFromJSONL(t *testing.T) {
 		t.Error("no allowance event tagged with a throttling state")
 	}
 }
+
+// TestPaperRunsReplaySteadyTicks measures how much of a paper run the
+// platform replays: every Table 6 set under PPM, free and at 4 W, with the
+// probe and the thermal model RunSpecs attaches (so no tick is spanned).
+// Between bid rounds nothing the fill depends on changes, so nearly every
+// tick should repeat the last full one.
+func TestPaperRunsReplaySteadyTicks(t *testing.T) {
+	var ticks, replayed uint64
+	for _, set := range workload.Sets {
+		for _, tdp := range []float64{0, 4} {
+			reg := telemetry.NewRegistry()
+			em := telemetry.NewEmitter(reg)
+			em.SetKinds(0)
+			if _, err := RunSetOpts("PPM", set, tdp, 5*sim.Second, RunOptions{Telemetry: em}); err != nil {
+				t.Fatal(err)
+			}
+			ticks += reg.Counter("pricepower_ticks_total", "").Value()
+			replayed += reg.Counter("pricepower_replay_ticks_total", "").Value()
+			if n := reg.Counter("pricepower_span_ticks_total", "").Value(); n != 0 {
+				t.Errorf("%s at %g W: %d ticks spanned beside the probe", set.Name, tdp, n)
+			}
+		}
+	}
+	share := float64(replayed) / float64(ticks)
+	t.Logf("replayed %d of %d ticks (%.1f%%)", replayed, ticks, 100*share)
+	if share < 0.9 {
+		t.Errorf("replayed %.1f%% of the paper runs' ticks, want at least 90%%", 100*share)
+	}
+}

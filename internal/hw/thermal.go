@@ -82,6 +82,26 @@ func (m *ThermalModel) Update(powers []float64, dt sim.Time) {
 	}
 }
 
+// UpdateN advances the model by n consecutive steps of dt at the same
+// power draw, exactly as n Update calls do (TestThermalUpdateNMatchesUpdate):
+// each cluster's temperature takes the n Euler steps in a register, and its
+// peak is tracked at every step.
+func (m *ThermalModel) UpdateN(powers []float64, dt sim.Time, n int) {
+	sec := dt.Seconds()
+	for i, p := range powers[:len(m.temps)] {
+		pr := m.params[i]
+		t, peak := m.temps[i], m.peak[i]
+		for k := 0; k < n; k++ {
+			dT := (p - (t-m.ambient)/pr.Rth) / pr.Cth
+			t += dT * sec
+			if t > peak {
+				peak = t
+			}
+		}
+		m.temps[i], m.peak[i] = t, peak
+	}
+}
+
 // Temp reports cluster i's current die temperature in °C.
 func (m *ThermalModel) Temp(cluster int) float64 { return m.temps[cluster] }
 

@@ -112,3 +112,41 @@ func advance(m *ThermalModel, chip *Chip, n int) {
 		m.Update(powers, sim.Millisecond)
 	}
 }
+
+// TestThermalUpdateNMatchesUpdate: n Euler steps taken in one UpdateN call
+// leave every temperature and peak bit-identical to n Update calls — from a
+// cold start, across power steps up and down, and while cooling at the end
+// (where the peak stays above the temperature).
+func TestThermalUpdateNMatchesUpdate(t *testing.T) {
+	chip := NewTC2()
+	params := []ThermalParams{{Rth: 7, Cth: 1.4}, {Rth: 11, Cth: 0.3}}
+	one := NewThermalModel(chip, params, 25)
+	many := NewThermalModel(chip, params, 25)
+	for _, leg := range []struct {
+		powers []float64
+		dt     sim.Time
+		n      int
+	}{
+		{[]float64{3.7, 0.41}, sim.Millisecond, 1},
+		{[]float64{3.7, 0.41}, sim.Millisecond, 31},
+		{[]float64{6.2, 1.3}, 250 * sim.Microsecond, 977},
+		{[]float64{2.5, 0.9}, sim.Millisecond, 0},
+		{[]float64{2.5, 0.9}, sim.Millisecond, 12345},
+		{[]float64{0.05, 0.02}, 2 * sim.Millisecond, 4000},
+	} {
+		for k := 0; k < leg.n; k++ {
+			one.Update(leg.powers, leg.dt)
+		}
+		many.UpdateN(leg.powers, leg.dt, leg.n)
+		for i := range chip.Clusters {
+			if math.Float64bits(one.Temp(i)) != math.Float64bits(many.Temp(i)) ||
+				math.Float64bits(one.Peak(i)) != math.Float64bits(many.Peak(i)) {
+				t.Fatalf("after %d steps at %v: cluster %d Update %v (peak %v), UpdateN %v (peak %v)",
+					leg.n, leg.powers, i, one.Temp(i), one.Peak(i), many.Temp(i), many.Peak(i))
+			}
+		}
+	}
+	if many.Peak(0) <= many.Temp(0) {
+		t.Errorf("the cooling leg left peak %v at or below temperature %v", many.Peak(0), many.Temp(0))
+	}
+}

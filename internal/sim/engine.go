@@ -38,6 +38,7 @@ type Engine struct {
 	hooks  []TickHook
 	span   Spanner                  // hooks[0] when it is the only hook and a Spanner
 	events Schedule[func(now Time)] // one-shot events, FIFO at equal times
+	end    Time                     // the end of the current (or last) RunUntil
 }
 
 // NewEngine returns an engine whose clock starts at zero and advances in
@@ -78,9 +79,10 @@ func (e *Engine) After(d Time, fn func(now Time)) { e.At(e.now+d, fn) }
 // Spanner hook is first offered the ticks up to the earlier of end and
 // the tick at which the next event falls due; what it declines is stepped.
 func (e *Engine) RunUntil(end Time) {
+	e.end = end
 	for e.now < end {
 		if e.span != nil {
-			if n := e.spanTicks(end); n >= 2 {
+			if n := e.Horizon(); n >= 2 {
 				if k := e.span.Span(e.now, n); k > 0 {
 					e.now += Time(k) * e.step
 					continue
@@ -91,11 +93,14 @@ func (e *Engine) RunUntil(end Time) {
 	}
 }
 
-// spanTicks counts the ticks after now that end no later than end and
-// before the first pending event's time (an event fires at the start of
-// the first tick ending at or after it).
-func (e *Engine) spanTicks(end Time) int {
-	n := int((end - e.now) / e.step)
+// Horizon counts the ticks after now that the current RunUntil will play
+// with no one-shot event among them: those ending no later than its end
+// and before the first pending event's time (an event fires at the start
+// of the first tick ending at or after it). It is the stretch a lone
+// Spanner is offered, and the most a hook may assume unchanged by anyone
+// but the hooks themselves. Outside RunUntil (a bare StepOnce) it is 0.
+func (e *Engine) Horizon() int {
+	n := max(int((e.end-e.now)/e.step), 0)
 	if at, ok := e.events.Next(); ok {
 		n = min(n, e.TicksBefore(at))
 	}
