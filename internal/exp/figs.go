@@ -226,8 +226,8 @@ type Fig8Result struct {
 
 // RunFig8 runs the savings study (§5.4): swaptions and x264 share one big
 // core at equal priority with the LBT module disabled. x264 is dormant
-// (low demand) for the first dormant duration, saving allowance, then
-// turns active with a demand the core cannot satisfy for both tasks — its
+// (low demand) through the warm-up and the first dormant duration of the
+// measured run, saving allowance, then turns active with a demand the core cannot satisfy for both tasks — its
 // savings let it outbid swaptions until they deplete.
 func RunFig8(dormant, active sim.Time) (*Fig8Result, error) {
 	p := platform.NewTC2()
@@ -255,8 +255,11 @@ func RunFig8(dormant, active sim.Time) (*Fig8Result, error) {
 		Name: "x264_native", Priority: 1,
 		MinHR: target * 0.95, MaxHR: target * 1.05, Loop: true,
 		Phases: []task.Phase{
-			// Dormant: modest demand, overshooting its goal cheaply.
-			{Duration: dormant, HBCostLittle: 2 * 350 / float64(target), SpeedupBig: 2,
+			// Dormant: modest demand, overshooting its goal cheaply. The
+			// phase clock starts at creation, so the phase spans the
+			// warm-up too and turns active exactly when the measured
+			// dormant window below ends.
+			{Duration: Warmup + dormant, HBCostLittle: 2 * 350 / float64(target), SpeedupBig: 2,
 				SelfCapHR: target * 1.25},
 			// Active: demand jumps so that the pair exceeds the core.
 			{Duration: active, HBCostLittle: 2 * 800 / float64(target), SpeedupBig: 2,
