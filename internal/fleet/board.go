@@ -153,6 +153,10 @@ type stepCmd struct {
 	mine  []int32      // indexes into subs placed (in order) before the batch runs
 	d     sim.Time     // batch length of virtual time
 	batch int
+	// rows is storage for the reply snapshot's per-cluster rows (nil
+	// allocates): rows of a snapshot the fleet no longer publishes, so
+	// the board is their only user until its reply hands them back.
+	rows []platform.ClusterStats
 }
 
 // cmdOp names a board command.
@@ -405,7 +409,7 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 	}
 	b.deferred = nil
 	b.runBatch(c.subs, c.mine, c.d, c.batch)
-	r = stepReply{batch: c.batch, snap: b.snapshot(c.batch)}
+	r = stepReply{batch: c.batch, snap: b.snapshot(c.batch, c.rows)}
 	if b.trc != nil {
 		// Per-round fold: drain the batch's captured lifecycle events
 		// (including any caught-up batches'), sort into the total content
@@ -598,8 +602,9 @@ func (b *Board) evacuate() []Submission {
 	return out
 }
 
-// snapshot publishes the board's routing signal at a batch barrier.
-func (b *Board) snapshot(batch int) Snapshot {
+// snapshot publishes the board's routing signal at a batch barrier, its
+// per-cluster rows written into rows' storage.
+func (b *Board) snapshot(batch int, rows []platform.ClusterStats) Snapshot {
 	m := b.gov.Market()
 	var sum float64
 	var n int
@@ -613,7 +618,7 @@ func (b *Board) snapshot(batch int) Snapshot {
 	if n > 0 {
 		price = sum / float64(n)
 	}
-	st := b.p.Stats()
+	st := b.p.Stats(rows)
 	return Snapshot{
 		Board:       b.ID,
 		Epoch:       b.epoch,

@@ -32,6 +32,7 @@ import (
 	"pricepower/internal/check"
 	"pricepower/internal/fault"
 	"pricepower/internal/metrics"
+	"pricepower/internal/platform"
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
 	"pricepower/internal/telemetry"
@@ -327,6 +328,9 @@ type Fleet struct {
 	got        []bool
 	fresh      []Snapshot
 	spare      []inflightBarrier
+	// spareRows are per-cluster rows of snapshots no longer published,
+	// handed to the boards at the next barriers (see stepCmd.rows).
+	spareRows [][]platform.ClusterStats
 
 	mu    sync.Mutex
 	recs  []boardRec  // per-board lifecycle records (lifecycle.go)
@@ -688,7 +692,11 @@ func (f *Fleet) Step() error {
 			mine = rb.PerBoard[i]
 			dpu = rb.AddDemandPU[i]
 		}
-		b.cmd <- boardCmd{op: opStep, step: stepCmd{subs: subs, mine: mine, d: f.cfg.Batch, batch: bar.batch}}
+		var rows []platform.ClusterStats
+		if n := len(f.spareRows); n > 0 {
+			rows, f.spareRows = f.spareRows[n-1], f.spareRows[:n-1]
+		}
+		b.cmd <- boardCmd{op: opStep, step: stepCmd{subs: subs, mine: mine, d: f.cfg.Batch, batch: bar.batch, rows: rows}}
 		bar.add[i] = projCarry{tasks: len(mine), demandPU: dpu}
 		bar.mine[i] = mine
 		bar.total += len(mine)
@@ -876,6 +884,11 @@ func (f *Fleet) collectOldest() error {
 			fresh[i].Batch = bar.batch
 			ev = event{kind: evStall, add: bar.add[i], subs: pick(bar.subs, bar.mine[i])}
 		default:
+			// The published rows retire: readers copy them under mu
+			// (StateSnapshot), so from here on nobody else reads them.
+			if rows := f.snaps[i].Clusters; rows != nil {
+				f.spareRows = append(f.spareRows, rows)
+			}
 			fresh[i] = r.snap
 			if f.recs[i].state == stStalled {
 				ev.kind = evCatchup
@@ -955,7 +968,8 @@ func (f *Fleet) Flush() error {
 }
 
 // StateSnapshot publishes the fleet-wide view of the newest collected
-// barrier.
+// barrier. It shares no storage with the fleet: the boards' cluster rows
+// are copied, since the fleet recycles them into later barriers.
 func (f *Fleet) StateSnapshot() State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -964,7 +978,7 @@ func (f *Fleet) StateSnapshot() State {
 		Batch:     f.batch,
 		Issued:    f.issued,
 		Time:      f.now,
-		Boards:    append([]Snapshot(nil), f.snaps...),
+		Boards:    cloneSnapshots(f.snaps),
 		QueueLen:  len(f.pending),
 		InFlight:  int(l.InFlight),
 		Orphaned:  int(l.Orphaned),
@@ -972,6 +986,24 @@ func (f *Fleet) StateSnapshot() State {
 		Counters:  f.counters,
 		Shards:    max(1, min(f.cfg.Shards, len(f.boards))),
 	}
+}
+
+// cloneSnapshots copies snapshots together with their cluster rows (all
+// rows in one allocation).
+func cloneSnapshots(snaps []Snapshot) []Snapshot {
+	out := append([]Snapshot(nil), snaps...)
+	n := 0
+	for i := range out {
+		n += len(out[i].Clusters)
+	}
+	rows := make([]platform.ClusterStats, n)
+	for i := range out {
+		if c := out[i].Clusters; c != nil {
+			k := copy(rows, c)
+			out[i].Clusters, rows = rows[:k:k], rows[k:]
+		}
+	}
+	return out
 }
 
 // FleetAccounting reports the zero-loss ledger terms at the newest

@@ -485,7 +485,7 @@ func TestStatsSnapshot(t *testing.T) {
 	p.AddTask(cpuBoundSpec("b", 400), 3)
 	p.Run(200 * sim.Millisecond)
 
-	s := p.Stats()
+	s := p.Stats(nil)
 	if s.Now != p.Now() || s.PowerW != p.Power() || s.Tasks != p.NumTasks() {
 		t.Errorf("stats disagree with live accessors: %+v", s)
 	}
@@ -509,7 +509,7 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Errorf("per-cluster task counts sum to %d, want 2", total)
 	}
 	s.Clusters[0].Tasks = 99
-	if p.Stats().Clusters[0].Tasks == 99 {
+	if p.Stats(nil).Clusters[0].Tasks == 99 {
 		t.Error("Stats shares cluster storage with a prior snapshot")
 	}
 }
