@@ -313,3 +313,34 @@ func TestEngineNoSpanWithTwoHooks(t *testing.T) {
 		t.Fatalf("ticks: spanner %d (want 20), second hook %d (want 10)", len(s.ticks), other)
 	}
 }
+
+// TestEngineHorizonSeesRunEndAndEvents: inside a hook, Horizon counts the
+// ticks the current RunUntil still plays before its end and before the
+// next pending event's tick; outside RunUntil it is 0.
+func TestEngineHorizonSeesRunEndAndEvents(t *testing.T) {
+	e := NewEngine(Millisecond)
+	var got []int
+	e.AddHook(TickFunc(func(Time) { got = append(got, e.Horizon()) }))
+	e.AddHook(TickFunc(func(Time) {})) // two hooks: every tick is stepped
+	e.At(4*Millisecond+1, func(Time) {})
+	e.RunUntil(6*Millisecond + 500*Microsecond)
+	// After tick k (ending at k ms): the run ends at 6.5 ms, so 6−k ticks
+	// end no later than it; the event falls due in the tick ending at 5 ms,
+	// so only ticks ending before 4.001 ms are event-free until it fires.
+	want := []int{3, 2, 1, 0, 1, 0, 0}
+	if len(got) != len(want) {
+		t.Fatalf("horizons %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("horizons %v, want %v", got, want)
+		}
+	}
+	if h := e.Horizon(); h != 0 {
+		t.Errorf("Horizon outside RunUntil = %d, want 0", h)
+	}
+	e.StepOnce()
+	if h := got[len(got)-1]; h != 0 {
+		t.Errorf("Horizon in a bare StepOnce = %d, want 0", h)
+	}
+}
