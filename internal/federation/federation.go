@@ -379,13 +379,8 @@ func (f *Federation) Step() error {
 			if r.down {
 				continue
 			}
-			if err := r.fl.Step(); err != nil {
-				if cs, only := fleet.CrashErrors(err); only {
-					f.counters.BoardCrashes += uint64(len(cs))
-					crashes = append(crashes, err)
-					continue
-				}
-				return fmt.Errorf("federation: region %s: %w", r.Name, err)
+			if err := f.absorbLocked(r, r.fl.Step(), &crashes); err != nil {
+				return err
 			}
 		}
 	}
@@ -443,6 +438,37 @@ func (f *Federation) Step() error {
 		return errors.Join(crashes...)
 	}
 	return nil
+}
+
+// absorbLocked counts and collects a region fleet's crash-only error
+// (the region supervises its own restarts); any other error comes back
+// wrapped with the region's name.
+func (f *Federation) absorbLocked(r *Region, err error, crashes *[]error) error {
+	if err == nil {
+		return nil
+	}
+	if cs, only := fleet.CrashErrors(err); only {
+		f.counters.BoardCrashes += uint64(len(cs))
+		*crashes = append(*crashes, err)
+		return nil
+	}
+	return fmt.Errorf("federation: region %s: %w", r.Name, err)
+}
+
+// Flush collects every region fleet's outstanding bounded-skew barriers
+// (fleet.Flush), bringing the published state fully current: the tail a
+// run leaves in flight when it stops. Crash errors are absorbed and
+// returned joined, like Step's.
+func (f *Federation) Flush() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var crashes []error
+	for _, r := range f.regions {
+		if err := f.absorbLocked(r, r.fl.Flush(), &crashes); err != nil {
+			return err
+		}
+	}
+	return errors.Join(crashes...)
 }
 
 // deliverLocked re-submits due transit batches at their destinations.
