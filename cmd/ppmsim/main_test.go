@@ -21,8 +21,8 @@ func TestSmoke(t *testing.T) {
 
 // TestSmokeEvents drives a short run with -events and requires the JSONL
 // stream to be readable and non-trivial. The -http server is exercised by
-// the CI http-smoke job (it blocks until interrupted, so it has no place
-// in a unit test).
+// scripts/smoke.sh (it blocks until interrupted, so it has no place in a
+// unit test).
 func TestSmokeEvents(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "events.jsonl")
 	out := smoke.Run(t, "-set", "l1", "-governor", "PPM", "-tdp", "4", "-dur", "1", "-events", file)

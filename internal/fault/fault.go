@@ -23,6 +23,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"pricepower/internal/sim"
@@ -141,15 +142,30 @@ func (sc Scenario) Validate(clusters, cores int) error {
 	return nil
 }
 
+// ParseScenario decodes a JSON scenario, rejecting unknown fields so a
+// misspelled key (`strat`, `magnitdue`) fails loudly instead of silently
+// zeroing the field it meant. Validation against a geometry is the
+// caller's (Validate).
+func ParseScenario(r io.Reader) (Scenario, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var sc Scenario
+	if err := dec.Decode(&sc); err != nil {
+		return Scenario{}, fmt.Errorf("fault: scenario: %w", err)
+	}
+	return sc, nil
+}
+
 // LoadScenario reads a JSON scenario file (the `ppmsim -faults` format).
 func LoadScenario(path string) (Scenario, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Scenario{}, err
 	}
-	var sc Scenario
-	if err := json.Unmarshal(b, &sc); err != nil {
-		return Scenario{}, fmt.Errorf("fault: %s: %w", path, err)
+	defer f.Close()
+	sc, err := ParseScenario(f)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return sc, nil
 }

@@ -12,21 +12,22 @@ import (
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
 	"pricepower/internal/telemetry"
-	"pricepower/internal/workload"
+	"pricepower/internal/telemetry/trace"
 )
 
-// FedArrival is one POST /submit entry: Count copies of bench×input at
-// priority (the SLA tier key), due AtMS milliseconds of federation
-// virtual time after acceptance, optionally pinned to a region by name.
-// This is the fleet Arrival shape plus the region pin — a separate type
-// because the fleet trace decoder rejects unknown fields.
+// MaxSubmitBody caps a POST /submit request body. A full queue of
+// richly-specified tasks fits comfortably; anything past the cap is a
+// runaway client or an attack, refused with a structured 413 before a
+// byte of it is parsed into memory.
+const MaxSubmitBody = 4 << 20 // 4 MiB
+
+// FedArrival is one trace entry: a fleet.Arrival (Count copies of
+// bench×input at priority, the SLA tier key, due AtMS milliseconds of
+// federation virtual time after acceptance), optionally pinned to a
+// region by name.
 type FedArrival struct {
-	Bench    string `json:"bench"`
-	Input    string `json:"input"`
-	Priority int    `json:"priority,omitempty"` // default 1
-	Count    int    `json:"count,omitempty"`    // default 1
-	AtMS     int64  `json:"at_ms,omitempty"`
-	Region   string `json:"region,omitempty"` // pin by region name ("" = price-routed)
+	fleet.Arrival
+	Region string `json:"region,omitempty"` // pin by region name ("" = price-routed)
 }
 
 // FedTrace is the POST /submit body and fedd's -trace file format.
@@ -53,20 +54,12 @@ func (tr *FedTrace) resolve(f *Federation) ([]fedResolved, error) {
 		total += n
 	}
 	names := map[string]int{}
-	for _, r := range f.Regions() {
+	for _, r := range f.regions {
 		names[r.Name] = r.ID
 	}
 	out := make([]fedResolved, 0, total)
 	for i, a := range tr.Tasks {
-		b, ok := workload.ByName(a.Bench)
-		if !ok {
-			return nil, fmt.Errorf("federation: trace entry %d: unknown benchmark %q", i, a.Bench)
-		}
-		prio := a.Priority
-		if prio == 0 {
-			prio = 1
-		}
-		spec, err := b.Spec(a.Input, prio)
+		spec, err := a.Spec()
 		if err != nil {
 			return nil, fmt.Errorf("federation: trace entry %d: %w", i, err)
 		}
@@ -78,8 +71,7 @@ func (tr *FedTrace) resolve(f *Federation) ([]fedResolved, error) {
 			}
 			region = id
 		}
-		count := max(a.Count, 1)
-		for n := 0; n < count; n++ {
+		for n := 0; n < max(a.Count, 1); n++ {
 			out = append(out, fedResolved{
 				At: sim.Time(a.AtMS) * sim.Millisecond, Region: region, Spec: spec,
 			})
@@ -107,7 +99,7 @@ type SubmitResult struct {
 	Routed    int `json:"routed"`    // price-routed into a region now
 	Pinned    int `json:"pinned"`    // region-pinned submissions handed off
 	Scheduled int `json:"scheduled"` // deferred to a future virtual time
-	Shed      int `json:"shed"`      // pinned submissions the region's queue refused
+	Shed      int `json:"shed"`      // routed or pinned submissions a region's queue refused
 }
 
 // SubmitResolved feeds resolved arrivals into the federation. Due-now
@@ -130,8 +122,11 @@ func (f *Federation) SubmitResolved(rs []fedResolved) (SubmitResult, error) {
 			res.Pinned++
 			res.Shed += 1 - acc
 		default:
-			f.Submit(r.Spec)
+			f.mu.Lock()
+			acc := f.routeLocked(r.Spec)
+			f.mu.Unlock()
 			res.Routed++
+			res.Shed += 1 - acc
 		}
 	}
 	return res, nil
@@ -183,10 +178,85 @@ func (f *Federation) WriteMetrics(w io.Writer) error {
 	return nil
 }
 
-// apiError mirrors the fleet API's structured error body.
+// tracedRegions lists the regions whose fleets carry a tracer.
+func (f *Federation) tracedRegions() []*Region {
+	var out []*Region
+	for _, r := range f.regions {
+		if r.fl.Tracer() != nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// WriteHistograms renders every traced region fleet's latency
+// histograms (fleet.WriteHistogramsLabeled) under a region label.
+// Returns an error when no region traces.
+func (f *Federation) WriteHistograms(w io.Writer) error {
+	traced := f.tracedRegions()
+	if len(traced) == 0 {
+		return errors.New("federation: tracing detached")
+	}
+	for _, r := range traced {
+		if err := r.fl.WriteHistogramsLabeled(w, fmt.Sprintf("region=%q", r.Name)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RegionBoards is one region's GET /boards entry: its fleet's board
+// snapshots, cluster detail included.
+type RegionBoards struct {
+	Region string           `json:"region"`
+	Boards []fleet.Snapshot `json:"boards"`
+}
+
+// Boards snapshots every region fleet's boards, in region order.
+func (f *Federation) Boards() []RegionBoards {
+	out := make([]RegionBoards, len(f.regions))
+	for i, r := range f.regions {
+		out[i] = RegionBoards{Region: r.Name, Boards: r.fl.StateSnapshot().Boards}
+	}
+	return out
+}
+
+// RegionTrace is one traced region's span ledger and trace digest
+// vector (index 0 = fleet, i+1 = board i), hex-encoded.
+type RegionTrace struct {
+	Region  string       `json:"region"`
+	Counts  trace.Counts `json:"counts"`
+	Digests []string     `json:"digests"`
+}
+
+// TraceSummary is the GET /trace response: the federation digest vector
+// (index 0 = controller, i+1 = region i), the migration decisions, and
+// each traced region's span ledger.
+type TraceSummary struct {
+	Digests   []string      `json:"digests"`
+	Decisions []Decision    `json:"decisions"`
+	Regions   []RegionTrace `json:"regions,omitempty"`
+}
+
+// Traces reports every traced region's span ledger and digest vector.
+func (f *Federation) Traces() []RegionTrace {
+	var out []RegionTrace
+	for _, r := range f.tracedRegions() {
+		tr := r.fl.Tracer()
+		rt := RegionTrace{Region: r.Name, Counts: tr.Counts()}
+		for _, d := range tr.Digests() {
+			rt.Digests = append(rt.Digests, fmt.Sprintf("%016x", d))
+		}
+		out = append(out, rt)
+	}
+	return out
+}
+
+// apiError is the structured body every non-2xx API response carries,
+// so clients never scrape free-text errors.
 type apiError struct {
-	Error string `json:"error"`
-	Msg   string `json:"msg"`
+	Error string `json:"error"` // machine slug: bad-request, too-large, method, not-found
+	Msg   string `json:"msg"`   // human detail
 }
 
 func writeAPIError(w http.ResponseWriter, status int, slug, msg string) {
@@ -206,22 +276,23 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	}
 }
 
-// TraceSummary is the GET /trace response: the federation digest vector
-// (index 0 = controller, i+1 = region i) and the migration decisions.
-type TraceSummary struct {
-	Digests   []string   `json:"digests"`
-	Decisions []Decision `json:"decisions"`
-}
-
-// NewMux serves the federation's HTTP surface:
+// NewMux serves the federation's HTTP surface — the one front door for
+// every fleet, a single fleet being a one-region federation:
 //
-//	POST /submit   — batch submission (FedTrace JSON: tier via priority,
-//	                 optional region pin, optional at_ms deferral)
-//	GET  /regions  — per-region economics, tiers, and fleet counters
-//	GET  /state    — federation state (epoch, counters, decisions, digests)
-//	GET  /metrics  — Prometheus text: federation + every region fleet
-//	                 under stacked region+board labels + histograms
-//	GET  /trace    — replay digest vector + migration-decision log
+//	POST /submit      — batch submission (FedTrace JSON: tier via
+//	                    priority, optional region pin, optional at_ms)
+//	GET  /regions     — per-region economics, tiers, and fleet counters
+//	GET  /boards      — per-region board snapshots incl. cluster detail
+//	GET  /state       — federation state (epoch, counters, decisions,
+//	                    digests); lean, no board rows
+//	GET  /metrics     — Prometheus text: federation + every region fleet
+//	                    under stacked region+board labels + histograms
+//	GET  /trace       — replay digest vector, migration-decision log and
+//	                    each traced region's span ledger
+//	GET  /trace?id=   — one trace's merged timeline, from whichever
+//	                    region's tracer holds it
+//	GET  /histograms  — traced regions' stage latency histograms under a
+//	                    region label
 func NewMux(f *Federation) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {
@@ -229,13 +300,13 @@ func NewMux(f *Federation) *http.ServeMux {
 			writeAPIError(w, http.StatusMethodNotAllowed, "method", "POST only")
 			return
 		}
-		body := http.MaxBytesReader(w, r.Body, fleet.MaxSubmitBody)
+		body := http.MaxBytesReader(w, r.Body, MaxSubmitBody)
 		tr, err := ParseFedTrace(body)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeAPIError(w, http.StatusRequestEntityTooLarge, "too-large",
-					fmt.Sprintf("request body exceeds %d bytes", fleet.MaxSubmitBody))
+					fmt.Sprintf("request body exceeds %d bytes", MaxSubmitBody))
 				return
 			}
 			writeAPIError(w, http.StatusBadRequest, "bad-request", err.Error())
@@ -251,6 +322,9 @@ func NewMux(f *Federation) *http.ServeMux {
 	mux.HandleFunc("/regions", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, f.StateSnapshot().Regions)
 	})
+	mux.HandleFunc("/boards", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, f.Boards())
+	})
 	mux.HandleFunc("/state", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, f.StateSnapshot())
 	})
@@ -261,8 +335,34 @@ func NewMux(f *Federation) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		st := f.StateSnapshot()
-		writeJSON(w, TraceSummary{Digests: st.Digests, Decisions: st.Decisions})
+		idStr := r.URL.Query().Get("id")
+		if idStr == "" {
+			st := f.StateSnapshot()
+			writeJSON(w, TraceSummary{Digests: st.Digests, Decisions: st.Decisions, Regions: f.Traces()})
+			return
+		}
+		id, err := trace.ParseID(idStr)
+		if err != nil {
+			writeAPIError(w, http.StatusBadRequest, "bad-request", err.Error())
+			return
+		}
+		for _, reg := range f.tracedRegions() {
+			if tl := reg.fl.Tracer().Timeline(id); len(tl.Spans) > 0 || len(tl.Open) > 0 {
+				writeJSON(w, tl)
+				return
+			}
+		}
+		writeAPIError(w, http.StatusNotFound, "not-found", fmt.Sprintf("no spans for trace %s", id))
+	})
+	mux.HandleFunc("/histograms", func(w http.ResponseWriter, r *http.Request) {
+		if len(f.tracedRegions()) == 0 {
+			writeAPIError(w, http.StatusNotFound, "not-found", "tracing detached (run fedd with -tracing)")
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		if err := f.WriteHistograms(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	return mux
 }

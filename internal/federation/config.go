@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"pricepower/internal/fault"
 	"pricepower/internal/fleet"
@@ -35,6 +38,9 @@ type fedFileRegion struct {
 	MaxSkew  int     `json:"max_skew,omitempty"`
 	// RestartAfter enables each board's crash supervisor (barriers).
 	RestartAfter int `json:"restart_after,omitempty"`
+	// DrainDegraded auto-drains a board after this many consecutive
+	// degraded barriers (fleet.Config.DrainDegradedAfter; 0 = off).
+	DrainDegraded int `json:"drain_degraded,omitempty"`
 	// PriceTrace is the electricity schedule file (relative to the
 	// config), or "" to synthesize a diurnal curve.
 	PriceTrace string `json:"price_trace,omitempty"`
@@ -54,33 +60,68 @@ type fedFileRegion struct {
 }
 
 // LoadConfig reads a fedd federation config file into a Config ready
-// for New (Check stays off; the caller decides).
+// for New (Check stays off; the caller decides). Files the config names
+// resolve inside the config file's directory.
 func LoadConfig(path string) (Config, error) {
-	b, err := os.ReadFile(path)
+	fh, err := os.Open(path)
 	if err != nil {
 		return Config{}, err
 	}
+	defer fh.Close()
+	cfg, err := ParseConfig(fh, os.DirFS(filepath.Dir(path)))
+	if err != nil {
+		return Config{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// ParseConfig decodes a federation config, rejecting unknown fields,
+// and loads the price traces and fault scenarios it names from dir.
+// Each such path must be local to dir (fs.ValidPath: relative, no ".."
+// element), so a config and its files travel as one directory and no
+// config reaches outside its own.
+func ParseConfig(r io.Reader, dir fs.FS) (Config, error) {
 	var ff fedFile
-	dec := json.NewDecoder(bytes.NewReader(b))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ff); err != nil {
-		return Config{}, fmt.Errorf("federation: %s: %w", path, err)
+		return Config{}, fmt.Errorf("federation: config: %w", err)
 	}
-	dir := filepath.Dir(path)
+	read := func(name string) ([]byte, error) {
+		if !fs.ValidPath(name) {
+			return nil, fmt.Errorf("path %q is not local to the config's directory", name)
+		}
+		return fs.ReadFile(dir, name)
+	}
+	scenario := func(name string) (fault.Scenario, error) {
+		b, err := read(name)
+		if err != nil {
+			return fault.Scenario{}, err
+		}
+		sc, err := fault.ParseScenario(bytes.NewReader(b))
+		if err != nil {
+			return fault.Scenario{}, fmt.Errorf("%s: %w", name, err)
+		}
+		return sc, nil
+	}
 	cfg := Config{
 		Seed:          ff.Seed,
-		Batch:         sim.FromMillis(ff.BatchMS),
 		EpochBarriers: ff.EpochBarriers,
 		HoursPerSec:   ff.HoursPerSec,
 		Hysteresis:    ff.Hysteresis,
 		Tiers:         ff.Tiers,
 		Migration:     ff.Migration,
 	}
-	if ff.BatchMS <= 0 {
-		cfg.Batch = 0
+	if ff.BatchMS > 0 {
+		cfg.Batch = sim.FromMillis(ff.BatchMS)
 	}
 	if len(ff.Regions) == 0 {
-		return Config{}, fmt.Errorf("federation: %s: no regions", path)
+		return Config{}, fmt.Errorf("federation: config: no regions")
+	}
+	if len(ff.Tiers) > 0 {
+		if err := ValidateTiers(ff.Tiers); err != nil {
+			return Config{}, fmt.Errorf("federation: config: %w", err)
+		}
 	}
 	for i, fr := range ff.Regions {
 		rc := RegionConfig{
@@ -88,40 +129,40 @@ func LoadConfig(path string) (Config, error) {
 			Fleet: fleet.Config{
 				Boards: fr.Boards, TDP: fr.TDP, QueueCap: fr.QueueCap,
 				Shards: fr.Shards, MaxSkew: fr.MaxSkew, RestartAfter: fr.RestartAfter,
+				DrainDegradedAfter: fr.DrainDegraded,
 			},
 		}
 		switch {
 		case fr.PriceTrace != "":
-			tr, err := LoadPriceTrace(filepath.Join(dir, fr.PriceTrace))
-			if err != nil {
-				return Config{}, fmt.Errorf("federation: %s: region %d: %w", path, i, err)
+			b, err := read(fr.PriceTrace)
+			if err == nil {
+				rc.Price, err = ParsePriceTrace(b)
 			}
-			rc.Price = tr
+			if err != nil {
+				return Config{}, fmt.Errorf("federation: region %d: %w", i, err)
+			}
 		case fr.Diurnal != nil:
 			rc.Price = Diurnal(fr.Name, fr.Diurnal.Base, fr.Diurnal.Amp, fr.Diurnal.PeakHour, fr.Diurnal.Steps)
 		default:
-			return Config{}, fmt.Errorf("federation: %s: region %d (%s): no price_trace or diurnal", path, i, fr.Name)
+			return Config{}, fmt.Errorf("federation: region %d (%s): no price_trace or diurnal", i, fr.Name)
 		}
 		if len(fr.Faults) > 0 {
 			rc.Fleet.Faults = map[int]fault.Scenario{}
 			for id, fp := range fr.Faults {
-				var board int
-				if _, err := fmt.Sscanf(id, "%d", &board); err != nil {
-					return Config{}, fmt.Errorf("federation: %s: region %d: bad board id %q", path, i, id)
-				}
-				sc, err := fault.LoadScenario(filepath.Join(dir, fp))
+				board, err := strconv.Atoi(id)
 				if err != nil {
-					return Config{}, fmt.Errorf("federation: %s: region %d: %w", path, i, err)
+					return Config{}, fmt.Errorf("federation: region %d: bad board id %q", i, id)
 				}
-				rc.Fleet.Faults[board] = sc
+				if rc.Fleet.Faults[board], err = scenario(fp); err != nil {
+					return Config{}, fmt.Errorf("federation: region %d: %w", i, err)
+				}
 			}
 		}
 		if fr.Outage != "" {
-			sc, err := fault.LoadScenario(filepath.Join(dir, fr.Outage))
-			if err != nil {
-				return Config{}, fmt.Errorf("federation: %s: region %d: %w", path, i, err)
+			var err error
+			if rc.Outage, err = scenario(fr.Outage); err != nil {
+				return Config{}, fmt.Errorf("federation: region %d: %w", i, err)
 			}
-			rc.Outage = sc
 		}
 		cfg.Regions = append(cfg.Regions, rc)
 	}

@@ -309,11 +309,12 @@ func (f *Federation) SubmitAt(at sim.Time, spec task.Spec) {
 // routeLocked places one external spec: cheapest effective price among
 // up regions, sticky until a challenger undercuts by Hysteresis. With
 // every region down it routes to the cheapest anyway — the frozen
-// fleet's admission queue holds the work for the ledger.
-func (f *Federation) routeLocked(spec task.Spec) {
+// fleet's admission queue holds the work for the ledger. Returns 1 if
+// the region's fleet accepted the spec, 0 if its queue shed it.
+func (f *Federation) routeLocked(spec task.Spec) int {
 	best := f.pickLocked()
-	f.regions[best].submit([]task.Spec{spec})
 	f.counters.Submitted++
+	return f.regions[best].submit([]task.Spec{spec})
 }
 
 func (f *Federation) pickLocked() int {

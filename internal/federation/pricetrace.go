@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 )
 
 // Price-trace errors — structured sentinels so loaders and the API can
@@ -165,19 +164,6 @@ func ParsePriceTrace(b []byte) (PriceTrace, error) {
 	}
 	if err := tr.Validate(); err != nil {
 		return PriceTrace{}, err
-	}
-	return tr, nil
-}
-
-// LoadPriceTrace reads and validates a schedule file.
-func LoadPriceTrace(path string) (PriceTrace, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return PriceTrace{}, err
-	}
-	tr, err := ParsePriceTrace(b)
-	if err != nil {
-		return PriceTrace{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return tr, nil
 }

@@ -1,5 +1,10 @@
 package federation
 
+import (
+	"fmt"
+	"math"
+)
+
 // Performance-based SLA pricing (Lučanin et al.)
 //
 // Each submitted task maps to an SLA tier through its spec priority —
@@ -33,6 +38,31 @@ func DefaultTiers() []Tier {
 		{Name: "silver", MinPriority: 2, MinServedFrac: 0.75, RatePerTaskHour: 0.05},
 		{Name: "bronze", MinPriority: 1, MinServedFrac: 0.50, RatePerTaskHour: 0.02},
 	}
+}
+
+// ValidateTiers checks an SLA schedule: at least one tier, strictly
+// descending MinPriority (TierFor matches highest-first), distinct
+// non-empty names (the API keys tier counts by name), a promised served
+// fraction in [0, 1] and a finite, non-negative rate.
+func ValidateTiers(tiers []Tier) error {
+	if len(tiers) == 0 {
+		return fmt.Errorf("no SLA tiers")
+	}
+	seen := make(map[string]bool, len(tiers))
+	for i, t := range tiers {
+		switch {
+		case t.Name == "" || seen[t.Name]:
+			return fmt.Errorf("tier %d: name %q empty or repeated", i, t.Name)
+		case i > 0 && t.MinPriority >= tiers[i-1].MinPriority:
+			return fmt.Errorf("tier %d (%s): min_priority %d not below the previous tier's %d", i, t.Name, t.MinPriority, tiers[i-1].MinPriority)
+		case !(t.MinServedFrac >= 0 && t.MinServedFrac <= 1):
+			return fmt.Errorf("tier %d (%s): min_served_frac %g outside [0, 1]", i, t.Name, t.MinServedFrac)
+		case !(t.RatePerTaskHour >= 0) || math.IsInf(t.RatePerTaskHour, 1):
+			return fmt.Errorf("tier %d (%s): rate_per_task_hour %g not finite and non-negative", i, t.Name, t.RatePerTaskHour)
+		}
+		seen[t.Name] = true
+	}
+	return nil
 }
 
 // TierFor maps a spec priority to a tier index: the first (highest)

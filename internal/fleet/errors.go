@@ -9,8 +9,8 @@ import (
 // board's first terminal crashed reply while collecting the given
 // barrier. A crash is a *recoverable* event — the barrier still
 // completed, the board's work was orphaned into the supervisor, and a
-// restart may already be scheduled — so callers that supervise (fleetd
-// batch mode, the chaos harness) log it and keep stepping, while
+// restart may already be scheduled — so callers that supervise (the
+// federation, fedd, the chaos harness) log it and keep stepping, while
 // callers that treat any error as fatal still see it. Multiple boards
 // failing in one barrier surface as an errors.Join of one CrashError
 // each (see CrashErrors).
@@ -62,7 +62,7 @@ func CrashErrors(err error) (crashes []*CrashError, only bool) {
 // is the real-hang escape hatch — injected stalls answer immediately
 // with a sentinel and never trip it — so it lists exactly the boards
 // that were still silent when the deadline fired, for the diagnostic
-// dump (`fleetd -deadline`).
+// dump (`fedd -deadline`).
 type LivenessError struct {
 	Barrier  int
 	Deadline time.Duration

@@ -448,17 +448,12 @@ func runFaultedRecordedFleet(t *testing.T, skew, shards int) []uint64 {
 	}
 	defer f.Close()
 
-	arrivals := &ArrivalTrace{Tasks: []Arrival{
+	submitArrivals(t, f, []Arrival{
 		{Bench: "swaptions", Input: "n", Count: 4},
 		{Bench: "blackscholes", Input: "l", Count: 3},
 		{Bench: "x264", Input: "n", Count: 3, AtMS: 300},
 		{Bench: "bodytrack", Input: "n", Count: 2, AtMS: 800},
-	}}
-	specs, err := arrivals.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SubmitTimed(f, specs)
+	})
 
 	sawCrash := false
 	for i := 0; i < 24; i++ {

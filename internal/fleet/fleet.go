@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -190,7 +191,7 @@ func (c Config) withDefaults() Config {
 
 // Counters are the fleet's task-accounting totals. The zero-loss
 // invariant — enforced by tests, check.CheckFleetConservation and the
-// fleet-smoke gate — is:
+// process smoke gate (scripts/smoke.sh) — is:
 //
 //	Submitted - Shed - Evicted ==
 //	    live tasks on boards + Queued + InFlight + Orphaned + Completed
@@ -230,7 +231,9 @@ type Counters struct {
 	Evicted uint64 `json:"evicted_total"`
 }
 
-// State is the fleet-wide snapshot served at /state.
+// State is the fleet-wide snapshot. The federation reads one per region
+// for its /state and /regions summaries and serves the board rows at
+// /boards.
 type State struct {
 	Batch    int        `json:"batch"`  // barriers collected
 	Issued   int        `json:"issued"` // barriers issued (≥ Batch under skew)
@@ -437,8 +440,20 @@ func (f *Fleet) registerMetrics() {
 }
 
 // Registry is the fleet-level metrics registry (queue depth, routing
-// counters); board registries merge in via MergedMetrics.
+// counters); board registries merge in via ExportMetrics.
 func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
+
+// ExportMetrics snapshots the merged series set: the fleet's own
+// registry as-is, plus every board's registry with a board label
+// injected into each series. The federation relabels the result again
+// with a region label (telemetry.AppendLabeled).
+func (f *Fleet) ExportMetrics() []telemetry.Series {
+	merged := f.Registry().Export()
+	for _, b := range f.Boards() {
+		merged = telemetry.AppendLabeled(merged, b.Registry().Export(), "board", strconv.Itoa(b.ID))
+	}
+	return merged
+}
 
 // AttachTelemetry connects an event emitter to the fleet's own lifecycle
 // events (KindDrain: drain / redrain / resume per board). The emitter's

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"pricepower/internal/check"
@@ -242,22 +241,6 @@ func TestFleetScheduledArrivals(t *testing.T) {
 		t.Errorf("submitted=%d live=%d, want 2/2 after due time", st.Counters.Submitted, st.Live())
 	}
 	checkZeroLoss(t, f)
-}
-
-func TestParseTraceRejectsGarbage(t *testing.T) {
-	if _, err := ParseTrace(strings.NewReader(`{"tasks":[{"bench":"nope","input":"n"}]}`)); err != nil {
-		t.Fatalf("ParseTrace rejected structurally valid trace: %v", err)
-	}
-	tr, _ := ParseTrace(strings.NewReader(`{"tasks":[{"bench":"nope","input":"n"}]}`))
-	if _, err := tr.Resolve(); err == nil {
-		t.Error("Resolve accepted unknown benchmark")
-	}
-	if _, err := ParseTrace(strings.NewReader(`{"tasks":[],"typo":1}`)); err == nil {
-		t.Error("ParseTrace accepted unknown field")
-	}
-	if _, err := ParseTrace(strings.NewReader(`{"tasks":[]}`)); err == nil {
-		t.Error("ParseTrace accepted empty trace")
-	}
 }
 
 // TestFleetBoundedSkewConserves steps a skewed fleet and asserts the
@@ -574,16 +557,15 @@ func TestFleetDrainCooldownDecays(t *testing.T) {
 }
 
 func TestTraceResolvesCaseInsensitively(t *testing.T) {
-	tr := &ArrivalTrace{Tasks: []Arrival{{Bench: "SWAPTIONS", Input: "N", Count: 2}}}
-	specs, err := tr.Resolve()
+	spec, err := Arrival{Bench: "SWAPTIONS", Input: "N"}.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 2 {
-		t.Fatalf("resolved %d specs, want 2", len(specs))
+	if spec.Name != "swaptions_n" || spec.Priority != 1 {
+		t.Errorf("task %q at priority %d, want canonical swaptions_n at the default 1", spec.Name, spec.Priority)
 	}
-	if specs[0].Spec.Name != "swaptions_n" {
-		t.Errorf("task name = %q, want canonical swaptions_n", specs[0].Spec.Name)
+	if _, err := (Arrival{Bench: "nope", Input: "n"}).Spec(); err == nil {
+		t.Error("unknown benchmark resolved")
 	}
 }
 

@@ -12,24 +12,29 @@ import (
 // buckets that carry one): the fleet-level stage histograms, each board's
 // histograms under a board label, and the fleet-wide k-way merge of every
 // per-board histogram. Returns an error when tracing is detached.
-func (f *Fleet) WriteHistograms(w io.Writer) error {
+func (f *Fleet) WriteHistograms(w io.Writer) error { return f.WriteHistogramsLabeled(w, "") }
+
+// WriteHistogramsLabeled is WriteHistograms with labels (e.g.
+// `region="eu"`) leading every series' label set — how the federation
+// tells its regions' histograms apart.
+func (f *Fleet) WriteHistogramsLabeled(w io.Writer, labels string) error {
 	if f.tracer == nil {
 		return fmt.Errorf("fleet: tracing detached (Config.Trace off)")
 	}
 	if err := f.histRouting.WriteProm(w, "pricepower_fleet_routing_wall_ns",
-		"Wall-clock dispatcher Route latency per barrier (ns).", ""); err != nil {
+		"Wall-clock dispatcher Route latency per barrier (ns).", labels); err != nil {
 		return err
 	}
 	if err := f.histQueueWait.WriteProm(w, "pricepower_fleet_queue_wait_ms",
-		"Virtual time from admission to routing (ms), with trace exemplars.", ""); err != nil {
+		"Virtual time from admission to routing (ms), with trace exemplars.", labels); err != nil {
 		return err
 	}
 	if err := f.histBarrierLag.WriteProm(w, "pricepower_fleet_barrier_lag",
-		"Barriers of pipeline skew observed at collection.", ""); err != nil {
+		"Barriers of pipeline skew observed at collection.", labels); err != nil {
 		return err
 	}
 	if err := f.histRestart.WriteProm(w, "pricepower_fleet_restart_latency_barriers",
-		"Barriers from crash detection to supervised restart.", ""); err != nil {
+		"Barriers from crash detection to supervised restart.", labels); err != nil {
 		return err
 	}
 
@@ -45,13 +50,17 @@ func (f *Fleet) WriteHistograms(w io.Writer) error {
 		{"pricepower_board_task_residency_ms", "Virtual placement-to-completion time (ms), with trace exemplars.",
 			func(b *Board) *metrics.Histogram { return b.histResidency }},
 	}
+	prefix := labels
+	if prefix != "" {
+		prefix += ","
+	}
 	boards := f.Boards() // copy: a restart may swap a board mid-scrape
 	for _, h := range hists {
 		all := make([]*metrics.Histogram, 0, len(boards))
 		for _, b := range boards {
 			hb := h.pick(b)
 			all = append(all, hb)
-			if err := hb.WriteProm(w, h.name, h.help, fmt.Sprintf("board=%q", fmt.Sprint(b.ID))); err != nil {
+			if err := hb.WriteProm(w, h.name, h.help, prefix+fmt.Sprintf("board=\"%d\"", b.ID)); err != nil {
 				return err
 			}
 		}
@@ -63,7 +72,7 @@ func (f *Fleet) WriteHistograms(w io.Writer) error {
 			return err
 		}
 		fleetName := "pricepower_fleet" + h.name[len("pricepower_board"):]
-		if err := merged.WriteProm(w, fleetName, h.help+" (all boards merged)", ""); err != nil {
+		if err := merged.WriteProm(w, fleetName, h.help+" (all boards merged)", labels); err != nil {
 			return err
 		}
 	}

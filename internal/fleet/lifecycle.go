@@ -486,7 +486,7 @@ func (f *Fleet) reopenLocked(subs []Submission) {
 // pipeline is flushed, the board's tasks re-enter the admission queue
 // head (overflow sheds with accounting, like every requeue), and the
 // board stops receiving work until Resume. Safe only between Steps
-// (fleetd's driver serializes them).
+// (the caller serializes them with stepping).
 func (f *Fleet) Drain(i int) error { return f.manual(i, evDrain) }
 
 // Resume lets a manually drained board accept work again.

@@ -1,15 +1,13 @@
 package fleet
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"pricepower/internal/fault"
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
+	"pricepower/internal/telemetry"
 	"pricepower/internal/telemetry/trace"
 )
 
@@ -250,30 +248,25 @@ func TestRestartResumesCompletedFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCompletedObservable: /state and /metrics publish the completed
-// count the ledger reads, fleet-wide and per board.
+// TestCompletedObservable: the published state and the metrics export
+// carry the completed count the ledger reads, fleet-wide and per board.
 func TestCompletedObservable(t *testing.T) {
 	f := newOneBoard(t, Config{Seed: 2})
 	f.Submit(finiteSpec("a", 150*sim.Millisecond), finiteSpec("b", 150*sim.Millisecond), lightSpec("loop"))
 	for i := 0; i < 3; i++ {
 		stepChecked(t, f)
 	}
-	srv := httptest.NewServer(NewMux(f))
-	defer srv.Close()
 
-	var st State
-	getJSON(t, srv.URL+"/state", &st)
+	st := f.StateSnapshot()
 	if st.Completed != 2 || st.Boards[0].Completed != 2 || st.Live() != 1 {
-		t.Fatalf("/state completed %d (board 0: %d) live %d, want 2, 2 and 1",
+		t.Fatalf("state completed %d (board 0: %d) live %d, want 2, 2 and 1",
 			st.Completed, st.Boards[0].Completed, st.Live())
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	var b strings.Builder
+	if err := telemetry.WriteSeriesProm(&b, f.ExportMetrics()); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), "\npricepower_fleet_completed_tasks 2\n") {
-		t.Fatal("/metrics missing pricepower_fleet_completed_tasks 2")
+	if !strings.Contains(b.String(), "\npricepower_fleet_completed_tasks 2\n") {
+		t.Fatal("metrics export missing pricepower_fleet_completed_tasks 2")
 	}
 }

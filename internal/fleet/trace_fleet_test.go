@@ -2,11 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"pricepower/internal/check"
@@ -47,17 +42,12 @@ func runTracedFleet(t *testing.T, skew, shards int) []uint64 {
 	}
 	defer f.Close()
 
-	arrivals := &ArrivalTrace{Tasks: []Arrival{
+	submitArrivals(t, f, []Arrival{
 		{Bench: "swaptions", Input: "n", Count: 4},
 		{Bench: "blackscholes", Input: "l", Count: 3},
 		{Bench: "x264", Input: "n", Count: 3, AtMS: 300},
 		{Bench: "bodytrack", Input: "n", Count: 2, AtMS: 800},
-	}}
-	specs, err := arrivals.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SubmitTimed(f, specs)
+	})
 
 	for i := 0; i < 20; i++ {
 		if err := f.Step(); err != nil {
@@ -170,16 +160,11 @@ func TestFleetJSONLEventOrdering(t *testing.T) {
 	sink := telemetry.NewJSONL(&buf)
 	f.SetEventSink(sink)
 
-	arrivals := &ArrivalTrace{Tasks: []Arrival{
+	submitArrivals(t, f, []Arrival{
 		{Bench: "swaptions", Input: "n", Count: 4},
 		{Bench: "x264", Input: "n", Count: 4},
 		{Bench: "bodytrack", Input: "n", Count: 2, AtMS: 300},
-	}}
-	specs, err := arrivals.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SubmitTimed(f, specs)
+	})
 	for i := 0; i < 20; i++ {
 		if err := f.Step(); err != nil {
 			t.Fatal(err)
@@ -267,103 +252,4 @@ func TestFleetTraceTimeline(t *testing.T) {
 	if !found {
 		t.Error("completed task's trace ID missing from residency histogram exemplars")
 	}
-}
-
-// TestAPITraceAndHistograms smokes the new HTTP surface: the ledger
-// summary, a single-trace timeline, the histogram exposition (per-board
-// labels + fleet merge + exemplars), and the 404s when detached.
-func TestAPITraceAndHistograms(t *testing.T) {
-	f, err := New(Config{Boards: 2, Seed: 5, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	srv := httptest.NewServer(NewMux(f))
-	defer srv.Close()
-
-	f.Submit(finiteSpec("fin", 250*sim.Millisecond))
-	f.Submit(lightSpec("loop"))
-	for i := 0; i < 8; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var sum TraceSummary
-	getBody(t, srv.URL+"/trace", func(r io.Reader) {
-		if err := json.NewDecoder(r).Decode(&sum); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if sum.Counts.Opened == 0 || len(sum.Digests) != 3 {
-		t.Fatalf("trace summary = %+v, want opened spans and 3 digests", sum)
-	}
-
-	id := trace.DeriveID(f.traceSeed, 0)
-	var tl trace.Timeline
-	getBody(t, srv.URL+"/trace?id="+id.String(), func(r io.Reader) {
-		if err := json.NewDecoder(r).Decode(&tl); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if tl.Trace != id.String() || len(tl.Spans) == 0 {
-		t.Fatalf("timeline = %+v, want spans for %s", tl, id)
-	}
-
-	getBody(t, srv.URL+"/histograms", func(r io.Reader) {
-		raw, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := string(raw)
-		for _, want := range []string{
-			"pricepower_fleet_routing_wall_ns_bucket",
-			"pricepower_fleet_queue_wait_ms_bucket",
-			"pricepower_fleet_barrier_lag_bucket",
-			`pricepower_board_round_ms_bucket{board="1",`,
-			"pricepower_fleet_round_ms_bucket", // k-way merge
-			"trace_id=",                        // exemplar link
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("/histograms missing %q", want)
-			}
-		}
-	})
-
-	// Bad id and unknown trace.
-	if resp, err := http.Get(srv.URL + "/trace?id=zzz"); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad id status = %v, %v", resp.StatusCode, err)
-	}
-	if resp, err := http.Get(srv.URL + "/trace?id=00000000000000ff"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown trace status = %v, %v", resp.StatusCode, err)
-	}
-
-	// Detached fleet: both endpoints 404.
-	fd, err := New(Config{Boards: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fd.Close()
-	srv2 := httptest.NewServer(NewMux(fd))
-	defer srv2.Close()
-	for _, p := range []string{"/trace", "/histograms"} {
-		resp, err := http.Get(srv2.URL + p)
-		if err != nil || resp.StatusCode != http.StatusNotFound {
-			t.Errorf("detached %s status = %v, %v", p, resp.StatusCode, err)
-		}
-	}
-}
-
-func getBody(t *testing.T, url string, fn func(io.Reader)) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, raw)
-	}
-	fn(resp.Body)
 }

@@ -1,9 +1,9 @@
 // Package httpd is the one graceful-shutdown path shared by every HTTP
-// frontend in the repository (`ppmsim -http`, `fleetd`): serve a handler on
-// a listener until a context is canceled — typically by SIGINT/SIGTERM via
-// SignalContext — then drain in-flight requests within a bounded timeout
-// instead of dropping them (or serving forever, as ppmsim's original
-// serve-until-interrupted loop did).
+// frontend in the repository (`ppmsim -http`, `fedd -http`): serve a
+// handler on a listener until a context is canceled — typically by
+// SIGINT/SIGTERM via SignalContext — then drain in-flight requests within
+// a bounded timeout instead of dropping them (or serving forever, as
+// ppmsim's original serve-until-interrupted loop did).
 package httpd
 
 import (
@@ -79,7 +79,7 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Dura
 }
 
 // SignalContext returns a context canceled on SIGINT or SIGTERM — the
-// process-level trigger both ppmsim and fleetd hang their shutdown on.
+// process-level trigger both ppmsim and fedd hang their shutdown on.
 // Call stop to release the signal registration (a second signal after
 // cancellation then kills the process with the default disposition).
 func SignalContext() (ctx context.Context, stop context.CancelFunc) {
