@@ -8,6 +8,9 @@ package pricepower_test
 
 import (
 	"fmt"
+	"runtime"
+	rtmetrics "runtime/metrics"
+	"strings"
 	"testing"
 
 	"pricepower/internal/exp"
@@ -86,14 +89,14 @@ func TestTickAllocationFree(t *testing.T) {
 			}
 		}
 		p.Engine.StepOnce() // settle: a new task's first tick may grow scratch
-		allocs := testing.AllocsPerRun(1, func() {
+		allocs := ownAllocs(t, func() {
 			for i := 0; i < 200; i++ {
 				p.Engine.StepOnce()
 				p.TakeFinished()
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: 200 steady-state ticks allocate %.0f objects, want 0", c.name, allocs)
+			t.Errorf("%s: 200 steady-state ticks allocate %d objects, want 0", c.name, allocs)
 		}
 		if c.exits {
 			n := 0
@@ -120,13 +123,13 @@ func TestTickAllocationFree(t *testing.T) {
 	p.Run(3 * sim.Second) // warm: LBT settles, scratch and HRM rings sized
 	spanned := reg.Counter("pricepower_span_ticks_total", "").Value()
 	migs, _ := p.Migrations()
-	allocs := testing.AllocsPerRun(1, func() { p.Run(500 * sim.Millisecond) })
+	allocs := ownAllocs(t, func() { p.Run(500 * sim.Millisecond) })
 	if now, _ := p.Migrations(); now != migs {
 		// A migration allocates its completion event: not a steady state.
 		t.Errorf("spans: %d LBT migrations in the measured window, want 0", now-migs)
 	}
 	if allocs != 0 {
-		t.Errorf("spans: Platform.Run(500ms) under PPM allocates %.0f objects, want 0", allocs)
+		t.Errorf("spans: Platform.Run(500ms) under PPM allocates %d objects, want 0", allocs)
 	}
 	if reg.Counter("pricepower_span_ticks_total", "").Value() == spanned {
 		t.Error("spans: no tick of the measured run was played inside a span")
@@ -146,12 +149,12 @@ func TestTickAllocationFree(t *testing.T) {
 	p.Run(3 * sim.Second)
 	replayed := reg.Counter("pricepower_replay_ticks_total", "").Value()
 	migs, _ = p.Migrations()
-	allocs = testing.AllocsPerRun(1, func() { p.Run(500 * sim.Millisecond) })
+	allocs = ownAllocs(t, func() { p.Run(500 * sim.Millisecond) })
 	if now, _ := p.Migrations(); now != migs {
 		t.Errorf("replay: %d LBT migrations in the measured window, want 0", now-migs)
 	}
 	if allocs != 0 {
-		t.Errorf("replay: Platform.Run(500ms) under PPM with a probe and a thermal model allocates %.0f objects, want 0", allocs)
+		t.Errorf("replay: Platform.Run(500ms) under PPM with a probe and a thermal model allocates %d objects, want 0", allocs)
 	}
 	if reg.Counter("pricepower_replay_ticks_total", "").Value() == replayed {
 		t.Error("replay: no tick of the measured run was replayed")
@@ -159,6 +162,97 @@ func TestTickAllocationFree(t *testing.T) {
 	if n := reg.Counter("pricepower_span_ticks_total", "").Value(); n != 0 {
 		t.Errorf("replay: %d ticks played inside spans beside a probe, want 0", n)
 	}
+}
+
+// ownAllocs runs f once to warm it up, then once more, and returns the
+// objects that second run allocated. testing.AllocsPerRun would read the
+// process-wide malloc count, which also takes in what the runtime
+// allocates for itself meanwhile: an M and its g when restarting the
+// world after ReadMemStats starts a thread, a slot in a P's timer heap
+// for the scavenger. On a loaded machine that fails an allocation-free
+// f now and then. So the run is profiled at full rate instead, and an
+// allocation counts unless its stack proves it is not f's: a complete
+// stack (the profile keeps 32 frames) that neither passes through
+// measuredRun nor runs any code of this module outside the profiling
+// helpers. Tiny allocations, which the runtime packs into a shared block
+// and the profile does not record one by one, all count: the
+// process-wide tiny count across the run of f is added.
+func ownAllocs(t *testing.T, f func()) int64 {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	f()
+	before := heapProfile()
+	tiny := tinyAllocs()
+	measuredRun(f)
+	n := int64(tinyAllocs() - tiny)
+	for stk, objs := range heapProfile() {
+		if d := objs - before[stk]; d > 0 && mayBeOwn(stk) {
+			n += d
+		}
+	}
+	return n
+}
+
+// measuredRun marks the run of f that ownAllocs measures on every stack
+// it allocates on.
+//
+//go:noinline
+func measuredRun(f func()) { f() }
+
+// heapProfile returns the allocation profile's object counts per stack,
+// complete up to the call: the profile publishes a sample once the
+// garbage collection cycles after it are done.
+func heapProfile() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+n/2+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	objs := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		objs[r.Stack0] += r.AllocObjects
+	}
+	return objs
+}
+
+// tinyAllocs returns the process's count of tiny allocations.
+// ReadMemStats first flushes every P's cached count into the totals that
+// runtime/metrics reads.
+func tinyAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s := []rtmetrics.Sample{{Name: "/gc/heap/tiny/allocs:objects"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// mayBeOwn reports whether an allocation stack may belong to the
+// measured run: see ownAllocs.
+func mayBeOwn(stk [32]uintptr) bool {
+	if stk[len(stk)-1] != 0 {
+		return true // truncated: f's frames may lie beyond the cut
+	}
+	module, helper := false, false
+	frames := runtime.CallersFrames((&runtime.MemProfileRecord{Stack0: stk}).Stack())
+	for {
+		fr, more := frames.Next()
+		switch name := fr.Function; {
+		case name == "pricepower_test.measuredRun":
+			return true
+		case name == "pricepower_test.heapProfile", name == "pricepower_test.tinyAllocs":
+			helper = true
+		case strings.HasPrefix(name, "pricepower"):
+			module = true
+		}
+		if !more {
+			break
+		}
+	}
+	return module && !helper
 }
 
 // BenchmarkTickThroughput measures platform ticks per second as the task

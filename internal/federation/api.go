@@ -9,8 +9,6 @@ import (
 	"os"
 
 	"pricepower/internal/fleet"
-	"pricepower/internal/sim"
-	"pricepower/internal/task"
 	"pricepower/internal/telemetry"
 	"pricepower/internal/telemetry/trace"
 )
@@ -31,67 +29,51 @@ type FedArrival struct {
 }
 
 // FedTrace is the POST /submit body and fedd's -trace file format.
-type FedTrace struct {
-	Tasks []FedArrival `json:"tasks"`
-}
+type FedTrace = fleet.ArrivalTrace[FedArrival]
 
 // fedResolved is one expanded arrival.
 type fedResolved struct {
-	At     sim.Time
+	fleet.TimedSpec
 	Region int // -1 = price-routed
-	Spec   task.Spec
 }
 
 // resolve expands and validates the trace against the fleet's submit
 // bounds, the workload registry and the federation's region names.
-func (tr *FedTrace) resolve(f *Federation) ([]fedResolved, error) {
-	total := 0
-	for i, a := range tr.Tasks {
-		n, err := fleet.ArrivalCount(total, a.Count, a.AtMS)
-		if err != nil {
-			return nil, fmt.Errorf("federation: trace entry %d: %w", i, err)
-		}
-		total += n
+func (f *Federation) resolve(tr *FedTrace) ([]fedResolved, error) {
+	ts, err := tr.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("federation: %w", err)
 	}
 	names := map[string]int{}
 	for _, r := range f.regions {
 		names[r.Name] = r.ID
 	}
-	out := make([]fedResolved, 0, total)
+	pins := make([]int, len(tr.Tasks))
 	for i, a := range tr.Tasks {
-		spec, err := a.Spec()
-		if err != nil {
-			return nil, fmt.Errorf("federation: trace entry %d: %w", i, err)
-		}
-		region := -1
+		pins[i] = -1
 		if a.Region != "" {
 			id, ok := names[a.Region]
 			if !ok {
 				return nil, fmt.Errorf("federation: trace entry %d: unknown region %q", i, a.Region)
 			}
-			region = id
+			pins[i] = id
 		}
-		for n := 0; n < max(a.Count, 1); n++ {
-			out = append(out, fedResolved{
-				At: sim.Time(a.AtMS) * sim.Millisecond, Region: region, Spec: spec,
-			})
-		}
+	}
+	out := make([]fedResolved, len(ts))
+	for k, s := range ts {
+		out[k] = fedResolved{TimedSpec: s, Region: pins[s.Entry]}
 	}
 	return out, nil
 }
 
-// ParseFedTrace decodes a FedTrace, rejecting unknown fields.
+// ParseFedTrace decodes a FedTrace, rejecting unknown fields and empty
+// traces.
 func ParseFedTrace(r io.Reader) (*FedTrace, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var tr FedTrace
-	if err := dec.Decode(&tr); err != nil {
-		return nil, fmt.Errorf("federation: trace: %w", err)
+	tr, err := fleet.ParseTrace[FedArrival](r)
+	if err != nil {
+		return nil, fmt.Errorf("federation: %w", err)
 	}
-	if len(tr.Tasks) == 0 {
-		return nil, fmt.Errorf("federation: trace: no tasks")
-	}
-	return &tr, nil
+	return tr, nil
 }
 
 // SubmitResult is the POST /submit response body.
@@ -136,7 +118,7 @@ func (f *Federation) SubmitResolved(rs []fedResolved) (SubmitResult, error) {
 // federation's region names, then feeds it in — the one-call path fedd
 // and the /submit handler share.
 func (f *Federation) SubmitTrace(tr *FedTrace) (SubmitResult, error) {
-	rs, err := tr.resolve(f)
+	rs, err := f.resolve(tr)
 	if err != nil {
 		return SubmitResult{}, err
 	}

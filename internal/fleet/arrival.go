@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
+	"pricepower/internal/sim"
 	"pricepower/internal/task"
 	"pricepower/internal/workload"
 )
@@ -32,6 +35,70 @@ func (a Arrival) Spec() (task.Spec, error) {
 		prio = 1
 	}
 	return b.Spec(a.Input, prio)
+}
+
+func (a Arrival) arrival() Arrival { return a }
+
+// TraceEntry is an arrival-trace entry type: Arrival, or a type that
+// embeds it (the federation's region-pinned FedArrival).
+type TraceEntry interface{ arrival() Arrival }
+
+// ArrivalTrace is the arrival-trace format, the POST /submit body and
+// fedd's -trace file: a batch of registry-known benchmark×input tasks,
+// optionally offset into the virtual future.
+type ArrivalTrace[E TraceEntry] struct {
+	Tasks []E `json:"tasks"`
+}
+
+// ParseTrace decodes an arrival trace, rejecting unknown fields so typos
+// in hand-written traces fail loudly, and empty traces.
+func ParseTrace[E TraceEntry](r io.Reader) (*ArrivalTrace[E], error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var tr ArrivalTrace[E]
+	if err := dec.Decode(&tr); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if len(tr.Tasks) == 0 {
+		return nil, fmt.Errorf("trace: no tasks")
+	}
+	return &tr, nil
+}
+
+// TimedSpec is one resolved arrival: the spec, its virtual due time
+// relative to acceptance, and the index of the trace entry it expands.
+type TimedSpec struct {
+	At    sim.Time
+	Spec  task.Spec
+	Entry int
+}
+
+// Resolve expands the trace into its arrivals in trace order. Every
+// entry is checked against the submit bounds before any is expanded, so
+// a huge count late in a trace costs nothing; then each resolves through
+// the workload registry.
+func (tr *ArrivalTrace[E]) Resolve() ([]TimedSpec, error) {
+	total := 0
+	for i, e := range tr.Tasks {
+		a := e.arrival()
+		n, err := ArrivalCount(total, a.Count, a.AtMS)
+		if err != nil {
+			return nil, fmt.Errorf("trace entry %d: %w", i, err)
+		}
+		total += n
+	}
+	out := make([]TimedSpec, 0, total)
+	for i, e := range tr.Tasks {
+		a := e.arrival()
+		spec, err := a.Spec()
+		if err != nil {
+			return nil, fmt.Errorf("trace entry %d: %w", i, err)
+		}
+		for range max(a.Count, 1) {
+			out = append(out, TimedSpec{At: sim.Time(a.AtMS) * sim.Millisecond, Spec: spec, Entry: i})
+		}
+	}
+	return out, nil
 }
 
 // Submit bounds for arrival traces (fedd -trace files and POST /submit
