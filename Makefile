@@ -22,23 +22,24 @@ check:
 	PRICEPOWER_CHECK=1 $(GO) test ./...
 
 # Property fuzzing of the V-F ladder clamping contract, the run-queue
-# scheduling contract, the sharded dispatcher against the linear routing
-# oracle, the board checkpoint codec round trip, the decoders of every
-# input file and request body (arrival traces and their submit bounds,
-# federation configs, fault scenarios, electricity-price traces through
-# lookup), the histogram's recording contract, the platform's steady
-# spans against per-tick stepping, and the HRM run window against its
+# scheduling contract, the dispatcher against the linear routing oracle,
+# the decoders of every input file and request body (arrival traces and
+# their submit bounds, federation configs, fault scenarios,
+# electricity-price traces through lookup; each refuses trailing data),
+# the event-log reader's round trip through the JSONL sink, the
+# histogram's recording contract, the platform's steady spans against
+# per-tick stepping, and the HRM run window against its
 # one-slot-per-sample oracle. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
-	$(GO) test -run=^$$ -fuzz=FuzzRouteShardedVsLinear -fuzztime=$(FUZZTIME) ./internal/fleet
-	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run=^$$ -fuzz=FuzzRouteVsLinear -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run=^$$ -fuzz=FuzzParseFedTrace -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzParseConfig -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzPriceTraceLookup -fuzztime=$(FUZZTIME) ./internal/federation
 	$(GO) test -run=^$$ -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run=^$$ -fuzz=FuzzReadJSONL -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzHistogramRecord -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
 	$(GO) test -run=^$$ -fuzz=FuzzWindowRuns -fuzztime=$(FUZZTIME) ./internal/task
@@ -54,12 +55,12 @@ golden:
 # sinks/registry read by the HTTP layer (internal/telemetry), the fleet's
 # board goroutines behind the batch barrier (internal/fleet), and the
 # federation stepping region fleets and serving its API
-# (internal/federation). Then one pass over the fleet routing, sharded
-# dispatch and saturation benchmarks, whose routing lanes run on their
+# (internal/federation). Then one pass over the fleet routing and
+# saturation benchmarks, whose saturated fleet steps its boards on their
 # own goroutines (measure them with `go test -bench ... -count 5`).
 race:
 	$(GO) test -race ./internal/core ./internal/lbt ./internal/platform ./internal/telemetry ./internal/fleet ./internal/federation
-	$(GO) test -race -run '^$$' -bench 'BenchmarkDispatcherRoute$$|BenchmarkDispatcherSharded|BenchmarkFleetSaturation' -benchtime 1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkDispatcherRoute$$|BenchmarkFleetSaturation' -benchtime 1x .
 
 # Fault-injection suite under the race detector: randomized chaos schedules,
 # single-fault recovery acceptance, and the 16-cluster run that drives the
@@ -68,7 +69,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/fault
 
 # The process-level gate (scripts/smoke.sh): race-built fedd runs of
-# the example federation, the chaos fleet and the K x S trace sweep, each
+# the example federation, the chaos fleet and the K ∈ {0,4} trace sweep, each
 # twice with their digest vectors diffed; a serving fleet driven over
 # HTTP to zero-loss convergence and a graceful SIGTERM; and ppmsim's
 # telemetry endpoints.

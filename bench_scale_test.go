@@ -354,15 +354,15 @@ func routingSpecsN(n int) []task.Spec {
 
 // BenchmarkDispatcherRoute measures one dispatch round — routing a
 // 100-submission batch against the barrier snapshots through the fleet's
-// single-shard dispatcher — as the fleet grows. The lane's price index is
-// rebuilt once per barrier (O(boards)) and each pick costs O(log boards)
-// for the fix-up after the projection bump.
+// dispatcher — as the fleet grows. The price index is rebuilt once per
+// barrier (O(boards)) and each pick costs O(log boards) for the fix-up
+// after the projection bump.
 func BenchmarkDispatcherRoute(b *testing.B) {
 	subs := routingSubsN(100)
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("boards=%d", n), func(b *testing.B) {
 			snaps := routingSnaps(n)
-			d := fleet.NewShardedDispatcher(1, fleet.DefaultHysteresis, 42)
+			d := fleet.NewDispatcher(fleet.DefaultHysteresis)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -372,32 +372,8 @@ func BenchmarkDispatcherRoute(b *testing.B) {
 	}
 }
 
-// clusteredSnaps builds the sharded-dispatcher fixture: n boards whose
-// prices sit in a tight band (0.9–1.1, the homogeneous steady-state fleet
-// the market drives toward), one in seven degraded. Under the default
-// steal band (θ = 1) a clustered fleet routes almost entirely
-// shard-locally, which is the regime the shard speedup claim is about;
-// the spread fixture (routingSnaps) instead pushes most submissions
-// through the sequential steal pass and is measured separately.
-func clusteredSnaps(n int) []fleet.Snapshot {
-	rng := sim.NewRand(11)
-	snaps := make([]fleet.Snapshot, n)
-	for i := range snaps {
-		snaps[i] = fleet.Snapshot{
-			Board:       i,
-			Price:       rng.Range(0.9, 1.1),
-			DemandPU:    rng.Range(0, 4000),
-			MaxSupplyPU: 5000,
-		}
-		if i%7 == 6 {
-			snaps[i].Degraded = true
-		}
-	}
-	return snaps
-}
-
 // routingSubsN is routingSpecsN with demand pre-estimated at admission,
-// the sharded dispatcher's input shape.
+// the dispatcher's input shape.
 func routingSubsN(n int) []fleet.Submission {
 	specs := routingSpecsN(n)
 	subs := make([]fleet.Submission, len(specs))
@@ -405,26 +381,6 @@ func routingSubsN(n int) []fleet.Submission {
 		subs[i] = fleet.NewSubmission(specs[i])
 	}
 	return subs
-}
-
-// BenchmarkDispatcherSharded is the shard sweep of the fleet_saturation
-// routing dimension: the 1000-submission saturation batch routed through
-// S price-index shards at 256 boards on the clustered fixture. ns/op is
-// cost per 1k submissions.
-func BenchmarkDispatcherSharded(b *testing.B) {
-	const boards = 256
-	subs := routingSubsN(1000)
-	for _, s := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("boards=256/S=%d", s), func(b *testing.B) {
-			snaps := clusteredSnaps(boards)
-			d := fleet.NewShardedDispatcher(s, fleet.DefaultHysteresis, 42)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Route(snaps, subs)
-			}
-		})
-	}
 }
 
 // churnSpec is a short-lived (one-batch) task for saturation stepping:

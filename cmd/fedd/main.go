@@ -12,7 +12,7 @@
 //	     [-deadline dur] [-http ADDR] [-pace ms]
 //
 // A -config file (see examples/regions/federation.json) describes the
-// regions — board counts, skew, shards, degraded auto-drain, price traces
+// regions — board counts, skew, degraded auto-drain, price traces
 // or synthetic diurnal curves, board fault scenarios, region outage
 // windows — plus the SLA tiers and the migration controller's
 // cost/hysteresis knobs. Without one, -regions N synthesizes N regions

@@ -144,14 +144,17 @@ func (sc Scenario) Validate(clusters, cores int) error {
 
 // ParseScenario decodes a JSON scenario, rejecting unknown fields so a
 // misspelled key (`strat`, `magnitdue`) fails loudly instead of silently
-// zeroing the field it meant. Validation against a geometry is the
-// caller's (Validate).
+// zeroing the field it meant, and any data after the JSON value.
+// Validation against a geometry is the caller's (Validate).
 func ParseScenario(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("fault: scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("fault: scenario: trailing data after the JSON value")
 	}
 	return sc, nil
 }

@@ -36,13 +36,14 @@ func scenarioFiles(t testing.TB) []string {
 }
 
 // TestParseScenarioRejectsUnknownFields: a misspelled key is an error,
-// not a silently zeroed field, and every example scenario uses only
-// known keys.
+// not a silently zeroed field, as is data after the scenario, and every
+// example scenario uses only known keys.
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	for _, body := range []string{
 		`{"faults":[{"type":"board-crash","strat":6,"rouns":1}]}`,
 		`{"faults":[{"type":"power-noise","cluster":0,"start":1,"rounds":2,"magnitdue":3}]}`,
 		`{"round_sm":10,"faults":[]}`,
+		`{"seed":3,"faults":[]} {"seed":9} garbage`,
 	} {
 		if _, err := ParseScenario(strings.NewReader(body)); err == nil {
 			t.Errorf("ParseScenario accepted %s", body)
@@ -60,8 +61,9 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 }
 
 // FuzzParseScenario: decoding never panics, Validate never panics on
-// whatever decodes, and an accepted scenario survives a JSON round trip
-// unchanged. Seeded with every example scenario.
+// whatever decodes, an accepted scenario is refused once data follows
+// it, and it survives a JSON round trip unchanged. Seeded with every
+// example scenario.
 func FuzzParseScenario(f *testing.F) {
 	for _, path := range scenarioFiles(f) {
 		data, err := os.ReadFile(path)
@@ -76,6 +78,9 @@ func FuzzParseScenario(f *testing.F) {
 		sc, err := ParseScenario(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if _, err := ParseScenario(bytes.NewReader(append(data[:len(data):len(data)], " {}"...))); err == nil {
+			t.Fatal("accepted a scenario followed by trailing data")
 		}
 		_ = sc.Validate(2, 8)
 		_ = sc.Validate(0, 0)

@@ -68,8 +68,8 @@ func TestSubmitRejectsUnboundedTraces(t *testing.T) {
 }
 
 // FuzzParseFedTrace fuzzes the federation's arrival-trace decoder:
-// ParseFedTrace followed by resolve never panics, and an accepted trace
-// resolves to at most fleet.MaxSubmitTasks arrivals, each due in
+// ParseFedTrace followed by resolve never panics, an accepted trace is
+// refused once data follows it, and it resolves to at most fleet.MaxSubmitTasks arrivals, each due in
 // [0, fleet.MaxAtMS ms] and either price-routed or pinned to a known
 // region. The corpus is seeded with every file in examples/regions
 // (traces, price schedules and configs alike) and the fleet decoder's
@@ -107,6 +107,9 @@ func FuzzParseFedTrace(f *testing.F) {
 		tr, err := ParseFedTrace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if _, err := ParseFedTrace(bytes.NewReader(append(data[:len(data):len(data)], " {}"...))); err == nil {
+			t.Fatal("accepted a trace followed by trailing data")
 		}
 		rs, err := fed.resolve(tr)
 		if err != nil {

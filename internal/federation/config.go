@@ -34,7 +34,6 @@ type fedFileRegion struct {
 	Boards   int     `json:"boards"`
 	TDP      float64 `json:"tdp,omitempty"`
 	QueueCap int     `json:"queue_cap,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
 	MaxSkew  int     `json:"max_skew,omitempty"`
 	// RestartAfter enables each board's crash supervisor (barriers).
 	RestartAfter int `json:"restart_after,omitempty"`
@@ -75,17 +74,20 @@ func LoadConfig(path string) (Config, error) {
 	return cfg, nil
 }
 
-// ParseConfig decodes a federation config, rejecting unknown fields,
-// and loads the price traces and fault scenarios it names from dir.
-// Each such path must be local to dir (fs.ValidPath: relative, no ".."
-// element), so a config and its files travel as one directory and no
-// config reaches outside its own.
+// ParseConfig decodes a federation config, rejecting unknown fields and
+// data after the JSON value, and loads the price traces and fault
+// scenarios it names from dir. Each such path must be local to dir
+// (fs.ValidPath: relative, no ".." element), so a config and its files
+// travel as one directory and no config reaches outside its own.
 func ParseConfig(r io.Reader, dir fs.FS) (Config, error) {
 	var ff fedFile
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ff); err != nil {
 		return Config{}, fmt.Errorf("federation: config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("federation: config: trailing data after the JSON value")
 	}
 	read := func(name string) ([]byte, error) {
 		if !fs.ValidPath(name) {
@@ -128,7 +130,7 @@ func ParseConfig(r io.Reader, dir fs.FS) (Config, error) {
 			Name: fr.Name,
 			Fleet: fleet.Config{
 				Boards: fr.Boards, TDP: fr.TDP, QueueCap: fr.QueueCap,
-				Shards: fr.Shards, MaxSkew: fr.MaxSkew, RestartAfter: fr.RestartAfter,
+				MaxSkew: fr.MaxSkew, RestartAfter: fr.RestartAfter,
 				DrainDegradedAfter: fr.DrainDegraded,
 			},
 		}

@@ -45,7 +45,8 @@ func (o *openLog) Open(name string) (fs.File, error) {
 
 // TestParseConfigLocalPathsOnly: the example configs parse (fleets with
 // drain_degraded among them), and a config naming a file outside its own
-// directory is refused.
+// directory is refused, as are unknown fields (among them the retired
+// "shards") and data after the config.
 func TestParseConfigLocalPathsOnly(t *testing.T) {
 	for _, path := range []string{
 		"../../examples/regions/federation.json",
@@ -70,10 +71,16 @@ func TestParseConfigLocalPathsOnly(t *testing.T) {
 			t.Errorf("price_trace %q: err = %v, want a not-local refusal", name, err)
 		}
 	}
+	shards := `{"regions":[{"name":"x","boards":1,"shards":1,"diurnal":{"base":0.1,"amp":0,"peak_hour":0}}]}`
+	if _, err := ParseConfig(strings.NewReader(shards), exampleFS(t)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Errorf("config naming shards: err = %v, want an unknown-field refusal", err)
+	}
 	for _, body := range []string{
 		`{"regions":[{"name":"x","boards":1,"diurnal":{"base":0.1,"amp":0,"peak_hour":0},"drain_degraded":3,"drian":1}]}`,
 		`{"tiers":[{"name":"a","min_priority":1},{"name":"b","min_priority":2}],"regions":[{"name":"x","boards":1,"diurnal":{"base":0.1,"amp":0,"peak_hour":0}}]}`,
 		`{"regions":[]}`,
+		`{"regions":[{"name":"x","boards":1,"diurnal":{"base":0.1,"amp":0,"peak_hour":0}}]} {"seed":9} garbage`,
 	} {
 		if _, err := ParseConfig(strings.NewReader(body), exampleFS(t)); err == nil {
 			t.Errorf("ParseConfig accepted %s", body)
@@ -83,9 +90,9 @@ func TestParseConfigLocalPathsOnly(t *testing.T) {
 
 // FuzzParseConfig fuzzes the federation config decoder, the one
 // configuration surface: decoding never panics; an accepted config has
-// at least one region and valid (or default) tiers; and every
-// file it opens is local to the config's directory. Seeded with every
-// example config and file.
+// at least one region and valid (or default) tiers and is refused once
+// data follows it; and every file it opens is local to the config's
+// directory. Seeded with every example config and file.
 func FuzzParseConfig(f *testing.F) {
 	dir := exampleFS(f)
 	names := make([]string, 0, len(dir))
@@ -115,6 +122,9 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if err := ValidateTiers(cfg.withDefaults().Tiers); err != nil {
 			t.Fatalf("accepted invalid tiers: %v", err)
+		}
+		if _, err := ParseConfig(bytes.NewReader(append(data[:len(data):len(data)], " {}"...)), dir); err == nil {
+			t.Fatal("accepted a config followed by trailing data")
 		}
 	})
 }

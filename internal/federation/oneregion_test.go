@@ -35,8 +35,8 @@ func crashBoards(t *testing.T, err error) []int {
 // derived seed, fed the same due-now submissions. Counters agree at every
 // barrier; at settled points (after a flush, since bounded-skew boards
 // run ahead) the trace digest vectors and the whole fleet state agree
-// too. Swept over K ∈ {0,4} × S ∈ {1,2} with tracing and degraded
-// auto-drain, plus a sensor dropout and a supervised crash with restart.
+// too. Swept over K ∈ {0,4} with tracing and degraded auto-drain, plus a
+// sensor dropout and a supervised crash with restart.
 func TestOneRegionMatchesFleet(t *testing.T) {
 	dropout := map[int]fault.Scenario{1: {Faults: []fault.Fault{
 		{Type: fault.PowerDropout, Cluster: -1, Start: 10, Rounds: 200}}}}
@@ -44,19 +44,17 @@ func TestOneRegionMatchesFleet(t *testing.T) {
 		{Type: fault.BoardCrash, Start: 12, Rounds: 1}}}}
 	type tc struct {
 		name         string
-		skew, shards int
+		skew         int
 		faults       map[int]fault.Scenario
 		restartAfter int
 	}
 	var cases []tc
 	for _, k := range []int{0, 4} {
-		for _, s := range []int{1, 2} {
-			cases = append(cases, tc{name: fmt.Sprintf("K=%d/S=%d", k, s), skew: k, shards: s})
-		}
+		cases = append(cases, tc{name: fmt.Sprintf("K=%d", k), skew: k})
 	}
 	cases = append(cases,
-		tc{name: "dropout", skew: 4, shards: 2, faults: dropout},
-		tc{name: "crash-restart", skew: 4, shards: 2, faults: crash, restartAfter: 3},
+		tc{name: "dropout", skew: 4, faults: dropout},
+		tc{name: "crash-restart", skew: 4, faults: crash, restartAfter: 3},
 	)
 	specs := []task.Spec{
 		fedSpec("loop", 1), fedHeavy("heavy", 2),
@@ -67,7 +65,7 @@ func TestOneRegionMatchesFleet(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			const seed = 0x51de
 			fc := fleet.Config{
-				Boards: 4, Shards: c.shards, MaxSkew: c.skew, Trace: true,
+				Boards: 4, MaxSkew: c.skew, Trace: true,
 				DrainDegradedAfter: 3, RestartAfter: c.restartAfter, Faults: c.faults,
 			}
 			fed, err := New(Config{Seed: seed, EpochBarriers: 1, Regions: []RegionConfig{

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -154,13 +155,17 @@ func Diurnal(name string, base, amp, peakHour float64, steps int) PriceTrace {
 }
 
 // ParsePriceTrace decodes and validates a schedule, rejecting unknown
-// fields so typos in hand-written traces fail loudly.
+// fields so typos in hand-written traces fail loudly, and any data after
+// the JSON value.
 func ParsePriceTrace(b []byte) (PriceTrace, error) {
 	var tr PriceTrace
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tr); err != nil {
 		return PriceTrace{}, fmt.Errorf("federation: price trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return PriceTrace{}, fmt.Errorf("federation: price trace: trailing data after the JSON value")
 	}
 	if err := tr.Validate(); err != nil {
 		return PriceTrace{}, err

@@ -47,6 +47,9 @@ func TestPriceTraceParseRejects(t *testing.T) {
 	if _, err := ParsePriceTrace([]byte(`{"intervals": [], "bogus": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	if _, err := ParsePriceTrace([]byte(`{"intervals":[{"start_h":0,"end_h":24,"price_kwh":0.12}]} {"name":"x"} garbage`)); err == nil {
+		t.Fatal("trailing data accepted")
+	}
 	if _, err := ParsePriceTrace([]byte(`{"intervals": []}`)); !errors.Is(err, ErrTraceEmpty) {
 		t.Fatalf("empty trace: %v", err)
 	}
@@ -112,8 +115,9 @@ func TestDiurnalShape(t *testing.T) {
 }
 
 // FuzzPriceTraceLookup drives the decode→validate→lookup pipeline with
-// arbitrary bytes and hours: a validated trace must never return a
-// negative, NaN, or infinite price for any finite hour.
+// arbitrary bytes and hours: a validated trace is refused once data
+// follows it, and must never return a negative, NaN, or infinite price
+// for any finite hour.
 func FuzzPriceTraceLookup(f *testing.F) {
 	f.Add([]byte(`{"intervals":[{"start_h":0,"end_h":24,"price_kwh":0.12}]}`), 7.5)
 	f.Add([]byte(`{"intervals":[{"start_h":0,"end_h":6,"price_kwh":0.05},{"start_h":8,"end_h":24,"price_kwh":0.3}]}`), 100.0)
@@ -124,6 +128,9 @@ func FuzzPriceTraceLookup(f *testing.F) {
 		tr, err := ParsePriceTrace(data)
 		if err != nil {
 			return // invalid schedules must be rejected, not crash
+		}
+		if _, err := ParsePriceTrace(append(data[:len(data):len(data)], " {}"...)); err == nil {
+			t.Fatal("accepted a price trace followed by trailing data")
 		}
 		if math.IsNaN(h) || math.IsInf(h, 0) {
 			return

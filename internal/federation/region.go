@@ -28,7 +28,7 @@ type RegionConfig struct {
 	Name string
 	// Fleet is the region's board-fleet config. Seed and Batch are
 	// overridden by the federation (derived seed stream, uniform batch);
-	// everything else — boards, TDP, shards, skew, board faults,
+	// everything else — boards, TDP, skew, board faults,
 	// restarts — is the region's own.
 	Fleet fleet.Config
 	// Price is the region's validated electricity price schedule.

@@ -51,13 +51,17 @@ type ArrivalTrace[E TraceEntry] struct {
 }
 
 // ParseTrace decodes an arrival trace, rejecting unknown fields so typos
-// in hand-written traces fail loudly, and empty traces.
+// in hand-written traces fail loudly, data after the JSON value, and
+// empty traces.
 func ParseTrace[E TraceEntry](r io.Reader) (*ArrivalTrace[E], error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var tr ArrivalTrace[E]
 	if err := dec.Decode(&tr); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trace: trailing data after the JSON value")
 	}
 	if len(tr.Tasks) == 0 {
 		return nil, fmt.Errorf("trace: no tasks")

@@ -53,14 +53,14 @@ type Board struct {
 	// later command with a crashed reply so the barrier pipeline never
 	// deadlocks on it. img is the restart image, refolded in place at
 	// the end of every successful step (and after a drain); nil before
-	// the first. ckpt is its encoding, made once, when the board crashes
-	// and its crashed replies carry the image to the supervisor.
-	// deferred holds stalled batches until the stall window closes.
+	// the first. A crash freezes it into a copy of its own, which every
+	// crashed reply carries to the supervisor; a crashed board never
+	// refolds it. deferred holds stalled batches until the stall window
+	// closes.
 	bsc      *fault.Scenario
 	crashed  bool
 	crashErr error
 	img      *Checkpoint
-	ckpt     []byte
 	deferred []stepCmd
 
 	// Causal tracing (nil when Config.Trace is off — the zero-cost
@@ -190,15 +190,15 @@ type stepReply struct {
 	err    error // first invariant violation, when checking is on
 
 	// crashed marks a terminal reply from a dead board: no snapshot, no
-	// events — just the restart image of the last successful step,
-	// encoded, for the supervisor to orphan from. The board keeps
-	// answering so the pipeline never blocks on it. stalled marks a
-	// withheld step (board-stall fault): the batch was deferred
-	// board-side and the fleet keeps its assignments in flight until the
-	// board catches up or crashes.
+	// events — just the restart image of the last successful step, for
+	// the supervisor to orphan from. The board keeps answering so the
+	// pipeline never blocks on it. stalled marks a withheld step
+	// (board-stall fault): the batch was deferred board-side and the
+	// fleet keeps its assignments in flight until the board catches up
+	// or crashes.
 	crashed bool
 	stalled bool
-	ckpt    []byte // encoded Checkpoint (crashed replies only)
+	img     *Checkpoint // frozen restart image (crashed replies only)
 }
 
 // residency is a traced task's open board span: its trace ID and the
@@ -382,7 +382,7 @@ func (b *Board) stop() {
 // collectTo forever on this board's reply channel).
 func (b *Board) step(c stepCmd) (r stepReply) {
 	if b.crashed {
-		return stepReply{batch: c.batch, crashed: true, ckpt: b.ckpt, err: b.crashErr}
+		return stepReply{batch: c.batch, crashed: true, img: b.img, err: b.crashErr}
 	}
 	if b.bsc != nil && b.bsc.StallsAt(b.ID, c.batch) {
 		// Withhold the real reply: hold the batch for catch-up and answer
@@ -493,12 +493,12 @@ func (b *Board) retire() {
 // board's open residency spans close attributed to the crash (in trace
 // ID order — map iteration order must never reach a digest), buffered
 // capture is dropped, and every future command gets an immediate
-// crashed reply carrying the last good restart image. This is the one
-// place the image is encoded.
+// crashed reply carrying the last good restart image, frozen here in a
+// copy of its own so no reply aliases the storage folds reuse.
 func (b *Board) recoverCrash(batch int, cause interface{}) stepReply {
 	b.crashed = true
 	b.crashErr = fmt.Errorf("board %d panicked at barrier %d: %v", b.ID, batch, cause)
-	b.ckpt = b.img.Encode()
+	b.img = b.img.clone()
 	b.deferred = nil // the fleet's stall-pending ledger owns this work now
 	if b.trc != nil {
 		now := b.p.Now()
@@ -513,19 +513,18 @@ func (b *Board) recoverCrash(batch int, cause interface{}) stepReply {
 		b.traceOf = make(map[*task.Task]residency)
 		b.capture.drain() // the dead batch's events never reach the fold
 	}
-	return stepReply{batch: batch, crashed: true, ckpt: b.ckpt, err: b.crashErr}
+	return stepReply{batch: batch, crashed: true, img: b.img, err: b.crashErr}
 }
 
 // foldImage refolds the board's restart image in place: every resident
 // task spec with its trace ID (finished tasks were retired at the end of
-// their batch, so none is resident), the completed count, plus the
-// market/governor restart position (barrier, round, virtual time,
-// placement cursor, seed). Runs on the board goroutine after a
-// successful step, so the platform state it reads is a consistent
-// barrier boundary. The image keeps its task storage across folds and
-// holds spec values, whose name and phase storage is immutable and shared
-// with the tasks: a fold allocates nothing once the storage has grown to
-// the board's peak residency, and the image pins no task.
+// their batch, so none is resident) and the completed count, stamped with
+// the barrier. Runs on the board goroutine after a successful step, so
+// the platform state it reads is a consistent barrier boundary. The image
+// keeps its task storage across folds and holds spec values, whose name
+// and phase storage is immutable and shared with the tasks: a fold
+// allocates nothing once the storage has grown to the board's peak
+// residency, and the image pins no task.
 func (b *Board) foldImage(batch int) {
 	var tasks []CheckpointTask
 	if b.img == nil {
@@ -536,17 +535,7 @@ func (b *Board) foldImage(batch int) {
 	for _, t := range b.p.Tasks() {
 		tasks = append(tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t].id})
 	}
-	*b.img = Checkpoint{
-		Board:     b.ID,
-		Epoch:     b.epoch,
-		Batch:     batch,
-		Round:     b.gov.Market().Round(),
-		Time:      b.p.Now(),
-		RR:        b.rr,
-		Seed:      b.Seed,
-		Completed: b.completed,
-		Tasks:     tasks,
-	}
+	*b.img = Checkpoint{Batch: batch, Completed: b.completed, Tasks: tasks}
 }
 
 // place boots the board's share of the barrier batch on the LITTLE

@@ -243,44 +243,40 @@ func TestStallQuarantineAndCatchUp(t *testing.T) {
 	}
 }
 
-// TestZeroLossAcrossCrashRestartForAllShardCounts is the satellite
-// property test: for every dispatcher shard count, a crash → restart →
-// re-place cycle conserves every accepted task at every barrier.
-func TestZeroLossAcrossCrashRestartForAllShardCounts(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		f, err := New(Config{
-			Boards:       8,
-			Seed:         0xfee1de7e,
-			Shards:       shards,
-			MaxSkew:      2,
-			Check:        true,
-			RestartAfter: 2,
-			Faults:       map[int]fault.Scenario{3: crashScenario(6, 1)},
-		})
-		if err != nil {
+// TestZeroLossAcrossCrashRestart pins conservation through a supervised
+// crash: a crash → restart → re-place cycle under bounded skew conserves
+// every accepted task at every barrier.
+func TestZeroLossAcrossCrashRestart(t *testing.T) {
+	f, err := New(Config{
+		Boards:       8,
+		Seed:         0xfee1de7e,
+		MaxSkew:      2,
+		Check:        true,
+		RestartAfter: 2,
+		Faults:       map[int]fault.Scenario{3: crashScenario(6, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 40; i++ {
+		f.Submit(lightSpec("t"))
+	}
+	for i := 0; i < 24; i++ {
+		stepChecked(t, f)
+	}
+	if err := f.Flush(); err != nil {
+		if _, only := CrashErrors(err); !only {
 			t.Fatal(err)
 		}
-		for i := 0; i < 40; i++ {
-			f.Submit(lightSpec("t"))
-		}
-		for i := 0; i < 24; i++ {
-			stepChecked(t, f)
-		}
-		if err := f.Flush(); err != nil {
-			if _, only := CrashErrors(err); !only {
-				t.Fatal(err)
-			}
-		}
-		checkZeroLoss(t, f)
-		st := f.StateSnapshot()
-		if st.Counters.Crashes != 1 || st.Counters.Restarts != 1 {
-			t.Fatalf("shards %d: crashes=%d restarts=%d, want 1/1",
-				shards, st.Counters.Crashes, st.Counters.Restarts)
-		}
-		if st.Orphaned != 0 {
-			t.Fatalf("shards %d: %d orphans still held after restart", shards, st.Orphaned)
-		}
-		f.Close()
+	}
+	checkZeroLoss(t, f)
+	st := f.StateSnapshot()
+	if st.Counters.Crashes != 1 || st.Counters.Restarts != 1 {
+		t.Fatalf("crashes=%d restarts=%d, want 1/1", st.Counters.Crashes, st.Counters.Restarts)
+	}
+	if st.Orphaned != 0 {
+		t.Fatalf("%d orphans still held after restart", st.Orphaned)
 	}
 }
 
@@ -427,13 +423,12 @@ func TestInjectedStallsNeverTripLiveness(t *testing.T) {
 // runFaultedRecordedFleet mirrors runRecordedFleet with the board
 // failure domain active: a crash (with supervised restart) on board 2
 // and a stall window on board 5, over the same recorded arrival trace.
-func runFaultedRecordedFleet(t *testing.T, skew, shards int) []uint64 {
+func runFaultedRecordedFleet(t *testing.T, skew int) []uint64 {
 	t.Helper()
 	f, err := New(Config{
 		Boards:        8,
 		Seed:          0xfee1de7e,
 		MaxSkew:       skew,
-		Shards:        shards,
 		Record:        true,
 		Check:         true,
 		RestartAfter:  3,
@@ -492,20 +487,18 @@ func runFaultedRecordedFleet(t *testing.T, skew, shards int) []uint64 {
 
 // TestFaultedFleetReplaysBitIdentically is the failure-domain
 // determinism acceptance criterion: with a crash → restart and a stall →
-// catch-up active, two runs at the same (K, S) still produce
-// bit-identical per-board digests — the injected failures, the orphan
-// re-placement and the restart epoch's fresh seed stream are all pure
-// functions of (seed, board, barrier) — swept over K ∈ {0, 4} × S ∈ {1, 8}.
+// catch-up active, two runs at the same K still produce bit-identical
+// per-board digests — the injected failures, the orphan re-placement and
+// the restart epoch's fresh seed stream are all pure functions of (seed,
+// board, barrier) — swept over K ∈ {0, 4}.
 func TestFaultedFleetReplaysBitIdentically(t *testing.T) {
 	for _, skew := range []int{0, 4} {
-		for _, shards := range []int{1, 8} {
-			a := runFaultedRecordedFleet(t, skew, shards)
-			b := runFaultedRecordedFleet(t, skew, shards)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("skew %d shards %d: board %d digests diverge across faulted runs: %016x vs %016x",
-						skew, shards, i, a[i], b[i])
-				}
+		a := runFaultedRecordedFleet(t, skew)
+		b := runFaultedRecordedFleet(t, skew)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("skew %d: board %d digests diverge across faulted runs: %016x vs %016x",
+					skew, i, a[i], b[i])
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-// Package fleet shards the price-theory power market across many boards:
+// Package fleet spreads the price-theory power market across many boards:
 // N independent platform.Platform instances — each with its own PPM
 // governor, telemetry registry and optional checker/recorder/fault
 // injector — advanced in batches of virtual time behind a price-routing
@@ -51,10 +51,6 @@ const (
 // off the fleet seed.
 const drainSeedStream = 0xd7a1_0000
 
-// routeSeedStream namespaces the sharded dispatcher's submission→shard
-// hash seed off the fleet seed.
-const routeSeedStream = 0x5a4d_0000
-
 // traceSeedStream namespaces the causal-trace ID stream off the fleet
 // seed: submission i gets trace.DeriveID(DeriveSeed(Seed, traceSeedStream), i).
 const traceSeedStream = 0x7ace_0000
@@ -89,13 +85,6 @@ type Config struct {
 	// QueueCap bounds the admission queue (default DefaultQueueCap);
 	// submissions beyond it are shed.
 	QueueCap int
-	// Shards partitions the dispatcher into this many price-index shards
-	// over disjoint board ranges (default 1): each shard routes its own
-	// hash-assigned share of every barrier's submissions against its own
-	// index, with work stealing to the globally cheapest board when a
-	// shard saturates or prices out (see ShardedDispatcher). Shards clamp
-	// to the board count. Routing stays deterministic at any setting.
-	Shards int
 	// MaxSkew lets boards run up to this many barriers ahead of the
 	// slowest board (0 = lockstep). Step issues each barrier without
 	// waiting and only blocks collecting barriers more than MaxSkew
@@ -180,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSkew < 0 {
 		c.MaxSkew = 0
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.StallBarriers <= 0 {
 		c.StallBarriers = DefaultStallBarriers
 	}
@@ -253,9 +239,6 @@ type State struct {
 	// Completed): tasks that finished and left the fleet.
 	Completed int      `json:"completed"`
 	Counters  Counters `json:"counters"`
-	// Shards is the dispatcher's effective shard count (configured value
-	// clamped to the board count).
-	Shards int `json:"shards"`
 }
 
 // Live sums the tasks currently placed on boards per the collected
@@ -316,7 +299,7 @@ func pick(subs []Submission, idx []int32) []Submission {
 // Drain / Resume / Flush, which the driver serializes.
 type Fleet struct {
 	cfg  Config
-	disp *ShardedDispatcher
+	disp *Dispatcher
 
 	boards []*Board
 
@@ -377,7 +360,7 @@ func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		cfg:   cfg,
-		disp:  NewShardedDispatcher(cfg.Shards, cfg.Hysteresis, sim.DeriveSeed(cfg.Seed, routeSeedStream)),
+		disp:  NewDispatcher(cfg.Hysteresis),
 		recs:  make([]boardRec, cfg.Boards),
 		snaps: make([]Snapshot, cfg.Boards),
 		carry: make([]projCarry, cfg.Boards),
@@ -671,21 +654,16 @@ func (f *Fleet) Step() error {
 	rb := f.disp.Route(snaps, subs)
 	if f.tracer != nil {
 		// Spans ride the barrier, not the route loop: one pass over the
-		// decided picks closes each routed submission's queue span with
-		// the pass that placed it (home lane vs. steal) and records its
-		// queue wait. Wall-clock routing latency goes to the histogram
-		// only — never the digest.
+		// decided picks closes each routed submission's queue span (class
+		// "home") and records its queue wait. Wall-clock routing latency
+		// goes to the histogram only — never the digest.
 		f.histRouting.Record(float64(time.Since(t0).Nanoseconds()))
 		fb := f.tracer.Fleet()
 		for si := range rb.Picks {
 			if rb.Picks[si] < 0 || subs[si].Trace == 0 {
 				continue
 			}
-			class := "home"
-			if rb.Stolen != nil && rb.Stolen[si] {
-				class = "steal"
-			}
-			fb.Close(subs[si].Trace, trace.StageQueue, routeAt, class)
+			fb.Close(subs[si].Trace, trace.StageQueue, routeAt, "home")
 			f.histQueueWait.RecordExemplar(
 				float64(routeAt-subs[si].EnqueuedAt)/float64(sim.Millisecond),
 				uint64(subs[si].Trace))
@@ -999,7 +977,6 @@ func (f *Fleet) StateSnapshot() State {
 		Orphaned:  int(l.Orphaned),
 		Completed: int(l.Completed),
 		Counters:  f.counters,
-		Shards:    max(1, min(f.cfg.Shards, len(f.boards))),
 	}
 }
 

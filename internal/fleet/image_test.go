@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pricepower/internal/fault"
@@ -10,37 +10,42 @@ import (
 )
 
 // eagerCheckpoint is the restart image built from scratch out of the
-// board's state and encoded, as boards once did after every successful
-// step: the oracle for the image the board keeps and refolds in place.
-// batch is the barrier the image covers.
-func eagerCheckpoint(b *Board, batch int) []byte {
+// board's state, as boards once did after every successful step: the
+// oracle for the image the board keeps and refolds in place. batch is
+// the barrier the image covers.
+func eagerCheckpoint(b *Board, batch int) *Checkpoint {
 	tasks := b.p.Tasks()
-	ck := &Checkpoint{
-		Board:     b.ID,
-		Epoch:     b.epoch,
-		Batch:     batch,
-		Round:     b.gov.Market().Round(),
-		Time:      b.p.Now(),
-		RR:        b.rr,
-		Seed:      b.Seed,
-		Completed: b.completed,
-		Tasks:     make([]CheckpointTask, 0, len(tasks)),
-	}
+	ck := &Checkpoint{Batch: batch, Completed: b.completed}
 	for _, t := range tasks {
 		ck.Tasks = append(ck.Tasks, CheckpointTask{Spec: t.Spec, Trace: b.traceOf[t].id})
 	}
-	return ck.Encode()
+	return ck
+}
+
+// sameImage reports whether two restart images hold the same values; an
+// empty task list equals a nil one (the fold reuses its storage).
+func sameImage(a, b *Checkpoint) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Batch != b.Batch || a.Completed != b.Completed || len(a.Tasks) != len(b.Tasks) {
+		return false
+	}
+	for i := range a.Tasks {
+		if !reflect.DeepEqual(a.Tasks[i], b.Tasks[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestImageMatchesEagerCheckpoint runs a churned lockstep fleet —
 // placements every barrier, finite tasks retiring, a stall and its
 // catch-up, a manual drain and resume, an auto-drain under a sensor
 // fault, a crash inside a catch-up step and its supervised restart —
-// traced and untraced, and
-// at every barrier checks each board's restart image against the eager
-// fold of its last successful barrier: the bytes a crash would carry
-// (the encoded image, as the crash path encodes it) must equal the oracle's,
-// and a crashed board's reply bytes must equal them too.
+// traced and untraced, and at every barrier checks each board's restart
+// image — on a crashed board, the frozen copy its crashed replies carry —
+// against the eager fold of its last successful barrier.
 func TestImageMatchesEagerCheckpoint(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
@@ -69,7 +74,7 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 			}
 			defer f.Close()
 
-			want := make([][]byte, boards) // eager image of each board's last good barrier
+			want := make([]*Checkpoint, boards) // eager image of each board's last good barrier
 			prev := append([]*Board(nil), f.boards...)
 			check := func(when string) {
 				t.Helper()
@@ -78,16 +83,14 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 						want[i] = nil // a restarted board has no image until its first step
 						prev[i] = b
 					}
-					if got := b.img.Encode(); !bytes.Equal(got, want[i]) {
-						t.Fatalf("%s: board %d image differs from the eager fold of its last good barrier", when, i)
-					}
-					if b.crashed && !bytes.Equal(b.ckpt, want[i]) {
-						t.Fatalf("%s: board %d crash reply carries other bytes than its last good image", when, i)
+					if !sameImage(b.img, want[i]) {
+						t.Fatalf("%s: board %d image %+v differs from the eager fold of its last good barrier %+v",
+							when, i, b.img, want[i])
 					}
 				}
 			}
 
-			var crashImage []byte
+			var crashImage *Checkpoint
 			autoDrained := false
 			for n := 1; n <= 40; n++ {
 				if n <= 18 {
@@ -138,9 +141,8 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 			if !autoDrained {
 				t.Fatal("board 4 never auto-drained")
 			}
-			ck, err := DecodeCheckpoint(crashImage)
-			if err != nil || ck == nil || len(ck.Tasks) == 0 {
-				t.Fatalf("crashed board's image = %+v, %v; want resident tasks", ck, err)
+			if crashImage == nil || len(crashImage.Tasks) == 0 {
+				t.Fatalf("crashed board's image = %+v; want resident tasks", crashImage)
 			}
 		})
 	}

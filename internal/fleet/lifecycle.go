@@ -373,9 +373,7 @@ func (f *Fleet) crashReplyLocked(i int, bar *inflightBarrier, r stepReply, errs 
 		// one, in which case the snapshot still holds the count the board
 		// booted with). Completions inside the crashed step die with it:
 		// those tasks are still residents of this image.
-		if ck, err := DecodeCheckpoint(r.ckpt); err != nil {
-			*errs = append(*errs, fmt.Errorf("fleet: board %d checkpoint: %w", i, err))
-		} else if ck != nil {
+		if ck := r.img; ck != nil {
 			snap.Completed = ck.Completed
 			for _, ct := range ck.Tasks {
 				s := NewSubmission(ct.Spec)

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"pricepower/internal/fault"
 	"pricepower/internal/sim"
 )
 
@@ -33,8 +35,8 @@ func randomSnaps(rng *sim.Rand, n int) []Snapshot {
 }
 
 // Property: the dispatcher never routes to a degraded or draining board
-// while a healthy board with headroom exists, for any snapshot vector,
-// any submission count and any shard count.
+// while a healthy board with headroom exists, for any snapshot vector
+// and any submission count.
 func TestPropertyNeverRoutesToDegraded(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
@@ -45,7 +47,7 @@ func TestPropertyNeverRoutesToDegraded(t *testing.T) {
 				healthyExists = true
 			}
 		}
-		d := NewShardedDispatcher(1+rng.Intn(3), 0.10, seed)
+		d := NewDispatcher(0.10)
 		specs := make([]Submission, 1+rng.Intn(10))
 		for i := range specs {
 			specs[i] = NewSubmission(spec("swaptions_n"))
@@ -85,7 +87,7 @@ func TestPropertyHysteresisPreventsPingPong(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
 		const hyst = 0.10
-		d := NewDispatcher(hyst)
+		d := newLinearDispatcher(hyst)
 		// Two healthy boards around a common price level; each round
 		// both prices wobble within ±hyst/3 of it, so neither ever
 		// undercuts the other by the full band.
@@ -119,7 +121,7 @@ func TestPropertyHysteresisPreventsPingPong(t *testing.T) {
 // switching — the band, not tie-breaking accidents, provides stability.
 func TestPropertyZeroHysteresisDoesPingPong(t *testing.T) {
 	rng := sim.NewRand(42)
-	d := NewDispatcher(1e-9) // effectively none (0 would default via Fleet)
+	d := newLinearDispatcher(1e-9) // effectively none (0 would default via Fleet)
 	base := 0.5
 	snaps := []Snapshot{snap(0, base), snap(1, base)}
 	prev := d.Pick(snaps)
@@ -136,5 +138,45 @@ func TestPropertyZeroHysteresisDoesPingPong(t *testing.T) {
 	}
 	if switches == 0 {
 		t.Fatal("no switches without hysteresis: oscillation harness is inert, the ping-pong property is vacuous")
+	}
+}
+
+// TestPropertyFleetConserves is the conservation property over generated
+// schedules: with a dropout-faulted board, auto-drain and a random
+// barrier skew, submitted − shed = live + queued + in-flight at every
+// barrier and after the flush.
+func TestPropertyFleetConserves(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := sim.NewRand(seed)
+		fl, err := New(Config{
+			Boards:             6,
+			Seed:               seed,
+			MaxSkew:            rng.Intn(3),
+			DrainDegradedAfter: 2,
+			Faults: map[int]fault.Scenario{
+				1: {Faults: []fault.Fault{{Type: fault.PowerDropout, Cluster: -1, Start: 5, Rounds: 100}}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fl.Close()
+		for barrier := 0; barrier < 10; barrier++ {
+			for i, n := 0, rng.Intn(5); i < n; i++ {
+				fl.Submit(lightSpec(fmt.Sprintf("t%d", barrier)))
+			}
+			if err := fl.Step(); err != nil {
+				t.Fatal(err)
+			}
+			checkZeroLoss(t, fl)
+		}
+		if err := fl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		checkZeroLoss(t, fl)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"pricepower/internal/fault"
@@ -8,17 +9,16 @@ import (
 
 // runRecordedFleet boots an 8-board recorded fleet from a fixed seed,
 // plays the same arrival trace into it, advances it a fixed number of
-// batches at the given barrier skew and dispatcher shard count, and
-// returns the per-board replay traces. One board carries a sensor-dropout
+// batches at the given barrier skew, and returns the per-board replay
+// traces. One board carries a sensor-dropout
 // fault so the degraded/drain path is inside the recorded timeline, not
 // just the happy path.
-func runRecordedFleet(t *testing.T, skew, shards int) []uint64 {
+func runRecordedFleet(t *testing.T, skew int) []uint64 {
 	t.Helper()
 	f, err := New(Config{
 		Boards:             8,
 		Seed:               0xfee1de7e, // fixed fleet seed
 		MaxSkew:            skew,
-		Shards:             shards,
 		Record:             true,
 		DrainDegradedAfter: 3,
 		Faults: map[int]fault.Scenario{
@@ -64,22 +64,34 @@ func runRecordedFleet(t *testing.T, skew, shards int) []uint64 {
 // criterion: a fixed fleet seed plus a recorded arrival trace must
 // reproduce bit-identical per-board digests across two full runs, even
 // though boards advance on concurrent goroutines — swept over barrier
-// skew K ∈ {0, 4} (lockstep vs. the faulted bounded-skew pipeline) ×
-// dispatcher shards S ∈ {1, 2, 4, 8}, with each board's barrier counter
-// folded into its digest chain. Digests are comparable run-vs-run at the
-// same (K, S) only: different shard counts legitimately make different
-// (equally admissible) routing decisions.
+// skew K ∈ {0, 4} (lockstep vs. the faulted bounded-skew pipeline), with
+// each board's barrier counter folded into its digest chain.
 func TestFleetReplaysBitIdentically(t *testing.T) {
 	for _, skew := range []int{0, 4} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			a := runRecordedFleet(t, skew, shards)
-			b := runRecordedFleet(t, skew, shards)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("skew %d shards %d: board %d digests diverge across runs: %016x vs %016x",
-						skew, shards, i, a[i], b[i])
-				}
+		a := runRecordedFleet(t, skew)
+		b := runRecordedFleet(t, skew)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("skew %d: board %d digests diverge across runs: %016x vs %016x",
+					skew, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestFleetReplayAcrossGOMAXPROCS runs the full recorded fleet — faulted
+// board, bounded skew — under GOMAXPROCS 1 and 4 and asserts
+// bit-identical per-board replay digests: board goroutine interleaving
+// must be invisible to the recorded timeline.
+func TestFleetReplayAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	a := runRecordedFleet(t, 4)
+	runtime.GOMAXPROCS(4)
+	b := runRecordedFleet(t, 4)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("board %d: GOMAXPROCS=1 digest %016x, GOMAXPROCS=4 %016x", i, a[i], b[i])
 		}
 	}
 }
@@ -90,8 +102,8 @@ func TestFleetReplaysBitIdentically(t *testing.T) {
 // (zero-value) lockstep config — routing decisions, barrier counters and
 // market timelines all bit-identical.
 func TestFleetSkewZeroMatchesLockstep(t *testing.T) {
-	a := runRecordedFleet(t, 0, 1) // explicit K=0 through the pipeline path
-	f, err := New(Config{          // zero-value skew: the pre-pipeline config shape
+	a := runRecordedFleet(t, 0) // explicit K=0 through the pipeline path
+	f, err := New(Config{       // zero-value skew: the pre-pipeline config shape
 		Boards:             8,
 		Seed:               0xfee1de7e,
 		Record:             true,

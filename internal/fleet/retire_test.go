@@ -92,11 +92,7 @@ func TestRetireFreesBoardState(t *testing.T) {
 	if agents != 1 {
 		t.Fatalf("market holds %d task agents, want 1", agents)
 	}
-	ck, err := DecodeCheckpoint(b.img.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.Tasks) != 1 || ck.Completed != 3 {
+	if ck := b.img; len(ck.Tasks) != 1 || ck.Completed != 3 {
 		t.Fatalf("checkpoint holds %d tasks, completed %d; want 1 and 3", len(ck.Tasks), ck.Completed)
 	}
 }
@@ -239,12 +235,8 @@ func TestRestartResumesCompletedFromCheckpoint(t *testing.T) {
 	if got := completedOf(f); got != 3 {
 		t.Fatalf("completed %d after the restarted board finished one more, want 3", got)
 	}
-	ck, err := DecodeCheckpoint(f.boards[0].img.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Epoch != 1 || ck.Completed != 3 {
-		t.Fatalf("epoch-%d checkpoint completed %d, want epoch 1 and 3", ck.Epoch, ck.Completed)
+	if b := f.boards[0]; b.epoch != 1 || b.img.Completed != 3 {
+		t.Fatalf("epoch-%d checkpoint completed %d, want epoch 1 and 3", b.epoch, b.img.Completed)
 	}
 }
 

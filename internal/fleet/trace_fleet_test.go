@@ -23,13 +23,12 @@ func finiteSpec(name string, d sim.Time) task.Spec {
 // runTracedFleet is runRecordedFleet's tracing twin: the same faulted
 // 8-board recorded run with causal tracing attached, returning the trace
 // digest vector (fleet + per board) after a full flush.
-func runTracedFleet(t *testing.T, skew, shards int) []uint64 {
+func runTracedFleet(t *testing.T, skew int) []uint64 {
 	t.Helper()
 	f, err := New(Config{
 		Boards:             8,
 		Seed:               0xfee1de7e,
 		MaxSkew:            skew,
-		Shards:             shards,
 		Record:             true,
 		Trace:              true,
 		DrainDegradedAfter: 3,
@@ -72,20 +71,18 @@ func runTracedFleet(t *testing.T, skew, shards int) []uint64 {
 // criterion: the faulted 8-board run replays with bit-identical trace
 // digests — every span boundary and lifecycle point in virtual time, every
 // trace ID, every fold in the same order — across two full runs, swept
-// over barrier skew K ∈ {0, 4} × dispatcher shards S ∈ {1, 8}.
+// over barrier skew K ∈ {0, 4}.
 func TestFleetTraceReplaysBitIdentically(t *testing.T) {
 	for _, skew := range []int{0, 4} {
-		for _, shards := range []int{1, 8} {
-			a := runTracedFleet(t, skew, shards)
-			b := runTracedFleet(t, skew, shards)
-			if len(a) != len(b) || len(a) != 9 {
-				t.Fatalf("skew %d shards %d: digest vectors %d vs %d entries, want 9", skew, shards, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("skew %d shards %d: trace digest %d diverges across runs: %016x vs %016x",
-						skew, shards, i, a[i], b[i])
-				}
+		a := runTracedFleet(t, skew)
+		b := runTracedFleet(t, skew)
+		if len(a) != len(b) || len(a) != 9 {
+			t.Fatalf("skew %d: digest vectors %d vs %d entries, want 9", skew, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("skew %d: trace digest %d diverges across runs: %016x vs %016x",
+					skew, i, a[i], b[i])
 			}
 		}
 	}
@@ -231,7 +228,7 @@ func TestFleetTraceTimeline(t *testing.T) {
 		t.Fatalf("timeline has %d spans, want queue + board: %+v", len(tl.Spans), tl)
 	}
 	q, b := tl.Spans[0], tl.Spans[1]
-	if q.Stage != trace.StageQueue || (q.Class != "home" && q.Class != "steal") {
+	if q.Stage != trace.StageQueue || q.Class != "home" {
 		t.Fatalf("first span not a routed queue span: %+v", q)
 	}
 	if b.Stage != trace.StageBoard || b.Class != "completed" {

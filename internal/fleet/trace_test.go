@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzParseTrace drives the arrival-trace decoder with arbitrary bytes:
-// ParseTrace followed by Resolve never panics, and an accepted trace
-// resolves to at most MaxSubmitTasks specs, each due at a time in
+// ParseTrace followed by Resolve never panics, an accepted trace is
+// refused once data follows it, and it resolves to at most MaxSubmitTasks specs, each due at a time in
 // [0, MaxAtMS ms] and expanding an entry of the trace. The corpus is
 // seeded with the repository's example traces (the federation one
 // carries region pins, which plain Arrival entries reject) and the
@@ -35,6 +35,9 @@ func FuzzParseTrace(f *testing.F) {
 		tr, err := ParseTrace[Arrival](bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if _, err := ParseTrace[Arrival](bytes.NewReader(append(data[:len(data):len(data)], " {}"...))); err == nil {
+			t.Fatal("accepted a trace followed by trailing data")
 		}
 		specs, err := tr.Resolve()
 		if err != nil {
@@ -67,5 +70,8 @@ func TestParseTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseTrace[Arrival](strings.NewReader(`{"tasks":[]}`)); err == nil {
 		t.Error("ParseTrace accepted empty trace")
+	}
+	if _, err := ParseTrace[Arrival](strings.NewReader(`{"tasks":[{"bench":"x264","input":"n"}]} {"tasks":[]} garbage`)); err == nil {
+		t.Error("ParseTrace accepted trailing data")
 	}
 }

@@ -56,6 +56,34 @@ func TestJSONLSkipsBlankLinesAndReportsBadOnes(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL drives the event-log reader with arbitrary bytes: it never
+// panics, and whatever events it decodes — all of them, or those before
+// the first bad line — re-encode through JSONLSink and read back equal.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add([]byte(`{"t":1,"kind":"dvfs","round":2,"cluster":0,"core":-1,"task":-1,"value":800,"prev":600}` + "\n\n"))
+	f.Add([]byte(`{"t":5,"kind":"board","round":9,"cluster":-1,"core":-1,"task":-1,"board":3,"name":"board-3","class":"crash","value":12,"prev":0}` + "\n{broken\n"))
+	f.Add([]byte(`{"t":1,"kind":"warp-core-breach"}` + "\n"))
+	f.Add([]byte("null\n{\"name\":\"\\ud800\\u00e9\",\"value\":-0,\"prev\":1e-320}\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, _ := ReadJSONL(bytes.NewReader(data))
+		var buf bytes.Buffer
+		sink := NewJSONL(&buf)
+		for _, ev := range evs {
+			sink.Emit(ev)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded log rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, evs) {
+			t.Fatalf("round trip changed the events:\n  in  %+v\n  out %+v", evs, back)
+		}
+	})
+}
+
 // errWriter fails after n bytes, to exercise sticky error behavior.
 type errWriter struct{ n int }
 

@@ -1,7 +1,7 @@
 // Package trace provides deterministic causal tracing for the fleet hot
 // path: every submission carries a trace ID derived from the run seed and
 // its admission position (never from wall clock), and each stage of its
-// life — admission queue, shard routing, barrier wait, board residency,
+// life — admission queue, routing, barrier wait, board residency,
 // market rounds — is recorded as a span in *virtual* time. Because IDs,
 // span boundaries, and the fold order are all functions of (seed, config,
 // inputs), a faulted multi-board run replays with bit-identical trace
@@ -104,7 +104,7 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 
 // Span is one closed interval of a trace's life, in virtual time. Board is
 // -1 for fleet-level spans (queue, barrier). Class carries the resolution:
-// "home"/"steal" for queue spans (which routing pass placed it),
+// "home" for queue spans closed by routing,
 // "shed"/"requeue" for attributed admission outcomes, "completed"/"drain"/
 // "crash" for board spans ("crash" = the board panicked with the task
 // resident; the supervisor requeues it under the same trace ID).

@@ -58,7 +58,7 @@ func TestBufferLedgerAndDigest(t *testing.T) {
 	b2 := NewBuffer()
 	id := DeriveID(1, 0)
 	b2.Open(Span{Trace: id, Stage: StageQueue, Board: -1, Start: 0})
-	b2.Close(id, StageQueue, 100, "steal")
+	b2.Close(id, StageQueue, 100, "requeue")
 	b3 := NewBuffer()
 	b3.Open(Span{Trace: id, Stage: StageQueue, Board: -1, Start: 0})
 	b3.Close(id, StageQueue, 100, "home")

@@ -9,13 +9,13 @@
 #   1. federation replay: the example 3-region federation (board crash
 #      in us-east, outage in ap-south, -check on) twice — digest vectors
 #      identical, the crash supervised, 3 regions reported, revenue.
-#   2. fleet chaos: examples/fleet/chaos.json (8 boards, K=4, S=8, board
+#   2. fleet chaos: examples/fleet/chaos.json (8 boards, K=4, board
 #      crash with restart, board stall, -tracing, -deadline) twice — trace
 #      digests and failure counters identical, the failures happened and
 #      every orphan was re-placed.
 #   3. trace sweep: examples/fleet/fleet.json (8 boards, sensor dropout,
-#      degraded auto-drain, -tracing) twice per K ∈ {0,4} × S ∈ {1,8} —
-#      trace digests identical, span ledger conserving
+#      degraded auto-drain, -tracing) twice per K ∈ {0,4} — trace
+#      digests identical, span ledger conserving
 #      (opened == closed + attributed + open, mismatched 0).
 #   4. serving fleet: the same config with -http and -tracing, fed the
 #      burst trace over POST /submit — zero loss via /state (submitted 15,
@@ -121,16 +121,12 @@ echo "smoke:$LINE"
 echo "smoke: 3. trace sweep"
 cp examples/fleet/sensor-dropout.json "$TMP/"
 for K in 0 4; do
-  for S in 1 8; do
-    sed -e "s/\"max_skew\": 0,/\"max_skew\": $K,/" -e "s/\"shards\": 1,/\"shards\": $S,/" \
-      examples/fleet/fleet.json >"$TMP/sweep.json"
-    grep -q "\"max_skew\": $K," "$TMP/sweep.json" && grep -q "\"shards\": $S," "$TMP/sweep.json" ||
-      fail "could not set K=$K S=$S in examples/fleet/fleet.json"
-    twice "K=$K S=$S" 's/^    trace digests: //p' "$FEDD" -config "$TMP/sweep.json" \
-      -trace examples/fleet/burst.json -epochs 50 -tracing
-    ledger_ok
-    echo "smoke: K=$K S=$S replay-identical"
-  done
+  sed -e "s/\"max_skew\": 0,/\"max_skew\": $K,/" examples/fleet/fleet.json >"$TMP/sweep.json"
+  grep -q "\"max_skew\": $K," "$TMP/sweep.json" || fail "could not set K=$K in examples/fleet/fleet.json"
+  twice "K=$K" 's/^    trace digests: //p' "$FEDD" -config "$TMP/sweep.json" \
+    -trace examples/fleet/burst.json -epochs 50 -tracing
+  ledger_ok
+  echo "smoke: K=$K replay-identical"
 done
 
 echo "smoke: 4. serving fleet"
