@@ -28,8 +28,9 @@ check:
 # electricity-price traces through lookup; each refuses trailing data),
 # the event-log reader's round trip through the JSONL sink, the
 # histogram's recording contract, the platform's steady spans against
-# per-tick stepping, and the HRM run window against its
-# one-slot-per-sample oracle. FUZZTIME bounds each target.
+# per-tick stepping, the HRM run window against its
+# one-slot-per-sample oracle, and LBT candidate evaluation against its
+# reference path. FUZZTIME bounds each target.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLadderLookup -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzQueuePickNext -fuzztime=$(FUZZTIME) ./internal/sched
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHistogramRecord -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run=^$$ -fuzz=FuzzSpanEquivalence -fuzztime=$(FUZZTIME) ./internal/platform
 	$(GO) test -run=^$$ -fuzz=FuzzWindowRuns -fuzztime=$(FUZZTIME) ./internal/task
+	$(GO) test -run=^$$ -fuzz=FuzzEvalMove -fuzztime=$(FUZZTIME) ./internal/lbt
 
 # Regenerate the pinned experiment digests after an intentional numerical
 # change (see EXPERIMENTS.md, "Bisecting a digest mismatch").

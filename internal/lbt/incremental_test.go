@@ -112,7 +112,7 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 		}
 		m, est, _ := randomMarketWith(rng, cfg, 2+rng.Intn(3), 1+rng.Intn(3))
 		p := NewPlanner(m, est)
-		pl, sc := p.newPlan(Migrate)
+		pl, sc := p.newPlan()
 		// Plans reuse their planner's tables, so the reference plans come
 		// from a second planner while pl stays live.
 		ref := NewPlanner(m, est)
@@ -139,7 +139,7 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 			incR := ratiosByAgent(pl, sc.after)
 
 			m.MoveTask(agent, toCore)
-			full, _ := ref.newPlan(Migrate)
+			full, _ := ref.newPlan()
 			m.MoveTask(agent, from)
 			fullR := make(map[*core.TaskAgent]float64, len(full.agents))
 			for fk, a := range full.agents {
@@ -186,25 +186,47 @@ func TestIncrementalEvalMatchesFull(t *testing.T) {
 	}
 }
 
-// planAllocsBound caps PlanMigrate's allocations on the market below.
-// The measured count is 1: the caller's copy of the chosen move. The plan's
-// tables, its scratch and the per-cluster proposal slots are the planner's
-// own, reused from plan to plan. The market offers a few hundred
-// candidates, so one allocation per candidate — or per cluster — would
-// exceed the bound many times over; the headroom of 2 absorbs runtime
-// changes, not per-candidate work.
+// planAllocsBound caps a plan's allocations on the markets below.
+// The measured count is 1 when the plan proposes a move: the caller's copy
+// of it. The plan's tables, its scratch and the per-cluster proposal slots
+// are the planner's own, reused from plan to plan. The markets offer a few
+// hundred candidates, so one allocation per candidate — or per cluster —
+// would exceed the bound many times over; the headroom of 2 absorbs
+// runtime changes, not per-candidate work.
 const planAllocsBound = 3
 
-// PlanMigrate allocates per plan, never per candidate. (AllocsPerRun runs
-// at GOMAXPROCS 1, so this is the single-goroutine path; the fan-out adds
-// its goroutines, and one scratch per extra goroutine the first time.)
+// Plans allocate per plan, never per candidate: PlanMigrate, PlanBalance,
+// and a round that plans both kinds from one plan. (AllocsPerRun runs at
+// GOMAXPROCS 1, so this is the single-goroutine path; the fan-out adds its
+// goroutines, and one scratch per extra goroutine the first time.)
 func TestPlanMigrateAllocations(t *testing.T) {
 	m, est, _ := randomMarket(sim.NewRand(7), 16, 2)
 	p := NewPlanner(m, est)
-	if p.PlanMigrate() == nil {
-		t.Fatal("the fixed market proposes no migration; the guard would not cover a full plan")
+	// On this market a mover costs so much on any other cluster that no
+	// migration wins, so a round falls through to load balancing.
+	rm, rest, _ := randomMarket(sim.NewRand(8), 16, 2)
+	round := NewPlanner(rm, EstimatorFunc(func(a *core.TaskAgent, c int) float64 {
+		if v, _ := rm.CoreByID(a.Core().ID); v.ID != c {
+			return 1e6
+		}
+		return rest.DemandOn(a, c)
+	}))
+	if round.PlanMigrate() != nil || round.PlanBalance() == nil {
+		t.Fatal("the round market does not plan both kinds")
 	}
-	if got := testing.AllocsPerRun(20, func() { p.PlanMigrate() }); got > planAllocsBound {
-		t.Errorf("PlanMigrate allocates %v times per plan, bound %d", got, planAllocsBound)
+	for _, c := range []struct {
+		name string
+		plan func() *Move
+	}{
+		{"PlanMigrate", p.PlanMigrate},
+		{"PlanBalance", p.PlanBalance},
+		{"PlanRound", func() *Move { return round.PlanRound(true, true) }},
+	} {
+		if c.plan() == nil {
+			t.Fatalf("%s proposes nothing; the guard would not cover a full plan", c.name)
+		}
+		if got := testing.AllocsPerRun(20, func() { c.plan() }); got > planAllocsBound {
+			t.Errorf("%s allocates %v times per plan, bound %d", c.name, got, planAllocsBound)
+		}
 	}
 }

@@ -31,6 +31,15 @@
 // utilization-scaled dynamic power at the chosen rung). This keeps spend(M)
 // comparisons meaningful across heterogeneous clusters; see DESIGN.md for
 // the substitution note.
+//
+// Planning cost: a bid round builds one plan, which its migration and
+// load-balancing passes share (PlanRound). The plan reads each cluster's
+// V-F table and every task's demand on its own cluster once. Without a TDP
+// budget a candidate then re-estimates only the cores it changes: every
+// other core keeps the base mapping's evaluation, which has the same bits
+// a re-evaluation of its cluster would give, so decisions do not depend on
+// the shortcut. Under a TDP budget the clusters couple, and each candidate
+// re-evaluates the whole chip.
 package lbt
 
 import (
@@ -160,12 +169,13 @@ const (
 // plan is one planning invocation's inputs, built once and only read while
 // candidates are evaluated (concurrently, on many-cluster markets): the
 // market's mapping as per-core task slices, every agent's estimated demand
-// on its own cluster, the base mapping's evaluation, and each cluster's
-// migration target. Agents are addressed by their index k into the
-// parallel slices. Core c's tasks are k ∈ [first[c], first[c+1]) in
-// ascending agent-ID order, which is the order every order-sensitive float
-// sum (core demand, consumed supply, water-filling) sees, so a replay
-// evaluates bit-identically.
+// on its own cluster, each cluster's V-F table, the base mapping's
+// evaluation, and each cluster's migration target. Agents are addressed by
+// their index k into the parallel slices. Core c's tasks are k ∈
+// [first[c], first[c+1]) in ascending agent-ID order, which is the order
+// every order-sensitive float sum (core demand, consumed supply,
+// water-filling) sees, so a replay evaluates bit-identically. One plan
+// serves both movement kinds of a bid round.
 type plan struct {
 	*Planner
 	clusters []*core.ClusterAgent
@@ -180,6 +190,9 @@ type plan struct {
 
 	maxCoreTasks int
 
+	levels []levels  // per cluster
+	table  []float64 // the levels' storage
+
 	evs   []clusterEval // base mapping, per cluster
 	cores []coreEval    // base mapping, per global core ID
 	ratio []float64     // base mapping's supply/demand ratio of agent k
@@ -189,20 +202,28 @@ type plan struct {
 	lowMins [3]clusterMin
 
 	// migrateTo is each cluster's most over-supplied unconstrained core
-	// (-1: none), filled for migration plans.
+	// (-1: none).
 	migrateTo []int
+}
+
+// levels is one cluster's V-F table, read from its control once per plan:
+// per rung, the per-core supply and the cluster's idle and all-busy power.
+type levels struct {
+	supply, idle, busy []float64
+	cores              float64 // the cluster's core count
 }
 
 // newPlan snapshots the market into the planner's plan tables and
 // evaluates its current mapping. The returned scratch is free for the
 // calling goroutine's candidates. The plan and scratch are the planner's
 // own storage: the next newPlan overwrites them.
-func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
+func (p *Planner) newPlan() (*plan, *scratch) {
 	clusters := p.Market.Clusters
 	pl := &p.pl
-	n, nCores := 0, 0
+	n, nCores, nLevels := 0, 0, 0
 	for _, v := range clusters {
 		nCores += len(v.Cores)
+		nLevels += v.Control.NumLevels()
 		for _, c := range v.Cores {
 			n += len(c.Tasks)
 		}
@@ -217,12 +238,25 @@ func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
 		own:       resize(pl.own, n),
 		first:     resize(pl.first, nCores+1),
 		cstart:    resize(pl.cstart, len(clusters)+1),
+		levels:    resize(pl.levels, len(clusters)),
+		table:     resize(pl.table, 3*nLevels),
 		evs:       resize(pl.evs, len(clusters)),
 		cores:     resize(pl.cores, nCores),
 		ratio:     resize(pl.ratio, n),
-		migrateTo: pl.migrateTo,
+		migrateTo: resize(pl.migrateTo, len(clusters)),
 	}
+	t := pl.table
 	for ci, v := range clusters {
+		ctl, nl := v.Control, v.Control.NumLevels()
+		lv := levels{
+			supply: t[:nl:nl], idle: t[nl : 2*nl : 2*nl], busy: t[2*nl : 3*nl : 3*nl],
+			cores: float64(len(v.Cores)),
+		}
+		for i := range nl {
+			lv.supply[i], lv.idle[i], lv.busy[i] = ctl.SupplyAt(i), ctl.IdlePowerAt(i), ctl.PowerAt(i)
+		}
+		pl.levels[ci], t = lv, t[3*nl:]
+
 		pl.cstart[ci] = len(pl.agents)
 		for _, c := range v.Cores {
 			pl.first[c.ID] = len(pl.agents)
@@ -236,19 +270,13 @@ func (p *Planner) newPlan(kind Kind) (*plan, *scratch) {
 			pl.ids[k], pl.prio[k] = k, pl.agents[k].Priority
 			pl.own[k] = p.Est.DemandOn(pl.agents[k], ci)
 		}
+		pl.migrateTo[ci] = bestTargetIn(v, nil)
 	}
 	pl.first[nCores], pl.cstart[len(clusters)] = n, n
 
 	sc := pl.scratch(0)
 	pl.res = pl.evaluate(sc, nil, pl.evs, pl.cores, pl.ratio)
 	pl.lowMins = lowestMins(pl.evs)
-
-	if kind == Migrate {
-		pl.migrateTo = resize(pl.migrateTo, len(clusters))
-		for ci, v := range clusters {
-			pl.migrateTo[ci] = bestTargetIn(v, nil)
-		}
-	}
 	return pl, sc
 }
 
@@ -445,10 +473,7 @@ type clusterEval struct {
 // s = d; an overloaded core splits supply by priority, never giving a task
 // more than its demand (water-filling).
 func (sc *scratch) evalCore(l taskList, supply float64, ratios []float64) coreEval {
-	ce := coreEval{minRatio: 1, ratios: ratios[:len(l.d)]}
-	for _, d := range l.d {
-		ce.demand += d
-	}
+	ce := coreEval{demand: sum(l.d), minRatio: 1, ratios: ratios[:len(l.d)]}
 	if ce.demand <= supply+eps {
 		for i, d := range l.d {
 			ce.ratios[i] = 1
@@ -495,11 +520,7 @@ func (pl *plan) evalCluster(sc *scratch, ci int, mv *candMove, maxLevel int, cor
 			continue
 		}
 		ev.occupied++
-		var dc float64
-		for _, d := range l.d {
-			dc += d
-		}
-		switch {
+		switch dc := sum(l.d); {
 		case dc > dMax:
 			dSecond, dMax, maxCore = dMax, dc, c.ID
 		case dc > dSecond:
@@ -515,8 +536,9 @@ func (pl *plan) evalCluster(sc *scratch, ci int, mv *candMove, maxLevel int, cor
 
 	// Supply: demand of the constrained core rounded up to the next rung,
 	// capped by the TDP pass.
-	ev.level = min(levelForSupply(v.Control, dMax), maxLevel)
-	ev.supply = v.Control.SupplyAt(ev.level)
+	lv := &pl.levels[ci]
+	ev.level = min(lv.forSupply(dMax), maxLevel)
+	ev.supply = lv.supply[ev.level]
 
 	off := 0
 	for _, c := range v.Cores {
@@ -533,28 +555,26 @@ func (pl *plan) evalCluster(sc *scratch, ci int, mv *candMove, maxLevel int, cor
 			ev.minRatio = ce.minRatio
 		}
 	}
-	ev.spend = clusterSpend(v, ev.level, ev.consumed)
+	ev.spend = lv.spend(ev.level, ev.consumed)
 	return ev
 }
 
-// clusterSpend prices a cluster's operating point: idle floor plus dynamic
-// power scaled by utilization. The paper's spend(M) is Σ bids; at
-// equilibrium the chip agent's inverse-to-power allowance distribution
-// makes aggregate bids track cluster power, and pricing the estimate in
-// power units directly keeps mappings on different cluster types comparable
-// (see package comment and DESIGN.md).
-func clusterSpend(v *core.ClusterAgent, level int, consumed float64) float64 {
-	ctl := v.Control
+// spend prices a cluster's operating point: idle floor plus dynamic power
+// scaled by utilization. The paper's spend(M) is Σ bids; at equilibrium
+// the chip agent's inverse-to-power allowance distribution makes aggregate
+// bids track cluster power, and pricing the estimate in power units
+// directly keeps mappings on different cluster types comparable (see
+// package comment and DESIGN.md).
+func (lv *levels) spend(level int, consumed float64) float64 {
 	util := 0.0
-	if cap := ctl.SupplyAt(level) * float64(len(v.Cores)); cap > 0 {
+	if cap := lv.supply[level] * lv.cores; cap > 0 {
 		util = consumed / cap
 		if util > 1 {
 			util = 1
 		}
 	}
-	idle := ctl.IdlePowerAt(level)
-	busy := ctl.PowerAt(level)
-	return idle + (busy-idle)*util
+	idle := lv.idle[level]
+	return idle + (lv.busy[level]-idle)*util
 }
 
 // splitByPriority water-fills `supply` PUs over a core's tasks (demands d,
@@ -600,16 +620,15 @@ func (sc *scratch) splitByPriority(d []float64, prio []int, supply float64, out 
 	sc.rem, sc.next = rem, next
 }
 
-// levelForSupply returns the lowest rung supplying at least `want` PUs
-// (the top rung if the ladder cannot cover it).
-func levelForSupply(ctl core.ClusterControl, want float64) int {
-	n := ctl.NumLevels()
-	for i := 0; i < n; i++ {
-		if ctl.SupplyAt(i) >= want-eps {
+// forSupply returns the lowest rung supplying at least `want` PUs (the top
+// rung if the ladder cannot cover it).
+func (lv *levels) forSupply(want float64) int {
+	for i, s := range lv.supply {
+		if s >= want-eps {
 			return i
 		}
 	}
-	return n - 1
+	return len(lv.supply) - 1
 }
 
 // evalResult is the whole-chip estimate for a mapping.
@@ -638,8 +657,8 @@ type evalResult struct {
 // cluster.
 func (pl *plan) evaluate(sc *scratch, mv *candMove, evs []clusterEval, cores []coreEval, ratios []float64) evalResult {
 	caps := sc.caps
-	for ci, v := range pl.clusters {
-		caps[ci] = v.Control.NumLevels() - 1
+	for ci := range pl.clusters {
+		caps[ci] = len(pl.levels[ci].supply) - 1
 		evs[ci] = pl.evalCluster(sc, ci, mv, caps[ci], cores, ratios[pl.offset(ci, mv):])
 	}
 
@@ -748,22 +767,23 @@ func (pl *plan) judge(sc *scratch, cand candEval) candEval {
 
 // evalMove evaluates the base mapping with move mv applied. Without a TDP
 // budget only the source and destination clusters change, and their
-// cached evaluations are patched (see patchCluster): candidate evaluation
-// is O(two clusters) rather than O(all tasks), which keeps the Table 7
-// scalability sweep (256 clusters, 131k tasks) tractable.
+// cached evaluations are patched (see patchCluster and reLevel): a
+// candidate re-estimates only the cores it changes, whether or not a
+// cluster's level moves. That keeps the Table 7 scalability sweep (256
+// clusters, 131k tasks) tractable.
 func (pl *plan) evalMove(sc *scratch, mv *candMove) candEval {
 	if pl.wtdp > 0 {
 		// TDP couples the clusters: re-evaluate the whole chip under the cap.
 		return pl.evalWhole(sc, mv)
 	}
 	if mv.src == mv.dst {
-		// Load balancing touches two cores of one cluster: re-evaluate it.
+		// Load balancing changes two cores of one cluster.
 		sc.srcK = -1
 		sc.setFrom(pl, mv)
 		sc.setTo(pl, mv, false)
 		sc.after = sc.after[:0]
 		cand := candEval{spend: pl.res.spend, unsat: pl.res.unsat}
-		m := pl.reEvalCluster(sc, mv, mv.src, &cand)
+		m := pl.reLevel(sc, mv, mv.src, mv.from, mv.to, &cand)
 		cand.minRatio = pl.minWith(mv, m, m)
 		return pl.judge(sc, cand)
 	}
@@ -776,7 +796,6 @@ func (pl *plan) evalMove(sc *scratch, mv *candMove) candEval {
 		sc.srcMin = pl.patchCluster(sc, mv, mv.src, &sc.src)
 		sc.srcK, sc.srcPairs = mv.k, len(sc.after)
 	}
-	sc.setTo(pl, mv, false)
 	sc.after = sc.after[:sc.srcPairs]
 	cand := sc.src
 	dstMin := pl.patchCluster(sc, mv, mv.dst, &cand)
@@ -846,12 +865,12 @@ func (pl *plan) evalWhole(sc *scratch, mv *candMove) candEval {
 // the cluster's new minimum ratio. One core's task set changes here; the
 // cluster's V-F level changes only when its constrained demand does, which
 // the cached max/second-max give in O(1). Otherwise only that core is
-// re-estimated; a level change re-evaluates the whole cluster.
+// re-estimated; a level change goes to reLevel.
 func (pl *plan) patchCluster(sc *scratch, mv *candMove, ci int, cand *candEval) float64 {
-	v, old := pl.clusters[ci], &pl.evs[ci]
+	v, old, lv := pl.clusters[ci], &pl.evs[ci], &pl.levels[ci]
 	changed, l, delta := mv.from, sc.from, -pl.own[mv.k]
 	if ci == mv.dst {
-		changed, l, delta = mv.to, sc.to, mv.d
+		changed, delta = mv.to, mv.d
 	}
 	oldCore := &pl.cores[changed]
 	newCoreDemand := oldCore.demand + delta
@@ -861,24 +880,39 @@ func (pl *plan) patchCluster(sc *scratch, mv *candMove, ci int, cand *candEval) 
 	if changed == old.maxCore {
 		newMax = math.Max(old.secondMax, newCoreDemand)
 	}
-	newLevel := levelForSupply(v.Control, newMax)
+	newLevel := lv.forSupply(newMax)
 	if len(l.k) == 0 && old.occupied == 1 && ci == mv.src {
 		// Cluster empties: powers down, spends nothing.
 		cand.spend -= old.spend
 		cand.unsat -= old.unsat
 		return math.Inf(1)
 	}
-	if newLevel != old.level {
-		return pl.reEvalCluster(sc, mv, ci, cand)
+	var newCore coreEval
+	switch {
+	case newLevel != old.level && ci == mv.dst:
+		sc.setTo(pl, mv, false)
+		return pl.reLevel(sc, mv, ci, -1, mv.to, cand)
+	case newLevel != old.level:
+		return pl.reLevel(sc, mv, ci, mv.from, -1, cand)
+	case ci == mv.dst && oldCore.demand <= old.supply+eps && newCoreDemand <= old.supply+eps:
+		// The destination core is satisfied before and after: every ratio
+		// on it is 1, only the mover's is new, and its consumed supply is
+		// its demand, summed with the mover last as evalCore would.
+		newCore = coreEval{consumed: newCoreDemand, minRatio: 1}
+		sc.after = append(sc.after, ratioPair{mv.k, 1})
+	default:
+		// Same level: only the changed core's allocation moves.
+		if ci == mv.dst {
+			sc.setTo(pl, mv, false)
+			l = sc.to
+		}
+		newCore = sc.evalCore(l, old.supply, sc.ratios)
+		for i, k := range l.k {
+			sc.after = append(sc.after, ratioPair{k, newCore.ratios[i]})
+		}
 	}
-
-	// Same level: only the changed core's allocation moves.
-	newCore := sc.evalCore(l, old.supply, sc.ratios)
 	cand.unsat += newCore.unsat - oldCore.unsat
-	for i, k := range l.k {
-		sc.after = append(sc.after, ratioPair{k, newCore.ratios[i]})
-	}
-	newSpend := clusterSpend(v, old.level, old.consumed-oldCore.consumed+newCore.consumed)
+	newSpend := lv.spend(old.level, old.consumed-oldCore.consumed+newCore.consumed)
 	cand.spend += newSpend - old.spend
 	// Cluster minimum: the other cores' cached minima plus the new core.
 	m := newCore.minRatio
@@ -890,14 +924,96 @@ func (pl *plan) patchCluster(sc *scratch, mv *candMove, ci int, cand *candEval) 
 	return m
 }
 
-// reEvalCluster fully re-evaluates cluster ci under move mv (slow path:
-// level changes or intra-cluster move), folds it into cand, appends its
-// tasks' ratios to sc.after, and returns its new minimum ratio.
-func (pl *plan) reEvalCluster(sc *scratch, mv *candMove, ci int, cand *candEval) float64 {
-	old := &pl.evs[ci]
-	nev := pl.evalCluster(sc, ci, mv, pl.clusters[ci].Control.NumLevels()-1, sc.cores, sc.ratios)
+// reLevel re-estimates cluster ci under move mv exactly as evalCluster
+// would, folds it into cand, appends the ratios it changes to sc.after,
+// and returns the cluster's new minimum ratio. The move changes cores from
+// and to of the cluster (-1: neither). Their new task lists and the
+// untouched cores' base demands set the level; only the changed cores are
+// evaluated afresh. An untouched core keeps its base evaluation when the
+// supply holds or its demand fits both supplies, since a satisfied core's
+// evaluation does not depend on the supply. Without a TDP cap that is every
+// untouched core: a level covers the cluster's largest core demand unless
+// the ladder tops out, and then the old and new levels are both the top.
+// Per-core results fold in core-ID order as in evalCluster, so every sum
+// matches bit for bit.
+func (pl *plan) reLevel(sc *scratch, mv *candMove, ci, from, to int, cand *candEval) float64 {
+	v, old, lv := pl.clusters[ci], &pl.evs[ci], &pl.levels[ci]
+	// The changed cores' ratios go to sc.ratios[:nFrom] and
+	// [nFrom:nFrom+nTo], any re-evaluated untouched core's after them.
+	nFrom, nTo := 0, 0
+	if from >= 0 {
+		nFrom = len(sc.from.k)
+	}
+	if to >= 0 {
+		nTo = len(sc.to.k)
+	}
+	var dMax float64
+	occupied := false
+	for _, c := range v.Cores {
+		dc, n := pl.cores[c.ID].demand, len(pl.cores[c.ID].ratios)
+		switch c.ID {
+		case from:
+			dc, n = sum(sc.from.d), nFrom
+		case to:
+			dc, n = sum(sc.to.d), nTo
+		}
+		if n > 0 {
+			occupied = true
+			if dc > dMax {
+				dMax = dc
+			}
+		}
+	}
+	nev := clusterEval{minRatio: 1}
+	if occupied {
+		nev.level = lv.forSupply(dMax)
+		supply := lv.supply[nev.level]
+		for _, c := range v.Cores {
+			var ce coreEval
+			switch c.ID {
+			case from:
+				ce = sc.evalAppend(sc.from, supply, sc.ratios, nil)
+			case to:
+				ce = sc.evalAppend(sc.to, supply, sc.ratios[nFrom:], nil)
+			default:
+				ce = pl.cores[c.ID]
+				if supply != old.supply && !(ce.demand <= supply+eps && ce.demand <= old.supply+eps) {
+					ce = sc.evalAppend(pl.tasksOn(c.ID, nil, sc), supply, sc.ratios[nFrom+nTo:], pl.ratio)
+				}
+			}
+			if len(ce.ratios) == 0 {
+				continue
+			}
+			nev.consumed += ce.consumed
+			nev.unsat += ce.unsat
+			if ce.minRatio < nev.minRatio {
+				nev.minRatio = ce.minRatio
+			}
+		}
+		nev.spend = lv.spend(nev.level, nev.consumed)
+	}
 	cand.spend += nev.spend - old.spend
 	cand.unsat += nev.unsat - old.unsat
-	pl.emit(sc, ci, mv, sc.cores)
 	return nev.minRatio
+}
+
+// evalAppend evaluates task list l at the given supply, with ratios as its
+// ratio storage, and appends its tasks' ratios to sc.after, except those
+// equal to their base ratio when base is the plan's base ratios.
+func (sc *scratch) evalAppend(l taskList, supply float64, ratios, base []float64) coreEval {
+	ce := sc.evalCore(l, supply, ratios)
+	for i, k := range l.k {
+		if base == nil || ce.ratios[i] != base[k] {
+			sc.after = append(sc.after, ratioPair{k, ce.ratios[i]})
+		}
+	}
+	return ce
+}
+
+func sum(d []float64) float64 {
+	var s float64
+	for _, x := range d {
+		s += x
+	}
+	return s
 }

@@ -182,7 +182,7 @@ func TestPerformanceBranchProtectsHighPriority(t *testing.T) {
 	// go to the *other* big core (core 1), which is fine — but if it must
 	// share with hi, the move is rejected. Either way hi's ratio must stay 1.
 	if mv != nil {
-		pl, sc := p.newPlan(Migrate)
+		pl, sc := p.newPlan()
 		cand := pl.move(pl.indexOf(mv.Agent, mv.FromCore), mv.FromCore, mv.ToCore)
 		pl.evalWhole(sc, &cand)
 		r, ok := ratiosByAgent(pl, sc.after)[hi]
@@ -213,7 +213,7 @@ func TestEvaluateEmptyClusterSpendsNothing(t *testing.T) {
 	a := m.AddTask(1, 2)
 	a.Demand = 400
 	p := NewPlanner(m, est(map[int][2]float64{a.ID: {200, 400}}))
-	pl, _ := p.newPlan(Migrate)
+	pl, _ := p.newPlan()
 	// Only the LITTLE cluster should contribute spend.
 	if pl.res.spend <= 0 {
 		t.Error("no spend at all")
@@ -226,7 +226,7 @@ func TestEvaluateEmptyClusterSpendsNothing(t *testing.T) {
 	b := m.AddTask(1, 0)
 	b.Demand = 400
 	p2 := NewPlanner(m, est(map[int][2]float64{a.ID: {200, 400}, b.ID: {400, 800}}))
-	if pl2, _ := p2.newPlan(Migrate); pl2.res.spend <= base {
+	if pl2, _ := p2.newPlan(); pl2.res.spend <= base {
 		t.Errorf("spend %v not above %v after adding big task", pl2.res.spend, base)
 	}
 }
@@ -314,5 +314,26 @@ func TestNoCyclicMovement(t *testing.T) {
 	}
 	if mv := p.PlanBalance(); mv != nil {
 		t.Errorf("balance still proposed after fixed point: %v", mv)
+	}
+}
+
+// PlanRound builds one plan for both kinds and proposes what PlanMigrate,
+// then PlanBalance, would: on every golden market and for every cadence.
+func TestPlanRoundMatchesSeparatePlans(t *testing.T) {
+	for _, g := range goldenMarkets {
+		_, p := g.build(uint64(len(g.name)))
+		mig, bal := formatMove(p.PlanMigrate()), formatMove(p.PlanBalance())
+		both := mig
+		if both == "none" {
+			both = bal
+		}
+		for _, c := range []struct {
+			migrate, balance bool
+			want             string
+		}{{true, false, mig}, {false, true, bal}, {true, true, both}, {false, false, "none"}} {
+			if got := formatMove(p.PlanRound(c.migrate, c.balance)); got != c.want {
+				t.Errorf("%s: PlanRound(%v, %v) = %s, want %s", g.name, c.migrate, c.balance, got, c.want)
+			}
+		}
 	}
 }

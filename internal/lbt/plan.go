@@ -12,20 +12,41 @@ import (
 // Figure 3, or nil when no candidate improves on the current mapping. The
 // returned move is the caller's own copy.
 func (p *Planner) PlanMigrate() *Move {
-	return p.plan(Migrate)
+	return p.PlanRound(true, false)
 }
 
 // PlanBalance proposes at most one intra-cluster load-balancing movement,
 // or nil when no candidate improves on the current mapping.
 func (p *Planner) PlanBalance() *Move {
-	return p.plan(Balance)
+	return p.PlanRound(false, true)
+}
+
+// PlanRound plans one bid round's movement: when migrate is set, the move
+// PlanMigrate would propose; failing that, when balance is set, the move
+// PlanBalance would propose. Both kinds read one snapshot of the market,
+// so a round whose migration and balancing cadences coincide builds one
+// plan, not two.
+func (p *Planner) PlanRound(migrate, balance bool) *Move {
+	if !migrate && !balance {
+		return nil
+	}
+	pl, sc := p.newPlan()
+	if len(pl.agents) == 0 {
+		return nil
+	}
+	if migrate {
+		if mv := pl.chipWide(sc, Migrate); mv != nil || !balance {
+			return mv
+		}
+	}
+	return pl.chipWide(sc, Balance)
 }
 
 // PlanForCluster runs the constrained-core planning of a single cluster (the
 // unit of work the paper's Table 7 measures: one constrained core evaluating
 // its tasks against every other cluster).
 func (p *Planner) PlanForCluster(cluster int, kind Kind) *Move {
-	pl, sc := p.newPlan(kind)
+	pl, sc := p.newPlan()
 	mv, _ := pl.planCluster(sc, pl.clusters[cluster], kind)
 	if mv.Agent == nil {
 		return nil
@@ -34,33 +55,28 @@ func (p *Planner) PlanForCluster(cluster int, kind Kind) *Move {
 }
 
 // planFanOutMin is the cluster count from which chip-wide planning spreads
-// the clusters over GOMAXPROCS goroutines. The value is the round pool's
-// former auto-enable threshold, not a measured crossover: the fan-out's
-// gain depends on the work per cluster more than on the cluster count. On
-// two CPUs (BenchmarkChipWidePlan shapes, cut-off lowered for the
-// measurement), 8 cores × 8 tasks per cluster gained 1.3× at 8 clusters and
-// 1.95× at 16; 4 cores × 2 tasks gained nothing up to 8 clusters, ran 8%
-// slower at 16 and gained 1.25× at 32. Smaller markets, such as the
-// paper's two-cluster TC2 boards, plan on one goroutine.
-const planFanOutMin = 16
+// the clusters over GOMAXPROCS goroutines: the fan-out pays once a plan's
+// work outweighs starting and joining them. On two CPUs
+// (BenchmarkChipWidePlan shapes, cut-off lowered for the measurement,
+// medians of 5, -cpu 2 against -cpu 1), 8 cores × 8 tasks per cluster ran 1.3× slower at 8 clusters and
+// gained 1.07× at 16, 1.14× at 32 and 1.43× at 64 (BenchmarkChipWidePlan:
+// 7.7 → 5.4 ms); 4 cores × 2 tasks ran 1.25× slower at 8 and at 16 clusters
+// and gained 1.08× at 32. Smaller markets, such as the paper's two-cluster
+// TC2 boards, plan on one goroutine.
+const planFanOutMin = 32
 
-// plan evaluates all clusters' constrained cores and approves the single
-// best movement chip-wide. The plan's inputs are built once, before any
-// candidate is evaluated, and only read afterwards; each planning goroutine
-// owns its scratch and writes only its clusters' result slots. So on
-// many-cluster markets (the paper's "the task agents perform performance
-// and savings estimations in parallel, which enables the computational
-// overhead to be distributed across the entire chip") the clusters plan
-// concurrently; the chip agent's final selection reduces their proposals
-// in deterministic cluster order, so the result does not depend on
-// GOMAXPROCS.
-func (p *Planner) plan(kind Kind) *Move {
-	pl, sc := p.newPlan(kind)
-	if len(pl.agents) == 0 {
-		return nil
-	}
-
-	clusters := pl.clusters
+// chipWide evaluates all clusters' constrained cores for movements of one
+// kind and approves the single best one chip-wide. The plan's inputs are
+// built once, before any candidate is evaluated, and only read afterwards;
+// each planning goroutine owns its scratch and writes only its clusters'
+// result slots. So on many-cluster markets (the paper's "the task agents
+// perform performance and savings estimations in parallel, which enables
+// the computational overhead to be distributed across the entire chip")
+// the clusters plan concurrently; the chip agent's final selection reduces
+// their proposals in deterministic cluster order, so the result does not
+// depend on GOMAXPROCS.
+func (pl *plan) chipWide(sc *scratch, kind Kind) *Move {
+	p, clusters := pl.Planner, pl.clusters
 	p.moves, p.evals = resize(p.moves, len(clusters)), resize(p.evals, len(clusters))
 	moves, evals := p.moves, p.evals
 	w := min(runtime.GOMAXPROCS(0), len(clusters))

@@ -175,6 +175,16 @@ type taskRec struct {
 	// movedAt is the last movement's time (cooldown), once moved.
 	movedAt sim.Time
 	moved   bool
+
+	// est holds the LBT estimator's inputs, taken once per plan
+	// (snapEstimate).
+	est struct {
+		d   float64     // the windowed peak, else the current demand
+		cur *hw.Cluster // the task's cluster
+		// prof and profOK are the task's profile on each core type.
+		prof   [hw.Big + 1]float64
+		profOK [hw.Big + 1]bool
+	}
 }
 
 // New builds a PPM governor with the given configuration.
@@ -306,19 +316,28 @@ func (g *Governor) Tick(now sim.Time) {
 	if g.cfg.DisableLBT || g.market.State() == core.Emergency {
 		return
 	}
-	if g.round%g.cfg.MigrateEvery == 0 {
-		if mv := g.planner.PlanMigrate(); mv != nil {
-			g.applyMove(mv)
+	if mv := g.planRound(); mv != nil {
+		g.applyMove(mv)
+		if mv.Kind == lbt.Migrate {
 			g.migrations++
-			return
-		}
-	}
-	if g.round%g.cfg.BalanceEvery == 0 {
-		if mv := g.planner.PlanBalance(); mv != nil {
-			g.applyMove(mv)
+		} else {
 			g.balances++
 		}
 	}
+}
+
+// planRound runs this round's LBT planning: a migration on MigrateEvery
+// rounds, else a load-balancing movement on BalanceEvery rounds, both from
+// one plan. The estimator's inputs are taken first.
+func (g *Governor) planRound() *lbt.Move {
+	migrate, balance := g.round%g.cfg.MigrateEvery == 0, g.round%g.cfg.BalanceEvery == 0
+	if !migrate && !balance {
+		return nil
+	}
+	for _, r := range g.recs {
+		g.snapEstimate(r)
+	}
+	return g.planner.PlanRound(migrate, balance)
 }
 
 // syncTasks reconciles the records (and market agents) with the platform's
@@ -670,35 +689,48 @@ func (g *Governor) emitGate(cluster int, dir string) {
 	g.tel.Emit(ev)
 }
 
-// estimateDemandOn is the LBT estimator. Per §3.3, the steady-state demand
-// on the task's *current* cluster is the currently observed demand (which
-// tracks program phases); for a *different* cluster type the observed
-// demand is translated by the profiled demand ratio between the two core
-// types (the off-line profiling step). Without a profile the observed
-// demand is used as-is — no heterogeneity speculation.
+// snapEstimate takes a task's LBT estimator inputs for the coming plan:
+// nothing they read changes while a plan runs, so each candidate target
+// costs the estimator arithmetic, not a window scan and profile lookups.
+func (g *Governor) snapEstimate(r *taskRec) {
+	e := &r.est
+	e.d = r.a.Demand
+	if r.lbtSeen {
+		if peak := r.lbt.peak(g.now); peak > 0 {
+			e.d = peak
+		}
+	}
+	e.cur = g.p.ClusterOf(r.t)
+	if g.cfg.Profiles != nil {
+		for ct := range e.prof {
+			e.prof[ct], e.profOK[ct] = g.cfg.Profiles(r.t.Name, hw.CoreType(ct))
+		}
+	}
+}
+
+// estimateDemandOn is the LBT estimator, over the inputs snapEstimate
+// took. Per §3.3, the steady-state demand on the task's *current* cluster
+// is the currently observed demand (which tracks program phases); for a
+// *different* cluster the observed demand is translated by the profiled
+// demand ratio between the two clusters' core types (the off-line
+// profiling step). Without a profile the observed demand is used as-is —
+// no heterogeneity speculation.
 func (g *Governor) estimateDemandOn(a *core.TaskAgent, cluster int) float64 {
 	r := g.recOfAgent(a)
 	if r == nil {
 		return a.Demand
 	}
-	t := r.t
-	d := a.Demand
-	if r.lbtSeen {
-		if peak := r.lbt.peak(g.now); peak > 0 {
-			d = peak
-		}
-	}
-	cur := g.p.ClusterOf(t)
+	e := &r.est
 	target := g.p.Chip.Clusters[cluster]
-	if target == cur || g.cfg.Profiles == nil {
-		return d
+	if target == e.cur || g.cfg.Profiles == nil {
+		return e.d
 	}
-	dTarget, ok1 := g.cfg.Profiles(t.Name, target.Spec.Type)
-	dCur, ok2 := g.cfg.Profiles(t.Name, cur.Spec.Type)
-	if !ok1 || !ok2 || dCur <= 0 {
-		return d
+	to, from := target.Spec.Type, e.cur.Spec.Type
+	dTarget, dCur := e.prof[to], e.prof[from]
+	if !e.profOK[to] || !e.profOK[from] || dCur <= 0 {
+		return e.d
 	}
-	return d * dTarget / dCur
+	return e.d * dTarget / dCur
 }
 
 // clusterControl adapts hw.Cluster to the market's ClusterControl. V-F

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,5 +156,67 @@ func TestJSONLStickyError(t *testing.T) {
 	sink.Emit(E(KindDVFS)) // must not panic or clear the error
 	if sink.Flush() == nil {
 		t.Error("Flush cleared the sticky error")
+	}
+}
+
+// The sink never writes a line the reader refuses: a line ReadJSONL
+// accepted re-encodes within MaxLineBytes or is dropped and counted, and
+// the line bound is the same on both sides.
+func TestJSONLLineBound(t *testing.T) {
+	ev := Event{Time: sim.Second, Kind: KindViolation, Round: 1, Cluster: -1, Core: -1, Task: -1}
+	roundTrip := func(name string, evs ...Event) ([]Event, *JSONLSink) {
+		t.Helper()
+		var buf bytes.Buffer
+		sink := NewJSONL(&buf)
+		for _, e := range evs {
+			sink.Emit(e)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("%s: the sink wrote a line the reader refuses: %v", name, err)
+		}
+		return back, sink
+	}
+	// Lines the reader accepts, with a 200,000-character name of '<' or of
+	// invalid UTF-8 bytes, write back and read back equal.
+	for _, name := range []string{strings.Repeat("<", 200_000), strings.Repeat("\xff", 200_000)} {
+		// The reader's input holds the name's raw bytes, as another
+		// writer might have written them.
+		e := ev
+		e.Name = "NAME"
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = bytes.Replace(line, []byte("NAME"), []byte(name), 1)
+		in, err := ReadJSONL(bytes.NewReader(append(line, '\n')))
+		if err != nil || len(in) != 1 {
+			t.Fatalf("a %d-byte line: %d events, %v", len(line), len(in), err)
+		}
+		if back, sink := roundTrip("re-encoded line", in...); !reflect.DeepEqual(back, in) || sink.Dropped() != 0 {
+			t.Errorf("re-encoded line: %d events back, %d dropped", len(back), sink.Dropped())
+		}
+	}
+	// An event whose encoding outgrows the bound is dropped and counted;
+	// the events around it are written.
+	big := ev
+	big.Name = strings.Repeat("\xff", 200_000) // six bytes each encoded
+	if back, sink := roundTrip("over-long event", ev, big, ev); len(back) != 2 || sink.Dropped() != 1 {
+		t.Errorf("over-long event: %d events back, %d dropped; want 2, 1", len(back), sink.Dropped())
+	}
+	// A line of exactly MaxLineBytes, newline included, is written and read.
+	fit := ev
+	fit.Name = "a"
+	base, _ := json.Marshal(fit) // one name byte, no newline
+	fit.Name = strings.Repeat("a", MaxLineBytes-len(base))
+	if back, sink := roundTrip("longest line", fit); len(back) != 1 || sink.Dropped() != 0 {
+		t.Errorf("a %d-byte line: %d events back, %d dropped", MaxLineBytes, len(back), sink.Dropped())
+	}
+	fit.Name += "a"
+	if back, sink := roundTrip("one byte over", fit); len(back) != 0 || sink.Dropped() != 1 {
+		t.Errorf("a %d-byte line: %d events back, %d dropped", MaxLineBytes+1, len(back), sink.Dropped())
 	}
 }
