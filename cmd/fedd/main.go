@@ -24,10 +24,11 @@
 // failure and trace lines, and the replay digest vector (bit-identical
 // run to run for the same config, seed, and trace — the smoke gate diffs
 // two runs). With -http it serves the federation API (POST /submit, GET
-// /regions, /boards, /state, /metrics, /trace, and /histograms with
-// -tracing) while a driver advances one epoch every -pace milliseconds
-// until SIGINT/SIGTERM. Virtual time holds at zero until the first
-// submission, so fault and outage windows measure from first load.
+// /regions, /boards, /state, /metrics, /trace; with -tracing /metrics also
+// carries the stage latency histograms) while a driver advances one epoch
+// every -pace milliseconds until SIGINT/SIGTERM. Virtual time holds at
+// zero until the first submission, so fault and outage windows measure
+// from first load.
 // Either way the regions' bounded-skew tails are flushed before the
 // summary.
 //
@@ -126,7 +127,7 @@ func run() error {
 	if *httpAddr == "" {
 		return runBatch(f, *epochs)
 	}
-	return serve(f, *httpAddr, *paceMS, *tracing)
+	return serve(f, *httpAddr, *paceMS)
 }
 
 // runBatch steps the federation for a fixed number of epochs, absorbing
@@ -172,16 +173,12 @@ func supervise(w io.Writer, err error) error {
 // serve runs the API server and a paced epoch driver until
 // SIGINT/SIGTERM, then drains through the shared shutdown path and
 // flushes the regions before the summary.
-func serve(f *federation.Federation, addr string, paceMS float64, tracing bool) error {
+func serve(f *federation.Federation, addr string, paceMS float64) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	endpoints := "/submit /regions /boards /state /metrics /trace"
-	if tracing {
-		endpoints += " /histograms"
-	}
-	fmt.Printf("fedd: listening on http://%s (%s)\n", ln.Addr(), endpoints)
+	fmt.Printf("fedd: listening on http://%s (/submit /regions /boards /state /metrics /trace)\n", ln.Addr())
 
 	ctx, stop := httpd.SignalContext()
 	defer stop()

@@ -139,25 +139,11 @@ func LoadFedTrace(path string) (*FedTrace, error) {
 	return tr, nil
 }
 
-// WriteMetrics renders the full Prometheus document: federation
-// registry, every region fleet's export under stacked region+board
-// labels, and the per-region epoch revenue/cost histograms.
+// WriteMetrics renders the full Prometheus document: the federation
+// registry (with the per-region epoch revenue/cost histograms) and every
+// region fleet's export under stacked region+board labels.
 func (f *Federation) WriteMetrics(w io.Writer) error {
-	if err := telemetry.WriteSeriesProm(w, f.ExportMetrics()); err != nil {
-		return err
-	}
-	for _, r := range f.regions {
-		lbl := fmt.Sprintf("region=%q", r.Name)
-		if err := r.revHist.WriteProm(w, "pricepower_fed_epoch_revenue_usd",
-			"SLA revenue earned per federation epoch ($).", lbl); err != nil {
-			return err
-		}
-		if err := r.costHist.WriteProm(w, "pricepower_fed_epoch_cost_usd",
-			"Electricity cost per federation epoch ($).", lbl); err != nil {
-			return err
-		}
-	}
-	return nil
+	return telemetry.WriteSeriesProm(w, f.ExportMetrics())
 }
 
 // tracedRegions lists the regions whose fleets carry a tracer.
@@ -169,22 +155,6 @@ func (f *Federation) tracedRegions() []*Region {
 		}
 	}
 	return out
-}
-
-// WriteHistograms renders every traced region fleet's latency
-// histograms (fleet.WriteHistogramsLabeled) under a region label.
-// Returns an error when no region traces.
-func (f *Federation) WriteHistograms(w io.Writer) error {
-	traced := f.tracedRegions()
-	if len(traced) == 0 {
-		return errors.New("federation: tracing detached")
-	}
-	for _, r := range traced {
-		if err := r.fl.WriteHistogramsLabeled(w, fmt.Sprintf("region=%q", r.Name)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RegionBoards is one region's GET /boards entry: its fleet's board
@@ -267,14 +237,14 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 //	GET  /boards      — per-region board snapshots incl. cluster detail
 //	GET  /state       — federation state (epoch, counters, decisions,
 //	                    digests); lean, no board rows
-//	GET  /metrics     — Prometheus text: federation + every region fleet
-//	                    under stacked region+board labels + histograms
+//	GET  /metrics     — Prometheus text: the federation registry and
+//	                    every region fleet's under stacked region+board
+//	                    labels — counters, gauges and histograms (the
+//	                    traced stage histograms with trace-ID exemplars)
 //	GET  /trace       — replay digest vector, migration-decision log and
 //	                    each traced region's span ledger
 //	GET  /trace?id=   — one trace's merged timeline, from whichever
 //	                    region's tracer holds it
-//	GET  /histograms  — traced regions' stage latency histograms under a
-//	                    region label
 func NewMux(f *Federation) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {
@@ -310,12 +280,7 @@ func NewMux(f *Federation) *http.ServeMux {
 	mux.HandleFunc("/state", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, f.StateSnapshot())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := f.WriteMetrics(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/metrics", telemetry.MetricsHandler(f.ExportMetrics))
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		idStr := r.URL.Query().Get("id")
 		if idStr == "" {
@@ -335,16 +300,6 @@ func NewMux(f *Federation) *http.ServeMux {
 			}
 		}
 		writeAPIError(w, http.StatusNotFound, "not-found", fmt.Sprintf("no spans for trace %s", id))
-	})
-	mux.HandleFunc("/histograms", func(w http.ResponseWriter, r *http.Request) {
-		if len(f.tracedRegions()) == 0 {
-			writeAPIError(w, http.StatusNotFound, "not-found", "tracing detached (run fedd with -tracing)")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := f.WriteHistograms(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	})
 	return mux
 }

@@ -215,6 +215,12 @@ func (f *Federation) registerMetrics() {
 	for _, r := range f.regions {
 		r := r
 		lbl := fmt.Sprintf("{region=%q}", r.Name)
+		// Log buckets from a tenth of a cent up: epoch revenue/cost for
+		// small fleets sit in the cents-to-dollars range.
+		r.revHist = f.reg.Histogram("pricepower_fed_epoch_revenue_usd"+lbl,
+			"SLA revenue earned per federation epoch ($).", 1e-4, 2, 24)
+		r.costHist = f.reg.Histogram("pricepower_fed_epoch_cost_usd"+lbl,
+			"Electricity cost per federation epoch ($).", 1e-4, 2, 24)
 		gauge("pricepower_fed_elec_price_kwh"+lbl, "Electricity price in force ($/kWh).",
 			func() float64 { return r.elecPrice })
 		gauge("pricepower_fed_eff_price"+lbl, "Effective compute price (elec × watts/PU).",

@@ -6,8 +6,8 @@ import (
 	"pricepower/internal/check"
 	"pricepower/internal/fault"
 	"pricepower/internal/fleet"
-	"pricepower/internal/metrics"
 	"pricepower/internal/task"
+	"pricepower/internal/telemetry"
 )
 
 // nominalWattsPerPU prices a region that has not yet delivered any work:
@@ -72,9 +72,9 @@ type Region struct {
 	revenueUSD float64
 	violations uint64
 
-	// Per-epoch distributions for /metrics.
-	revHist  *metrics.Histogram
-	costHist *metrics.Histogram
+	// Per-epoch distributions, registered in the federation registry.
+	revHist  *telemetry.Histogram
+	costHist *telemetry.Histogram
 
 	// digest folds this region's epoch observations (FNV-1a).
 	digest check.Digest
@@ -89,11 +89,7 @@ func newRegion(id int, rc RegionConfig, fl *fleet.Fleet, tiers []Tier) *Region {
 		ID: id, Name: name,
 		fl: fl, price: rc.Price, outage: rc.Outage, tiers: tiers,
 		tierCounts: make([]uint64, len(tiers)),
-		// Log buckets from a tenth of a cent up: epoch revenue/cost for
-		// small fleets sit in the cents-to-dollars range.
-		revHist:  metrics.NewLog(1e-4, 2, 24),
-		costHist: metrics.NewLog(1e-4, 2, 24),
-		digest:   check.NewDigest(),
+		digest:     check.NewDigest(),
 	}
 }
 

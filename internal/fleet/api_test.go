@@ -1,7 +1,7 @@
 // The fleet's HTTP surface is its one front door: a one-region
 // federation, as fedd serves a fleet run from a one-region config. These
 // tests pin the fleet-facing contract through it (submission, the lean
-// /state beside /boards, /metrics, /trace and /histograms, and the 413,
+// /state beside /boards, /metrics and /trace, and the 413,
 // 405 and structured 400 refusals); the federation's own tests cover
 // price routing and region pins across several regions.
 package fleet_test
@@ -258,10 +258,12 @@ func TestSubmitRejectsUnboundedTraces(t *testing.T) {
 }
 
 // TestAPITraceAndHistograms: with tracing on, /trace carries each
-// region's span ledger and trace digests, /histograms the stage
-// histograms under region (and board) labels with trace-ID exemplars,
-// and /trace?id= the timeline of an exemplar's trace; bad and unknown
-// IDs are refused, and a federation without tracing 404s both.
+// region's span ledger and trace digests, /metrics the stage histograms
+// under region (and board) labels with trace-ID exemplars, and
+// /trace?id= the timeline of an exemplar's trace; bad and unknown IDs
+// are refused. Without tracing /metrics carries no stage histogram
+// (only the federation's always-on epoch revenue/cost ones) and
+// /trace?id= 404s.
 func TestAPITraceAndHistograms(t *testing.T) {
 	f, srv := serveOneRegion(t, fleet.Config{Boards: 2, Trace: true})
 	f.Submit(task.Spec{Name: "fin", Priority: 1, MinHR: 4, MaxHR: 6,
@@ -281,7 +283,7 @@ func TestAPITraceAndHistograms(t *testing.T) {
 		t.Fatalf("region trace = %+v, want opened spans and 3 digests (fleet + 2 boards)", rt)
 	}
 
-	hist := string(getBody(t, srv.URL+"/histograms"))
+	hist := string(getBody(t, srv.URL+"/metrics"))
 	for _, want := range []string{
 		`pricepower_fleet_routing_wall_ns_bucket{region="r0",`,
 		`pricepower_fleet_queue_wait_ms_bucket{region="r0",`,
@@ -290,12 +292,12 @@ func TestAPITraceAndHistograms(t *testing.T) {
 		`pricepower_fleet_round_ms_bucket{region="r0",`, // k-way merge
 	} {
 		if !strings.Contains(hist, want) {
-			t.Errorf("/histograms missing %q", want)
+			t.Errorf("/metrics missing %q", want)
 		}
 	}
 	m := regexp.MustCompile(`trace_id="([0-9a-f]+)"`).FindStringSubmatch(hist)
 	if m == nil {
-		t.Fatal("/histograms carries no trace-ID exemplar")
+		t.Fatal("/metrics carries no trace-ID exemplar")
 	}
 	var tl trace.Timeline
 	getJSON(t, srv.URL+"/trace?id="+m[1], &tl)
@@ -312,11 +314,19 @@ func TestAPITraceAndHistograms(t *testing.T) {
 		}
 	}
 
-	// Tracing off: no histograms and no timelines.
+	// Tracing off: no stage histograms and no timelines.
 	_, bare := serveOneRegion(t, fleet.Config{Boards: 1})
-	for _, p := range []string{"/histograms", "/trace?id=" + m[1]} {
-		if resp, err := http.Get(bare.URL + p); err != nil || resp.StatusCode != http.StatusNotFound {
-			t.Errorf("untraced %s status = %v, %v; want 404", p, resp.StatusCode, err)
+	bareMetrics := string(getBody(t, bare.URL+"/metrics"))
+	if !strings.Contains(bareMetrics, `pricepower_fed_epoch_revenue_usd_bucket{region="r0",`) {
+		t.Error("untraced /metrics lost the epoch revenue histogram")
+	}
+	for _, line := range strings.Split(bareMetrics, "\n") {
+		if name, _, _ := strings.Cut(line, "{"); strings.HasSuffix(name, "_bucket") &&
+			!strings.HasPrefix(name, "pricepower_fed_epoch_") {
+			t.Errorf("untraced /metrics carries a stage histogram: %s", line)
 		}
+	}
+	if resp, err := http.Get(bare.URL + "/trace?id=" + m[1]); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Errorf("untraced /trace?id= status = %v, %v; want 404", resp.StatusCode, err)
 	}
 }

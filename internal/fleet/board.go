@@ -11,7 +11,6 @@ import (
 	"pricepower/internal/exp"
 	"pricepower/internal/fault"
 	"pricepower/internal/hw"
-	"pricepower/internal/metrics"
 	"pricepower/internal/platform"
 	"pricepower/internal/ppm"
 	"pricepower/internal/sim"
@@ -70,8 +69,8 @@ type Board struct {
 	capture       *captureSink
 	obs           *boardObserver
 	traceOf       map[*task.Task]residency
-	histStep      *metrics.Histogram // wall ns per batch step (place + run)
-	histResidency *metrics.Histogram // virtual ms placement → completion
+	histStep      *telemetry.Histogram // wall ns per batch step (place + run)
+	histResidency *telemetry.Histogram // virtual ms placement → completion
 
 	cmd     chan boardCmd
 	replies chan stepReply // step replies, in barrier order
@@ -255,9 +254,12 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		b.trc = trc
 		b.capture = &captureSink{}
 		b.traceOf = make(map[*task.Task]residency)
-		b.histStep = metrics.NewLog(1000, 2, 26)    // 1µs .. ~34s wall per step
-		b.histResidency = metrics.NewLog(10, 2, 20) // 10ms .. ~3h virtual
-		b.em = telemetry.NewEmitter(telemetry.NewRegistry(), b.capture)
+		reg := telemetry.NewRegistry()
+		b.histStep = reg.Histogram("pricepower_board_step_wall_ns",
+			"Wall-clock board step time per barrier (ns).", 1000, 2, 26) // 1µs .. ~34s wall per step
+		b.histResidency = reg.Histogram("pricepower_board_task_residency_ms",
+			"Virtual placement-to-completion time (ms), with trace exemplars.", 10, 2, 20) // 10ms .. ~3h virtual
+		b.em = telemetry.NewEmitter(reg, b.capture)
 		b.em.SetKinds(traceCaptureKinds)
 	} else {
 		b.em = telemetry.NewEmitter(telemetry.NewRegistry())
@@ -310,10 +312,11 @@ func newBoard(id int, cfg Config, trc *trace.Buffer, epoch, completed int) (*Boa
 		// runs on those ticks (one round comparison each) and leaves the
 		// platform's steady spans enabled — nothing on the bid/route loops.
 		b.obs = &boardObserver{
-			b:         b,
-			m:         b.gov.Market(),
-			histRound: metrics.NewLog(1, 2, 16), // 1ms .. ~33s virtual
+			b: b,
+			m: b.gov.Market(),
 		}
+		b.obs.histRound = b.Registry().Histogram("pricepower_board_round_ms",
+			"Virtual market-round duration (ms).", 1, 2, 16) // 1ms .. ~33s virtual
 		b.p.AttachRoundObserver(b.obs)
 	}
 
@@ -643,7 +646,7 @@ type boardObserver struct {
 	lastRound  int
 	roundStart sim.Time
 
-	histRound *metrics.Histogram // virtual ms per market round
+	histRound *telemetry.Histogram // virtual ms per market round
 }
 
 func (o *boardObserver) CheckTick(p *platform.Platform, now sim.Time) {

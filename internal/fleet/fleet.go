@@ -25,14 +25,15 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"pricepower/internal/check"
 	"pricepower/internal/fault"
-	"pricepower/internal/metrics"
 	"pricepower/internal/platform"
 	"pricepower/internal/sim"
 	"pricepower/internal/task"
@@ -345,10 +346,10 @@ type Fleet struct {
 	tracer    *trace.Tracer
 	traceSeed uint64
 	// Stage latency histograms (nil when detached; Record is nil-safe).
-	histRouting    *metrics.Histogram // wall ns per Route call
-	histQueueWait  *metrics.Histogram // virtual ms enqueue → routed (exemplars)
-	histBarrierLag *metrics.Histogram // barriers of skew at collect
-	histRestart    *metrics.Histogram // barriers crash-detection → restart
+	histRouting    *telemetry.Histogram // wall ns per Route call
+	histQueueWait  *telemetry.Histogram // virtual ms enqueue → routed (exemplars)
+	histBarrierLag *telemetry.Histogram // barriers of skew at collect
+	histRestart    *telemetry.Histogram // barriers crash-detection → restart
 	// evSink, when set, receives each collected barrier's board lifecycle
 	// events in (round, board, kind) order (see SetEventSink).
 	evSink telemetry.Sink
@@ -369,10 +370,14 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Trace {
 		f.tracer = trace.NewTracer(cfg.Boards)
 		f.traceSeed = sim.DeriveSeed(cfg.Seed, traceSeedStream)
-		f.histRouting = metrics.NewLog(100, 2, 24)   // 100ns .. ~800ms wall
-		f.histQueueWait = metrics.NewLog(1, 2, 20)   // 1ms .. ~9min virtual
-		f.histBarrierLag = metrics.NewLog(0.5, 2, 8) // 0 lag lands ≤0.5
-		f.histRestart = metrics.NewLog(0.5, 2, 10)   // barriers crash → restart
+		f.histRouting = f.reg.Histogram("pricepower_fleet_routing_wall_ns",
+			"Wall-clock dispatcher Route latency per barrier (ns).", 100, 2, 24) // 100ns .. ~800ms wall
+		f.histQueueWait = f.reg.Histogram("pricepower_fleet_queue_wait_ms",
+			"Virtual time from admission to routing (ms), with trace exemplars.", 1, 2, 20) // 1ms .. ~9min virtual
+		f.histBarrierLag = f.reg.Histogram("pricepower_fleet_barrier_lag",
+			"Barriers of pipeline skew observed at collection.", 0.5, 2, 8) // 0 lag lands ≤0.5
+		f.histRestart = f.reg.Histogram("pricepower_fleet_restart_latency_barriers",
+			"Barriers from crash detection to supervised restart.", 0.5, 2, 10)
 	}
 	for i := 0; i < cfg.Boards; i++ {
 		b, err := newBoard(i, cfg, f.tracer.Board(i), 0, 0)
@@ -427,15 +432,53 @@ func (f *Fleet) registerMetrics() {
 func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
 
 // ExportMetrics snapshots the merged series set: the fleet's own
-// registry as-is, plus every board's registry with a board label
-// injected into each series. The federation relabels the result again
-// with a region label (telemetry.AppendLabeled).
+// registry as-is, every board's registry with a board label injected
+// into each series, and, per board histogram pricepower_board_X, the
+// k-way merge of every board's under pricepower_fleet_X. The federation
+// relabels the result again with a region label
+// (telemetry.AppendLabeled).
 func (f *Fleet) ExportMetrics() []telemetry.Series {
 	merged := f.Registry().Export()
+	var fleetWide []telemetry.Series
+	at := map[string]int{} // board histogram name → index in fleetWide
+	// f.Boards is a copy: a restart may swap a board mid-scrape.
 	for _, b := range f.Boards() {
-		merged = telemetry.AppendLabeled(merged, b.Registry().Export(), "board", strconv.Itoa(b.ID))
+		exp := b.Registry().Export()
+		for _, s := range exp {
+			if s.Hist == nil {
+				continue
+			}
+			if i, ok := at[s.Name]; ok {
+				// Every board registers a name with one layout, so the
+				// merge's only error, a layout mismatch, cannot occur.
+				_ = fleetWide[i].Hist.Merge(s.Hist)
+				continue
+			}
+			at[s.Name] = len(fleetWide)
+			s.Name = "pricepower_fleet" + strings.TrimPrefix(s.Name, "pricepower_board")
+			s.Base, s.Help, s.Hist = s.Name, s.Help+" (all boards merged)", s.Hist.Snapshot()
+			fleetWide = append(fleetWide, s)
+		}
+		merged = telemetry.AppendLabeled(merged, exp, "board", strconv.Itoa(b.ID))
 	}
-	return merged
+	return append(merged, fleetWide...)
+}
+
+// WriteHistograms renders the histogram series of ExportMetrics — the
+// fleet's stage histograms, each board's under a board label, and their
+// fleet-wide merges — as a Prometheus text document. Returns an error
+// when tracing is detached.
+func (f *Fleet) WriteHistograms(w io.Writer) error {
+	if f.tracer == nil {
+		return fmt.Errorf("fleet: tracing detached (Config.Trace off)")
+	}
+	var hists []telemetry.Series
+	for _, s := range f.ExportMetrics() {
+		if s.Hist != nil {
+			hists = append(hists, s)
+		}
+	}
+	return telemetry.WriteSeriesProm(w, hists)
 }
 
 // AttachTelemetry connects an event emitter to the fleet's own lifecycle

@@ -10,6 +10,7 @@ import (
 
 	"pricepower/internal/fault"
 	"pricepower/internal/task"
+	"pricepower/internal/telemetry"
 )
 
 var stateNames = [...]string{"live", "draining", "stalled", "crashed", "restarting", "quarantined"}
@@ -243,7 +244,7 @@ func describe(c cell) string {
 // Prometheus text.
 func fleetGauges(t *testing.T, f *Fleet) (inflight, orphaned float64) {
 	var buf bytes.Buffer
-	if err := f.Registry().WriteProm(&buf); err != nil {
+	if err := telemetry.WriteSeriesProm(&buf, f.Registry().Export()); err != nil {
 		t.Error(err)
 	}
 	for _, line := range strings.Split(buf.String(), "\n") {

@@ -1,3 +1,5 @@
+// The histogram type lives in internal/telemetry, where it is a registry
+// series kind; its tests stay here under their established names.
 package metrics
 
 import (
@@ -6,11 +8,12 @@ import (
 	"testing"
 
 	"pricepower/internal/sim"
+	"pricepower/internal/telemetry"
 )
 
-func testHist() *Histogram { return NewLog(1, 2, 16) }
+func testHist() *telemetry.Histogram { return telemetry.NewLog(1, 2, 16) }
 
-func sumCounts(h *Histogram) uint64 {
+func sumCounts(h *telemetry.Histogram) uint64 {
 	var total uint64
 	for _, c := range h.BucketCounts() {
 		total += c
@@ -43,7 +46,7 @@ func TestHistogramRecordBasics(t *testing.T) {
 // fleet-wide k-way aggregation relies on: (a+b)+c == a+(b+c) and
 // a+b == b+a over counts, count, sum and min/max.
 func TestHistogramMergeAssociativeCommutative(t *testing.T) {
-	mk := func(n int, seed uint64) *Histogram {
+	mk := func(n int, seed uint64) *telemetry.Histogram {
 		h := testHist()
 		r := sim.NewRand(seed)
 		for i := 0; i < n; i++ {
@@ -53,7 +56,7 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 	}
 	a, b, c := mk(100, 1), mk(57, 2), mk(233, 3)
 
-	equal := func(x, y *Histogram) bool {
+	equal := func(x, y *telemetry.Histogram) bool {
 		xc, yc := x.BucketCounts(), y.BucketCounts()
 		for i := range xc {
 			if xc[i] != yc[i] {
@@ -97,8 +100,8 @@ func TestHistogramMergeAssociativeCommutative(t *testing.T) {
 }
 
 func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a := NewLog(1, 2, 16)
-	b := NewLog(1, 2, 8)
+	a := telemetry.NewLog(1, 2, 16)
+	b := telemetry.NewLog(1, 2, 8)
 	if err := a.Merge(b); err == nil {
 		t.Fatal("layout mismatch merged without error")
 	}
@@ -147,7 +150,7 @@ func TestHistogramExemplarRetention(t *testing.T) {
 // exact nearest-rank quantile within one growth factor — the bounded-error
 // contract the tail-latency summaries rely on.
 func TestHistogramQuantileAgreesWithSeries(t *testing.T) {
-	h := NewLog(1, 2, 40)
+	h := telemetry.NewLog(1, 2, 40)
 	var s Series
 	r := sim.NewRand(11)
 	for i := 0; i < 5000; i++ {
@@ -165,24 +168,28 @@ func TestHistogramQuantileAgreesWithSeries(t *testing.T) {
 		}
 	}
 	var empty Series
-	if math.IsNaN(empty.Quantile(0.5)) != math.IsNaN(NewLog(1, 2, 4).Quantile(0.5)) {
+	if math.IsNaN(empty.Quantile(0.5)) != math.IsNaN(telemetry.NewLog(1, 2, 4).Quantile(0.5)) {
 		t.Error("empty-input NaN behaviour diverges from Series")
 	}
 }
 
+// TestHistogramWritePromExposition renders a labeled registry histogram:
+// le goes after the series' own labels, the exemplar rides on its bucket,
+// and _sum/_count carry the labels alone.
 func TestHistogramWritePromExposition(t *testing.T) {
-	h := testHist()
+	reg := telemetry.NewRegistry()
+	h := reg.Histogram(`x_ms{board="2"}`, "test histogram", 1, 2, 16)
 	h.RecordExemplar(3, 0xbeef)
 	h.Record(100)
 	var sb strings.Builder
-	if err := h.WriteProm(&sb, "x_ms", "test histogram", `board="2"`); err != nil {
+	if err := telemetry.WriteSeriesProm(&sb, reg.Export()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE x_ms histogram",
 		`x_ms_bucket{board="2",le="+Inf"} 2`,
-		`trace_id="000000000000beef"`,
+		`x_ms_bucket{board="2",le="4"} 1 # {trace_id="000000000000beef"} 3`,
 		`x_ms_sum{board="2"} 103`,
 		`x_ms_count{board="2"} 2`,
 	} {
@@ -203,7 +210,7 @@ func FuzzHistogramRecord(f *testing.F) {
 	f.Add(math.Inf(1), uint64(4))
 	f.Add(math.Inf(-1), uint64(5))
 	f.Add(math.NaN(), uint64(6))
-	h := NewLog(1, 2, 12)
+	h := telemetry.NewLog(1, 2, 12)
 	f.Fuzz(func(t *testing.T, v float64, trace uint64) {
 		before := h.Count()
 		h.RecordExemplar(v, trace)

@@ -16,8 +16,8 @@ func TestExportAndInjectLabel(t *testing.T) {
 		t.Fatalf("exported %d series, want 3", len(series))
 	}
 	for i := 1; i < len(series); i++ {
-		if series[i-1].Name > series[i].Name {
-			t.Fatalf("export not sorted: %q > %q", series[i-1].Name, series[i].Name)
+		if a, b := series[i-1], series[i]; a.Base > b.Base || a.Base == b.Base && a.Name > b.Name {
+			t.Fatalf("export not sorted by family, then name: %q before %q", a.Name, b.Name)
 		}
 	}
 	byName := map[string]Series{}

@@ -10,6 +10,7 @@ import (
 // `ppmsim -http ADDR`:
 //
 //	/metrics      Prometheus text exposition of the emitter's registry
+//	              (counters, gauges and histograms; MetricsHandler)
 //	/events       the ring sink's current window as a JSON array
 //	/state        the last published per-cluster price/frequency/power
 //	              snapshot as JSON
@@ -21,12 +22,7 @@ import (
 func NewMux(em *Emitter, ring *RingSink) *http.ServeMux {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if reg := em.Registry(); reg != nil {
-			reg.WriteProm(w)
-		}
-	})
+	mux.Handle("/metrics", MetricsHandler(em.Registry().Export))
 
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -59,6 +55,17 @@ func NewMux(em *Emitter, ring *RingSink) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
+}
+
+// MetricsHandler serves /metrics: export's series as one Prometheus text
+// document, rendered by WriteSeriesProm on every scrape.
+func MetricsHandler(export func() []Series) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := WriteSeriesProm(w, export()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
 }
 
 func dropped(r *RingSink) uint64 {

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,36 +55,43 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// metric is one registered series.
-type metric struct {
-	name  string // full series name, possibly with {labels}
-	base  string // name without labels (groups HELP/TYPE lines)
-	help  string
-	typ   string // "counter" or "gauge"
-	read  func() float64
-	isInt bool
+// instrument is a registered series' type. One name holds one instrument.
+type instrument uint8
+
+const (
+	isCounter instrument = iota
+	isGauge
+	isGaugeFunc
+	isHistogram
+)
+
+var instrumentNames = [...]string{"counter", "gauge", "gauge function", "histogram"}
+
+// entry is one registered series; the field its instrument names is set.
+type entry struct {
+	base, help string
+	kind       instrument
+	c          *Counter
+	g          *Gauge
+	fn         func() float64
+	h          *Histogram
 }
 
-// Registry holds named counters and gauges and renders them in the
-// Prometheus text exposition format (the /metrics endpoint). Registration
-// is idempotent by full series name — components re-attached to the same
-// registry share the instrument. Series names may carry a label set in the
-// standard `name{key="value"}` form; HELP/TYPE headers are emitted once per
-// base name.
+// Registry holds named counters, gauges and histograms; Export snapshots
+// them for the Prometheus text exposition (WriteSeriesProm, the /metrics
+// endpoint). Registration is idempotent by full series name — components
+// re-attached to the same registry share the instrument — and a name holds
+// one kind: registering it as another kind panics. Series names may carry
+// a label set in the standard `name{key="value"}` form; HELP/TYPE headers
+// are emitted once per base name.
 type Registry struct {
-	mu       sync.Mutex
-	metrics  map[string]*metric
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	mu     sync.Mutex
+	series map[string]*entry
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		metrics:  make(map[string]*metric),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-	}
+	return &Registry{series: make(map[string]*entry)}
 }
 
 func baseName(name string) string {
@@ -96,43 +101,40 @@ func baseName(name string) string {
 	return name
 }
 
+// entry returns the series registered under name, adding an empty one of
+// kind k on first use; a name taken by another kind panics. r.mu is held.
+func (r *Registry) entry(name, help string, k instrument) *entry {
+	e, ok := r.series[name]
+	if !ok {
+		e = &entry{base: baseName(name), help: help, kind: k}
+		r.series[name] = e
+	} else if e.kind != k {
+		panic(fmt.Sprintf("telemetry: metric %q is a %s, not a %s", name, instrumentNames[e.kind], instrumentNames[k]))
+	}
+	return e
+}
+
 // Counter returns the counter registered under name, creating it on first
-// use. Registering the same name as two different instrument types panics.
+// use.
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	e := r.entry(name, help, isCounter)
+	if e.c == nil {
+		e.c = &Counter{}
 	}
-	if _, clash := r.metrics[name]; clash {
-		panic(fmt.Sprintf("telemetry: metric %q already registered with a different type", name))
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.metrics[name] = &metric{
-		name: name, base: baseName(name), help: help, typ: "counter",
-		read: func() float64 { return float64(c.Value()) }, isInt: true,
-	}
-	return c
+	return e.c
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
+	e := r.entry(name, help, isGauge)
+	if e.g == nil {
+		e.g = &Gauge{}
 	}
-	if _, clash := r.metrics[name]; clash {
-		panic(fmt.Sprintf("telemetry: metric %q already registered with a different type", name))
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.metrics[name] = &metric{
-		name: name, base: baseName(name), help: help, typ: "gauge",
-		read: g.Value,
-	}
-	return g
+	return e.g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at exposition
@@ -142,42 +144,17 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics[name] = &metric{name: name, base: baseName(name), help: help, typ: "gauge", read: fn}
+	r.entry(name, help, isGaugeFunc).fn = fn
 }
 
-// WriteProm renders every registered series in the Prometheus text format,
-// sorted by name for deterministic output.
-func (r *Registry) WriteProm(w io.Writer) error {
+// Histogram returns the histogram registered under name, creating it with
+// the NewLog layout (lo, growth, n) on first use.
+func (r *Registry) Histogram(name, help string, lo, growth float64, n int) *Histogram {
 	r.mu.Lock()
-	list := make([]*metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		list = append(list, m)
+	defer r.mu.Unlock()
+	e := r.entry(name, help, isHistogram)
+	if e.h == nil {
+		e.h = NewLog(lo, growth, n)
 	}
-	r.mu.Unlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
-
-	lastBase := ""
-	for _, m := range list {
-		if m.base != lastBase {
-			lastBase = m.base
-			if m.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.base, m.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.base, m.typ); err != nil {
-				return err
-			}
-		}
-		var err error
-		if m.isInt {
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, uint64(m.read()))
-		} else {
-			_, err = fmt.Fprintf(w, "%s %g\n", m.name, m.read())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.h
 }

@@ -15,11 +15,7 @@ func TestRegistryExpositionFormat(t *testing.T) {
 	reg.GaugeFunc("pricepower_fleet_queue_len", "Admission queue length.",
 		func() float64 { return 2 })
 
-	var b strings.Builder
-	if err := reg.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, reg)
 
 	for _, want := range []string{
 		"# HELP pricepower_migrations_total Task migrations by paper cost class.\n",
@@ -39,27 +35,76 @@ func TestRegistryExpositionFormat(t *testing.T) {
 	if strings.Count(out, "# TYPE pricepower_migrations_total") != 1 {
 		t.Errorf("labeled family TYPE line repeated:\n%s", out)
 	}
+	// A family's samples stay together even where a longer name sorts
+	// between them (`x_total` < `x{…}` bytewise).
+	reg.Gauge("pricepower_x", "X.").Set(1)
+	reg.Gauge(`pricepower_x{k="v"}`, "X.").Set(2)
+	reg.Counter("pricepower_x_total", "X total.").Add(3)
+	out = render(t, reg)
+	if !strings.Contains(out, "pricepower_x 1\n"+`pricepower_x{k="v"} 2`+"\n# HELP pricepower_x_total") {
+		t.Errorf("family pricepower_x split:\n%s", out)
+	}
 	// Deterministic: a second render is identical.
-	var b2 strings.Builder
-	reg.WriteProm(&b2)
-	if b2.String() != out {
+	if render(t, reg) != out {
 		t.Error("exposition order is not deterministic")
 	}
 }
 
+// render is a registry's /metrics document.
+func render(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WriteSeriesProm(&b, reg.Export()); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x_total", "x")
-	b := reg.Counter("x_total", "x")
-	if a != b {
+	if reg.Counter("x_total", "x") != reg.Counter("x_total", "x") {
 		t.Error("re-registering a counter returned a new instrument")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("registering a gauge over a counter name did not panic")
+	if reg.Gauge("g", "g") != reg.Gauge("g", "g") {
+		t.Error("re-registering a gauge returned a new instrument")
+	}
+	if reg.Histogram("h", "h", 1, 2, 4) != reg.Histogram("h", "h", 1, 2, 4) {
+		t.Error("re-registering a histogram returned a new instrument")
+	}
+	reg.GaugeFunc("f", "f", func() float64 { return 1 })
+	reg.GaugeFunc("f", "f", func() float64 { return 2 })
+	if out := render(t, reg); !strings.Contains(out, "\nf 2\n") {
+		t.Errorf("re-registering a gauge function did not replace it:\n%s", out)
+	}
+}
+
+// TestRegistryKindClash: a name holds one instrument kind. Registering it
+// as any other kind panics — a GaugeFunc must not silently hide a counter
+// that Counter(name) keeps handing out.
+func TestRegistryKindClash(t *testing.T) {
+	register := map[string]func(*Registry){
+		"counter":    func(r *Registry) { r.Counter("x", "") },
+		"gauge":      func(r *Registry) { r.Gauge("x", "") },
+		"gauge func": func(r *Registry) { r.GaugeFunc("x", "", func() float64 { return 0 }) },
+		"histogram":  func(r *Registry) { r.Histogram("x", "", 1, 2, 4) },
+	}
+	for first, reg1 := range register {
+		for second, reg2 := range register {
+			if first == second {
+				continue
+			}
+			t.Run(first+"/"+second, func(t *testing.T) {
+				r := NewRegistry()
+				reg1(r)
+				defer func() {
+					if recover() == nil {
+						t.Errorf("registering a %s over a %s did not panic", second, first)
+					}
+				}()
+				reg2(r)
+			})
 		}
-	}()
-	reg.Gauge("x_total", "x")
+	}
 }
 
 func TestCountersAndGaugesAreConcurrencySafe(t *testing.T) {
@@ -77,8 +122,7 @@ func TestCountersAndGaugesAreConcurrencySafe(t *testing.T) {
 			}
 		}()
 	}
-	var b strings.Builder
-	reg.WriteProm(&b) // scrape while writers run
+	render(t, reg) // scrape while writers run
 	wg.Wait()
 	if c.Value() != 4000 {
 		t.Errorf("counter lost updates: %d", c.Value())

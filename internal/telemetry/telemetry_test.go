@@ -74,11 +74,7 @@ func TestEmitterCountsPerKind(t *testing.T) {
 		em.Emit(E(KindMigration))
 	}
 	em.Emit(E(KindThrottle))
-	var b strings.Builder
-	if err := reg.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, reg)
 	for _, want := range []string{
 		`pricepower_events_total{kind="migration"} 3`,
 		`pricepower_events_total{kind="throttle"} 1`,

@@ -21,8 +21,9 @@
 #      burst trace over POST /submit — zero loss via /state (submitted 15,
 #      queue empty, live + completed == submitted − shed, shed 0), the
 #      degraded board's sensor rejects in /metrics, work spread over ≥2
-#      boards via /boards, /trace, /histograms (trace-ID exemplars) and
-#      /trace?id=, then a clean SIGTERM exit with the summary.
+#      boards via /boards, /trace, the stage histograms in /metrics
+#      (trace-ID exemplars) and /trace?id=, then a clean SIGTERM exit with
+#      the summary.
 #   5. ppmsim -http: /metrics, /state and /events of a finished run, and
 #      /state during an active sensor-dropout window.
 #
@@ -131,7 +132,7 @@ done
 
 echo "smoke: 4. serving fleet"
 serve_start "$LOG" "$FEDD" -config examples/fleet/fleet.json -tracing -pace 5 -http 127.0.0.1:0
-grep -q '/trace /histograms' "$LOG" || fail "trace endpoints not advertised"
+grep -q '/metrics /trace)' "$LOG" || fail "endpoints not advertised"
 SUBMIT=$(curl -fsS -X POST --data-binary @examples/fleet/burst.json "http://$ADDR/submit")
 echo "$SUBMIT" | grep -q '"shed": 0' || fail "submission shed tasks: $SUBMIT"
 # Converge: the trace defers arrivals up to 2 s of virtual time and the
@@ -165,14 +166,14 @@ curl -fsS "http://$ADDR/trace" >"$OUT"
 [ "$(field closed)" -gt 0 ] || { cat "$OUT"; fail "/trace shows no closed spans"; }
 [ "$(field mismatched)" -eq 0 ] || { cat "$OUT"; fail "/trace reports mismatched spans"; }
 grep -q '"digests"' "$OUT" || fail "/trace missing digest vector"
-curl -fsS "http://$ADDR/histograms" >"$OUT"
+curl -fsS "http://$ADDR/metrics" >"$OUT"
 for SERIES in pricepower_fleet_queue_wait_ms_bucket pricepower_board_round_ms_bucket pricepower_fleet_round_ms_bucket; do
-  grep -q "^$SERIES" "$OUT" || fail "/histograms missing $SERIES"
+  grep -q "^$SERIES" "$OUT" || fail "/metrics missing $SERIES"
 done
 EXEMPLAR=$(sed -n 's/.*trace_id="\([0-9a-f]*\)".*/\1/p' "$OUT" | head -1)
-[ -n "$EXEMPLAR" ] || fail "no trace-ID exemplar in /histograms"
+[ -n "$EXEMPLAR" ] || fail "no trace-ID exemplar in /metrics"
 curl -fsS "http://$ADDR/trace?id=$EXEMPLAR" | grep -q '"spans"' || fail "no timeline for trace $EXEMPLAR"
-echo "smoke: /trace, /histograms and /trace?id=$EXEMPLAR ok"
+echo "smoke: /trace, /metrics histograms and /trace?id=$EXEMPLAR ok"
 serve_stop
 grep -q '^    fleet: 8 boards' "$LOG" || fail "no shutdown summary"
 
