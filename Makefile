@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test check race chaos fuzz golden bench perfbench-test smoke ci clean
+.PHONY: build vet test check race chaos fuzz golden bench perfbench-test smoke loc ci clean
 
 # Minutes of fuzzing per property target (see `make fuzz`).
 FUZZTIME ?= 30s
@@ -88,6 +88,10 @@ bench:
 # the root never compile it; vet it and run every workload at tiny length.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines outside perfbench: the line budget ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 ci: build vet race chaos test check perfbench-test smoke
 

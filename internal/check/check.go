@@ -96,15 +96,6 @@ type Options struct {
 	// checker maintains its own EWMA of chip power (the market's own
 	// smoothed power is used when Market is set). 0 disables the check.
 	TDP float64
-	// SettlingRounds is how many market rounds (or, without a market,
-	// governor-period-scale ticks/32) to wait before enforcing tdp-settled.
-	// Default 160 rounds ≈ 5 s at the paper's 31.7 ms cadence.
-	SettlingRounds int
-	// TDPSlack is the tolerated relative excursion of the smoothed power
-	// above the TDP (default 0.10). Discrete V-F rungs make the settled
-	// system oscillate around the budget (§3.2.3); the EWMA removes most
-	// but not all of that ripple.
-	TDPSlack float64
 	// MaxOverRounds is how many consecutive checked rounds the smoothed
 	// power may ride above the slack band before tdp-settled trips
 	// (default 3). The EWMA trails raw power by a round while the chip
@@ -118,25 +109,25 @@ type Options struct {
 	// is attached to a platform and this is nil, CheckTick adopts the
 	// platform's emitter automatically.
 	Telemetry *telemetry.Emitter
-	// FailFast panics on the first violation (tests prefer collecting).
-	FailFast bool
-	// MaxViolations bounds the recorded list (default 100); further
-	// breaches only increment the total count.
-	MaxViolations int
 }
 
+// SettlingRounds is how many market rounds (or, without a market,
+// governor-period-scale ticks/32) to wait before enforcing tdp-settled:
+// 160 rounds ≈ 5 s at the paper's 31.7 ms cadence.
+const SettlingRounds = 160
+
+// tdpSlack is the tolerated relative excursion of the smoothed power above
+// the TDP. Discrete V-F rungs make the settled system oscillate around the
+// budget (§3.2.3); the EWMA removes most but not all of that ripple.
+const tdpSlack = 0.10
+
+// MaxViolations bounds a checker's recorded list; further breaches only
+// increment the total count.
+const MaxViolations = 100
+
 func (o Options) withDefaults() Options {
-	if o.SettlingRounds <= 0 {
-		o.SettlingRounds = 160
-	}
-	if o.TDPSlack <= 0 {
-		o.TDPSlack = 0.10
-	}
 	if o.MaxOverRounds <= 0 {
 		o.MaxOverRounds = 3
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 100
 	}
 	return o
 }
@@ -198,11 +189,8 @@ func (c *Checker) report(now sim.Time, invariant, format string, args ...interfa
 		ev.Detail = v.Detail
 		em.Emit(ev)
 	}
-	if c.opt.FailFast {
-		panic("check: invariant violation: " + v.String())
-	}
 	c.total++
-	if len(c.violations) < c.opt.MaxViolations {
+	if len(c.violations) < MaxViolations {
 		c.violations = append(c.violations, v)
 	}
 }
@@ -234,14 +222,14 @@ func (c *Checker) CheckTick(p *platform.Platform, now sim.Time) {
 			const alpha = 0.3 / 32
 			c.ewma = alpha*w + (1-alpha)*c.ewma
 		}
-		if c.ticks > int64(c.opt.SettlingRounds)*32 {
+		if c.ticks > int64(SettlingRounds)*32 {
 			// Ticks are ~32× denser than market rounds; scale the
 			// tolerated streak to keep the same wall-clock window.
-			if limit := c.opt.TDP * (1 + c.opt.TDPSlack); c.ewma > limit {
+			if limit := c.opt.TDP * (1 + tdpSlack); c.ewma > limit {
 				c.overStreak++
 				if c.overStreak > c.opt.MaxOverRounds*32 {
 					c.report(now, "tdp-settled", "smoothed chip power %.3f W above %.3f W (TDP %.2f W + %.0f%% slack) for %d consecutive ticks",
-						c.ewma, limit, c.opt.TDP, c.opt.TDPSlack*100, c.overStreak)
+						c.ewma, limit, c.opt.TDP, tdpSlack*100, c.overStreak)
 				}
 			} else {
 				c.overStreak = 0
@@ -545,9 +533,9 @@ func (c *Checker) CheckMarket(m *core.Market, now sim.Time) {
 	// boundaries exactly.
 	if cfg.Wtdp > 0 {
 		switch {
-		case m.Degraded() && effWtdp > cfg.Wtdp*cfg.DegradedGuard+1e-9:
+		case m.Degraded() && effWtdp > cfg.Wtdp*core.DegradedGuard+1e-9:
 			c.report(now, "degraded-guard", "degraded but effective Wtdp %.4f W not tightened (Wtdp %.2f, guard %.2f)",
-				effWtdp, cfg.Wtdp, cfg.DegradedGuard)
+				effWtdp, cfg.Wtdp, core.DegradedGuard)
 		case !m.Degraded() && (effWtdp != cfg.Wtdp || effWth != cfg.Wth):
 			c.report(now, "degraded-guard", "healthy but effective boundaries (%.4f, %.4f) ≠ configured (%.2f, %.2f)",
 				effWth, effWtdp, cfg.Wth, cfg.Wtdp)
@@ -558,12 +546,12 @@ func (c *Checker) CheckMarket(m *core.Market, now sim.Time) {
 	// budget (the buffer-zone design of §3.2.3). Brief excursions above
 	// the band are tolerated while the state machine throttles — only a
 	// streak longer than MaxOverRounds means the controller lost control.
-	if cfg.Wtdp > 0 && m.Round() > c.opt.SettlingRounds {
-		if limit := cfg.Wtdp * (1 + c.opt.TDPSlack); w > limit {
+	if cfg.Wtdp > 0 && m.Round() > SettlingRounds {
+		if limit := cfg.Wtdp * (1 + tdpSlack); w > limit {
 			c.overStreak++
 			if c.overStreak > c.opt.MaxOverRounds {
 				c.report(now, "tdp-settled", "smoothed power %.4f W above %.4f W (TDP %.2f W + %.0f%% slack) for %d consecutive rounds at round %d",
-					w, limit, cfg.Wtdp, c.opt.TDPSlack*100, c.overStreak, m.Round())
+					w, limit, cfg.Wtdp, tdpSlack*100, c.overStreak, m.Round())
 			}
 		} else {
 			c.overStreak = 0

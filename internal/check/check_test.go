@@ -181,8 +181,8 @@ func TestTDPSettledTrip(t *testing.T) {
 		[]float64{300}, []float64{10})
 	a := m.AddTask(1, 0)
 	a.Demand = 200
-	c := check.New(check.Options{Market: m, SettlingRounds: 1})
-	for i := 0; i < 8; i++ {
+	c := check.New(check.Options{Market: m})
+	for i := 0; i < check.SettlingRounds+8; i++ {
 		m.StepOnce()
 		a.Observed = a.Purchased()
 		c.CheckMarket(m, 0)
@@ -206,8 +206,9 @@ func TestTDPSettledTransientTolerated(t *testing.T) {
 		[]float64{300}, []float64{10})
 	a := m.AddTask(1, 0)
 	a.Demand = 200
-	c := check.New(check.Options{Market: m, SettlingRounds: 1, MaxOverRounds: 3})
-	for i := 0; i < 4; i++ { // rounds 2..4 are checked and over: streak 3
+	c := check.New(check.Options{Market: m, MaxOverRounds: 3})
+	// The rounds past the settling window are checked and over: streak 3.
+	for i := 0; i < check.SettlingRounds+3; i++ {
 		m.StepOnce()
 		a.Observed = a.Purchased()
 		c.CheckMarket(m, 0)
@@ -224,26 +225,6 @@ func TestTDPSettledTransientTolerated(t *testing.T) {
 	}
 }
 
-// FailFast promotes the first violation to a panic.
-func TestFailFastPanics(t *testing.T) {
-	m := singleCoreMarket(core.Config{InitialAllowance: 100}, []float64{300}, nil)
-	a := m.AddTask(1, 0)
-	a.Demand = 200
-	m.StepOnce()
-	m.SetAllowance(0)
-	c := check.New(check.Options{Market: m, FailFast: true})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic from FailFast checker")
-		}
-		if !strings.Contains(r.(string), "invariant violation") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	c.CheckMarket(m, 0)
-}
-
 // MaxViolations caps the recorded list while Total keeps counting.
 func TestMaxViolationsCap(t *testing.T) {
 	m := singleCoreMarket(core.Config{InitialAllowance: 100}, []float64{300}, nil)
@@ -251,15 +232,15 @@ func TestMaxViolationsCap(t *testing.T) {
 	a.Demand = 200
 	m.StepOnce()
 	m.SetAllowance(0)
-	c := check.New(check.Options{Market: m, MaxViolations: 2})
-	for i := 0; i < 5; i++ {
+	c := check.New(check.Options{Market: m})
+	for i := 0; i <= check.MaxViolations; i++ {
 		c.CheckMarket(m, 0)
 	}
-	if len(c.Violations()) != 2 {
-		t.Errorf("recorded %d violations, want cap of 2", len(c.Violations()))
+	if len(c.Violations()) != check.MaxViolations {
+		t.Errorf("recorded %d violations, want cap of %d", len(c.Violations()), check.MaxViolations)
 	}
-	if c.Total() <= 2 {
-		t.Errorf("Total=%d, want > 2", c.Total())
+	if c.Total() <= check.MaxViolations {
+		t.Errorf("Total=%d, want > %d", c.Total(), check.MaxViolations)
 	}
 	err := c.Err()
 	if err == nil || !strings.Contains(err.Error(), "invariant violation") {

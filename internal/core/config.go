@@ -57,19 +57,22 @@ type Config struct {
 	// envelope check (the PPM governor sets it from the chip's worst-case
 	// power envelope).
 	MaxSensorPowerW float64
-	// SensorStaleRounds bounds how many consecutive rounds the last trusted
-	// reading substitutes for rejected ones (default 8); past the bound the
-	// raw reading is clamped into [0, MaxSensorPowerW] and used — stale
-	// data eventually lies worse than noisy data.
-	SensorStaleRounds int
-	// DegradedGuard scales the Wth/Wtdp boundaries while power readings are
-	// untrusted (default 0.85): the state machine throttles earlier when it
-	// cannot see clearly.
-	DegradedGuard float64
-	// DegradedHealthyRounds is how many consecutive trusted readings clear
-	// the degraded flag (default 3).
-	DegradedHealthyRounds int
 }
+
+// sensorStaleRounds bounds how many consecutive rounds the last trusted
+// reading substitutes for rejected ones; past the bound the raw reading is
+// clamped into [0, MaxSensorPowerW] and used — stale data eventually lies
+// worse than noisy data.
+const sensorStaleRounds = 8
+
+// DegradedGuard scales the Wth/Wtdp boundaries while power readings are
+// untrusted: the state machine throttles earlier when it cannot see
+// clearly.
+const DegradedGuard = 0.85
+
+// degradedHealthyRounds is how many consecutive trusted readings clear the
+// degraded flag.
+const degradedHealthyRounds = 3
 
 // DefaultConfig returns the tunables used throughout the evaluation: δ=0.2
 // (the paper's running-example tolerance), a buffer zone at 90 % of TDP,
@@ -115,15 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Wth <= 0 && c.Wtdp > 0 {
 		c.Wth = d.Wth
-	}
-	if c.SensorStaleRounds <= 0 {
-		c.SensorStaleRounds = 8
-	}
-	if c.DegradedGuard <= 0 || c.DegradedGuard > 1 {
-		c.DegradedGuard = 0.85
-	}
-	if c.DegradedHealthyRounds <= 0 {
-		c.DegradedHealthyRounds = 3
 	}
 	return c
 }

@@ -62,7 +62,7 @@ type Market struct {
 	// Sensor-health bookkeeping (graceful degradation, DESIGN.md §9). The
 	// chip agent validates each power reading before classification; while
 	// readings are untrusted it holds the last good value (bounded by
-	// SensorStaleRounds) and tightens the Wth/Wtdp boundaries by
+	// sensorStaleRounds) and tightens the Wth/Wtdp boundaries by
 	// DegradedGuard. Clean runs never reject a reading, so digests and
 	// goldens are unchanged.
 	degraded       bool
@@ -144,7 +144,7 @@ func (m *Market) LastGoodPower() float64 { return m.lastGoodW }
 // readings are untrusted.
 func (m *Market) EffectiveWtdp() float64 {
 	if m.degraded {
-		return m.cfg.Wtdp * m.cfg.DegradedGuard
+		return m.cfg.Wtdp * DegradedGuard
 	}
 	return m.cfg.Wtdp
 }
@@ -153,7 +153,7 @@ func (m *Market) EffectiveWtdp() float64 {
 // EffectiveWtdp).
 func (m *Market) EffectiveWth() float64 {
 	if m.degraded {
-		return m.cfg.Wth * m.cfg.DegradedGuard
+		return m.cfg.Wth * DegradedGuard
 	}
 	return m.cfg.Wth
 }
@@ -284,8 +284,8 @@ const sensorJumpFactor = 6
 // reading is rejected when it is non-finite or negative, above the
 // physical envelope (MaxSensorPowerW), a dropout (0 W while tasks run and
 // the chip was just drawing power), or implausibly far above the EWMA.
-// Rejections hold the last trusted value for up to SensorStaleRounds and
-// set the degraded flag; DegradedHealthyRounds consecutive trusted
+// Rejections hold the last trusted value for up to sensorStaleRounds and
+// set the degraded flag; degradedHealthyRounds consecutive trusted
 // readings clear it. Clean runs take the healthy path on every round and
 // behave exactly as before.
 func (m *Market) validateSensor(w float64, tasks int) float64 {
@@ -304,7 +304,7 @@ func (m *Market) validateSensor(w float64, tasks int) float64 {
 		m.staleRounds = 0
 		if m.degraded {
 			m.healthyStreak++
-			if m.healthyStreak >= m.cfg.DegradedHealthyRounds {
+			if m.healthyStreak >= degradedHealthyRounds {
 				m.degraded = false
 				m.healthyStreak = 0
 				if m.tel.Enabled(telemetry.KindDegraded) {
@@ -332,7 +332,7 @@ func (m *Market) validateSensor(w float64, tasks int) float64 {
 			m.tel.Emit(ev)
 		}
 	}
-	if m.lastGoodSeeded && m.staleRounds <= m.cfg.SensorStaleRounds {
+	if m.lastGoodSeeded && m.staleRounds <= sensorStaleRounds {
 		return m.lastGoodW
 	}
 	// Stale bound exceeded (or no trusted sample yet): clamp the raw

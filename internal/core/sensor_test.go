@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-// sensorMarket builds a 1-cluster market with the validation tunables set
-// and the EWMA/last-good state seeded as if w had been trusted for a while.
+// sensorMarket builds a 1-cluster market with a 20 W sensor envelope and
+// the EWMA/last-good state seeded as if w had been trusted for a while.
 func sensorMarket(seedW float64) *Market {
 	ctl := NewLadderControl([]float64{100, 200}, []float64{1, 2})
-	m := NewMarket(Config{
-		InitialAllowance: 10, Wtdp: 8,
-		MaxSensorPowerW: 20, SensorStaleRounds: 3, DegradedHealthyRounds: 2,
-	}, []ClusterControl{ctl}, []int{1})
+	m := NewMarket(Config{InitialAllowance: 10, Wtdp: 8, MaxSensorPowerW: 20},
+		[]ClusterControl{ctl}, []int{1})
 	if seedW > 0 {
 		m.wAvg, m.wSeeded = seedW, true
 		m.lastGoodW, m.lastGoodSeeded = seedW, true
@@ -83,9 +81,9 @@ func TestValidateSensorAcceptsLegitimateLows(t *testing.T) {
 
 func TestValidateSensorStaleBoundThenClamp(t *testing.T) {
 	m := sensorMarket(3)
-	// SensorStaleRounds=3: the first three rejections hold the last good
-	// value, the fourth clamps the raw reading into [0, MaxSensorPowerW].
-	for i := 0; i < 3; i++ {
+	// The first sensorStaleRounds rejections hold the last good value, the
+	// next clamps the raw reading into [0, MaxSensorPowerW].
+	for i := 0; i < sensorStaleRounds; i++ {
 		if got := m.validateSensor(50, 2); got != 3 {
 			t.Fatalf("rejection %d: got %v, want held 3", i+1, got)
 		}
@@ -104,19 +102,28 @@ func TestValidateSensorDegradedHysteresis(t *testing.T) {
 	if !m.Degraded() {
 		t.Fatal("not degraded after rejection")
 	}
-	if m.validateSensor(3.1, 2); m.Degraded() != true {
-		t.Fatal("one healthy round cleared degraded, want DegradedHealthyRounds=2")
+	for i := 1; i < degradedHealthyRounds; i++ {
+		if m.validateSensor(3.1, 2); !m.Degraded() {
+			t.Fatalf("%d healthy rounds cleared degraded, want %d", i, degradedHealthyRounds)
+		}
 	}
 	if m.validateSensor(3.2, 2); m.Degraded() {
-		t.Error("two healthy rounds did not clear degraded")
+		t.Errorf("%d healthy rounds did not clear degraded", degradedHealthyRounds)
 	}
 	// A rejection mid-streak resets the hysteresis counter.
 	m.validateSensor(math.NaN(), 2)
-	m.validateSensor(3.1, 2)
+	for i := 1; i < degradedHealthyRounds; i++ {
+		m.validateSensor(3.1, 2)
+	}
 	m.validateSensor(math.NaN(), 2)
-	m.validateSensor(3.1, 2)
+	for i := 1; i < degradedHealthyRounds; i++ {
+		m.validateSensor(3.1, 2)
+	}
+	if !m.Degraded() {
+		t.Fatal("a rejection mid-streak did not reset the healthy streak")
+	}
 	if m.validateSensor(3.2, 2); m.Degraded() {
-		t.Error("two consecutive healthy rounds after reset did not clear degraded")
+		t.Errorf("%d consecutive healthy rounds after reset did not clear degraded", degradedHealthyRounds)
 	}
 }
 
@@ -132,7 +139,7 @@ func TestEffectiveBoundariesTighten(t *testing.T) {
 	if !m.Degraded() {
 		t.Fatal("not degraded")
 	}
-	wantTdp := m.cfg.Wtdp * m.cfg.DegradedGuard
+	wantTdp := m.cfg.Wtdp * DegradedGuard
 	if got := m.EffectiveWtdp(); got != wantTdp {
 		t.Errorf("degraded EffectiveWtdp = %v, want %v", got, wantTdp)
 	}

@@ -115,8 +115,6 @@ func TestSingleFaultSettlesToBaseline(t *testing.T) {
 		{Type: fault.DVFSFail, Cluster: 1, Start: 160, Rounds: 30, Magnitude: 1},
 		{Type: fault.DVFSDelay, Cluster: 0, Start: 160, Rounds: 30, Magnitude: 100},
 		{Type: fault.MigrationBlowup, Cluster: -1, Start: 160, Rounds: 30, Magnitude: 10},
-		{Type: fault.ThermalNoise, Cluster: 0, Start: 160, Rounds: 30, Magnitude: 10},
-		{Type: fault.ThermalStuck, Cluster: 1, Start: 160, Rounds: 30},
 	}
 	for _, f := range faults {
 		f := f

@@ -2,7 +2,7 @@
 // seed-driven fault-injection layer that perturbs the signals power
 // governors actually consume — power-sensor noise, dropouts and stuck-at
 // readings, V-F regulator refusals and latency spikes, transient core
-// hot-unplug/replug, migration-cost blowups, and thermal-sensor faults.
+// hot-unplug/replug, and migration-cost blowups.
 //
 // The paper's PPM runs inside a kernel against real hardware whose sensors
 // glitch and whose cores get hot-unplugged; the clean simulated substrate
@@ -54,11 +54,6 @@ const (
 	CoreUnplug Type = "core-unplug"
 	// MigrationBlowup multiplies modeled migration costs by Magnitude.
 	MigrationBlowup Type = "migration-blowup"
-	// ThermalNoise adds uniform ±Magnitude °C to thermal-sensor readings.
-	ThermalNoise Type = "thermal-noise"
-	// ThermalStuck freezes the target cluster's thermal readings at the
-	// window-entry temperature.
-	ThermalStuck Type = "thermal-stuck"
 )
 
 // Types lists every fault class (the chaos schedule draws from it).
@@ -66,7 +61,6 @@ var Types = []Type{
 	PowerNoise, PowerDropout, PowerStuck,
 	DVFSFail, DVFSDelay,
 	CoreUnplug, MigrationBlowup,
-	ThermalNoise, ThermalStuck,
 }
 
 // Fault is one injection window.
@@ -74,7 +68,7 @@ type Fault struct {
 	// Type selects the fault class.
 	Type Type `json:"type"`
 	// Cluster targets one cluster; -1 targets the chip-level sensor
-	// (power/thermal faults) or every cluster (dvfs faults).
+	// (power faults) or every cluster (dvfs faults).
 	Cluster int `json:"cluster"`
 	// Core is the global core index for core-unplug (ignored otherwise).
 	Core int `json:"core,omitempty"`
@@ -83,8 +77,8 @@ type Fault struct {
 	Start  int `json:"start"`
 	Rounds int `json:"rounds"`
 	// Magnitude is type-specific: W (power-noise), probability (dvfs-fail),
-	// ms (dvfs-delay), cost multiplier (migration-blowup), °C
-	// (thermal-noise). Unused by dropout/stuck/unplug.
+	// ms (dvfs-delay), cost multiplier (migration-blowup). Unused by
+	// dropout/stuck/unplug.
 	Magnitude float64 `json:"magnitude,omitempty"`
 }
 

@@ -131,7 +131,6 @@ func TestInjectorPerturbations(t *testing.T) {
 			{Type: DVFSFail, Cluster: 0, Start: 0, Rounds: 100, Magnitude: 1},
 			{Type: DVFSDelay, Cluster: 1, Start: 0, Rounds: 100, Magnitude: 100},
 			{Type: MigrationBlowup, Cluster: -1, Start: 0, Rounds: 100, Magnitude: 10},
-			{Type: ThermalNoise, Cluster: 0, Start: 0, Rounds: 100, Magnitude: 5},
 		},
 	}
 	in := NewInjector(sc)
@@ -166,14 +165,6 @@ func TestInjectorPerturbations(t *testing.T) {
 
 	if got := in.MigrationCost(sim.Millisecond, now); got != 10*sim.Millisecond {
 		t.Errorf("migration blowup ×10 gave %v", got)
-	}
-
-	tr := in.TempReading(0, 50, now)
-	if tr < 45 || tr > 55 {
-		t.Errorf("thermal reading %v outside 50 ± 5", tr)
-	}
-	if in.TempReading(1, 50, now) != 50 {
-		t.Error("thermal noise leaked onto untargeted cluster 1")
 	}
 }
 

@@ -88,10 +88,6 @@ func (in *Injector) BeginTick(p *platform.Platform, now sim.Time) {
 				} else {
 					in.stuck[i] = p.Power()
 				}
-			case ThermalStuck:
-				if th := p.Thermals(); len(th) > 0 && f.Cluster >= 0 && f.Cluster < len(p.Chip.Clusters) {
-					in.stuck[i] = th[0].Temp(f.Cluster)
-				}
 			case CoreUnplug:
 				if f.Core >= 0 && f.Core < len(p.Chip.Cores) {
 					p.Chip.Cores[f.Core].Offline = true
@@ -155,28 +151,6 @@ func (in *Injector) PowerReading(cluster int, w float64, now sim.Time) float64 {
 		}
 	}
 	return w
-}
-
-// TempReading implements platform.FaultInjector.
-func (in *Injector) TempReading(cluster int, t float64, now sim.Time) float64 {
-	for i := range in.sc.Faults {
-		if !in.active[i] {
-			continue
-		}
-		f := &in.sc.Faults[i]
-		switch f.Type {
-		case ThermalNoise:
-			if targets(f, cluster) {
-				u := unit(hash3(in.sc.Seed, uint64(i)^0x5bf0, uint64(cluster+2), uint64(now)))
-				t += (2*u - 1) * f.Magnitude
-			}
-		case ThermalStuck:
-			if f.Cluster == cluster {
-				t = in.stuck[i]
-			}
-		}
-	}
-	return t
 }
 
 // DVFSOutcome implements platform.FaultInjector: the fate of a requested

@@ -48,11 +48,6 @@ func RandomScenario(seed uint64, clusters, cores, horizon int) Scenario {
 		case MigrationBlowup:
 			dur = 5 + rng.Intn(16)
 			f.Magnitude = rng.Range(4, 20)
-		case ThermalNoise:
-			dur = 10 + rng.Intn(21)
-			f.Magnitude = rng.Range(5, 15)
-		case ThermalStuck:
-			dur = 3 + rng.Intn(10)
 		}
 		f.Rounds = dur
 		f.Start = 10 + rng.Intn(horizon-20-dur)

@@ -249,9 +249,6 @@ func (f *Federation) registerMetrics() {
 // registries merge in via ExportMetrics.
 func (f *Federation) Registry() *telemetry.Registry { return f.reg }
 
-// NumRegions reports the federation size.
-func (f *Federation) NumRegions() int { return len(f.regions) }
-
 // Regions exposes the region wrappers (read-only use: registries,
 // fleets).
 func (f *Federation) Regions() []*Region {

@@ -182,15 +182,11 @@ type stepReply struct {
 	// collects: the late reply of a barrier abandoned by a LivenessError.
 	batch int
 	snap  Snapshot
-	// events are the batch's captured lifecycle events, content-sorted
-	// (nil unless tracing): the fleet's per-barrier fold stamps board IDs
-	// and emits them in (round, board, kind) order to its event sink.
-	events []telemetry.Event
-	err    error // first invariant violation, when checking is on
+	err   error // first invariant violation, when checking is on
 
-	// crashed marks a terminal reply from a dead board: no snapshot, no
-	// events — just the restart image of the last successful step, for
-	// the supervisor to orphan from. The board keeps answering so the
+	// crashed marks a terminal reply from a dead board: no snapshot —
+	// just the restart image of the last successful step, for the
+	// supervisor to orphan from. The board keeps answering so the
 	// pipeline never blocks on it. stalled marks a withheld step
 	// (board-stall fault): the batch was deferred board-side and the
 	// fleet keeps its assignments in flight until the board catches up
@@ -391,7 +387,7 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 		// Withhold the real reply: hold the batch for catch-up and answer
 		// with the sentinel so the barrier still completes. The fleet
 		// keeps these assignments in flight (stall-pending) and
-		// quarantines the board after Config.StallBarriers misses.
+		// quarantines the board after stallBarriers misses.
 		b.deferred = append(b.deferred, c)
 		return stepReply{batch: c.batch, stalled: true}
 	}
@@ -432,7 +428,6 @@ func (b *Board) step(c stepCmd) (r stepReply) {
 				Value: ev.Value,
 			})
 		}
-		r.events = evs
 	}
 	if b.chk != nil {
 		r.err = b.chk.Err()

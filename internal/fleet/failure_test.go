@@ -156,10 +156,9 @@ func TestCollectJoinsMultipleCrashErrors(t *testing.T) {
 // while the crashed one stays quarantined.
 func TestCrashAndStallSameBarrier(t *testing.T) {
 	f, err := New(Config{
-		Boards:        4,
-		Seed:          11,
-		Check:         true,
-		StallBarriers: 2,
+		Boards: 4,
+		Seed:   11,
+		Check:  true,
 		Faults: map[int]fault.Scenario{
 			1: crashScenario(5, 1),
 			2: stallScenario(5, 3),
@@ -200,16 +199,15 @@ func TestCrashAndStallSameBarrier(t *testing.T) {
 }
 
 // TestStallQuarantineAndCatchUp pins the deterministic stall detector:
-// below StallBarriers misses the board keeps its routable (stale)
+// below stallBarriers misses the board keeps its routable (stale)
 // snapshot, at the threshold it quarantines, and its first real reply
 // clears the quarantine with the deferred batches replayed in order.
 func TestStallQuarantineAndCatchUp(t *testing.T) {
 	f, err := New(Config{
-		Boards:        2,
-		Seed:          3,
-		Check:         true,
-		StallBarriers: 2,
-		Faults:        map[int]fault.Scenario{0: stallScenario(3, 3)},
+		Boards: 2,
+		Seed:   3,
+		Check:  true,
+		Faults: map[int]fault.Scenario{0: stallScenario(3, 3)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,51 +313,6 @@ func TestPermanentQuarantineReplacesOrphansImmediately(t *testing.T) {
 	if st.Boards[1].Tasks == 0 {
 		t.Fatal("surviving board took no work")
 	}
-	// The supervisor owns a crashed board: manual drain/resume refuse.
-	if err := f.Drain(0); err == nil {
-		t.Fatal("Drain of a crashed board must refuse")
-	}
-	if err := f.Resume(0); err == nil {
-		t.Fatal("Resume of a crashed board must refuse")
-	}
-}
-
-// TestMaxRestartsCapsResurrection crashes the same board in every epoch
-// and asserts the supervisor gives up at the cap.
-func TestMaxRestartsCapsResurrection(t *testing.T) {
-	f, err := New(Config{
-		Boards:       2,
-		Seed:         5,
-		Check:        true,
-		RestartAfter: 1,
-		MaxRestarts:  2,
-		// An always-open crash window: the board dies again at its first
-		// post-restart barrier, every epoch.
-		Faults: map[int]fault.Scenario{0: crashScenario(3, 1000)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for i := 0; i < 6; i++ {
-		f.Submit(lightSpec("t"))
-	}
-	for i := 0; i < 30; i++ {
-		stepChecked(t, f)
-	}
-	st := f.StateSnapshot()
-	if st.Counters.Restarts != 2 {
-		t.Fatalf("restarts = %d, want exactly MaxRestarts = 2", st.Counters.Restarts)
-	}
-	if st.Counters.Crashes != 3 {
-		t.Fatalf("crashes = %d, want 3 (initial + one per restart)", st.Counters.Crashes)
-	}
-	if !st.Boards[0].Crashed {
-		t.Fatal("board 0 must end permanently quarantined")
-	}
-	if st.Orphaned != 0 {
-		t.Fatalf("%d orphans still held after permanent quarantine", st.Orphaned)
-	}
 }
 
 // TestLivenessDeadlineNamesHungBoards kills a board's goroutine behind
@@ -426,13 +379,12 @@ func TestInjectedStallsNeverTripLiveness(t *testing.T) {
 func runFaultedRecordedFleet(t *testing.T, skew int) []uint64 {
 	t.Helper()
 	f, err := New(Config{
-		Boards:        8,
-		Seed:          0xfee1de7e,
-		MaxSkew:       skew,
-		Record:        true,
-		Check:         true,
-		RestartAfter:  3,
-		StallBarriers: 2,
+		Boards:       8,
+		Seed:         0xfee1de7e,
+		MaxSkew:      skew,
+		Record:       true,
+		Check:        true,
+		RestartAfter: 3,
 		Faults: map[int]fault.Scenario{
 			2: crashScenario(6, 1),
 			5: stallScenario(4, 3),

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,9 +62,13 @@ const traceSeedStream = 0x7ace_0000
 // ever replays another's randomness).
 const restartSeedStream = 0x4e57_0000
 
-// DefaultStallBarriers is the stall detector's quarantine threshold
-// when Config.StallBarriers is zero.
-const DefaultStallBarriers = 2
+// stallBarriers is the deterministic stall detector's threshold: a board
+// that withholds its real step reply for this many consecutive barriers —
+// counted in virtual barriers, never wall clock — is quarantined (excluded
+// from routing) until its first caught-up reply. Deferred assignments stay
+// in the in-flight ledger the whole time, so the zero-loss invariant holds
+// through the stall.
+const stallBarriers = 2
 
 // Config assembles a fleet.
 type Config struct {
@@ -101,26 +104,15 @@ type Config struct {
 	// sensor cannot thrash drain→resume→re-trip→drain every few barriers.
 	// 0 disables auto-drain.
 	DrainDegradedAfter int
-	// StallBarriers is the deterministic stall detector's threshold
-	// (default DefaultStallBarriers): a board that withholds its real
-	// step reply for this many consecutive barriers — counted in
-	// virtual barriers, never wall clock — is quarantined (excluded
-	// from routing) until its first caught-up reply. Deferred
-	// assignments stay in the in-flight ledger the whole time, so the
-	// zero-loss invariant holds through the stall.
-	StallBarriers int
 	// RestartAfter enables the crash supervisor: a crashed board is
-	// resurrected under the same ID after at least this many barriers,
-	// growing exponentially per repeat crash with seeded jitter
-	// (fault.Backoff over the restartSeedStream). The restarted board
-	// boots a fresh platform under a derived restart-epoch seed and the
-	// crashed board's checkpointed tasks re-enter the dispatcher. 0
-	// disables restarts: a crash permanently quarantines the board and
-	// its orphans requeue immediately.
+	// resurrected under the same ID, as often as it crashes, after at
+	// least this many barriers, growing exponentially per repeat crash
+	// with seeded jitter (fault.Backoff over the restartSeedStream). The
+	// restarted board boots a fresh platform under a derived
+	// restart-epoch seed and the crashed board's checkpointed tasks
+	// re-enter the dispatcher. 0 disables restarts: a crash permanently
+	// quarantines the board and its orphans requeue immediately.
 	RestartAfter int
-	// MaxRestarts caps supervised restarts per board; a crash beyond
-	// the cap permanently quarantines the board (0 = unlimited).
-	MaxRestarts int
 	// Liveness is an optional wall-clock deadline per collected barrier
 	// (0 = off, the default — determinism-preserving): if any board
 	// produces no step reply within it, collection fails fast with a
@@ -170,9 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSkew < 0 {
 		c.MaxSkew = 0
 	}
-	if c.StallBarriers <= 0 {
-		c.StallBarriers = DefaultStallBarriers
-	}
 	return c
 }
 
@@ -202,7 +191,7 @@ type Counters struct {
 	// cooldown last reset — the drain/resume flapping signal.
 	Redrained uint64 `json:"redrained"`
 	// Crashes counts board-crash detections; Stalls counts stall
-	// quarantines (a board that missed StallBarriers barriers);
+	// quarantines (a board that missed stallBarriers barriers);
 	// Restarts counts supervised resurrections. Orphaned is the
 	// cumulative count of tasks orphaned by crashes; Replaced counts
 	// orphans re-placed through the dispatcher (at restart or, for a
@@ -296,8 +285,8 @@ func pick(subs []Submission, idx []int32) []Submission {
 
 // Fleet is the coordinator: it owns the admission queue, the dispatcher
 // and the batch barrier pipeline. Submit may be called concurrently with
-// Step (the HTTP frontend does); board state is only touched from Step /
-// Drain / Resume / Flush, which the driver serializes.
+// Step (the HTTP frontend does); board state is only touched from Step and
+// Flush, which the driver serializes.
 type Fleet struct {
 	cfg  Config
 	disp *Dispatcher
@@ -350,9 +339,6 @@ type Fleet struct {
 	histQueueWait  *telemetry.Histogram // virtual ms enqueue → routed (exemplars)
 	histBarrierLag *telemetry.Histogram // barriers of skew at collect
 	histRestart    *telemetry.Histogram // barriers crash-detection → restart
-	// evSink, when set, receives each collected barrier's board lifecycle
-	// events in (round, board, kind) order (see SetEventSink).
-	evSink telemetry.Sink
 }
 
 // New builds the fleet and boots its boards (each on its own goroutine,
@@ -416,7 +402,7 @@ func (f *Fleet) registerMetrics() {
 	counter("pricepower_fleet_resubmitted_total", "Evacuated tasks re-routed through the dispatcher.", &f.counters.Resubmitted)
 	counter("pricepower_fleet_redrains_total", "Auto-drains of a board beyond its first (flapping).", &f.counters.Redrained)
 	counter("pricepower_fleet_crashes_total", "Board-crash detections.", &f.counters.Crashes)
-	counter("pricepower_fleet_stalls_total", "Stall quarantines (boards past StallBarriers misses).", &f.counters.Stalls)
+	counter("pricepower_fleet_stalls_total", "Stall quarantines (boards past the stall threshold of consecutive missed barriers).", &f.counters.Stalls)
 	counter("pricepower_fleet_restarts_total", "Supervised board resurrections.", &f.counters.Restarts)
 	counter("pricepower_fleet_orphaned_total", "Tasks orphaned by board crashes (cumulative).", &f.counters.Orphaned)
 	counter("pricepower_fleet_replaced_total", "Orphaned tasks re-placed through the dispatcher.", &f.counters.Replaced)
@@ -493,13 +479,6 @@ func (f *Fleet) AttachTelemetry(em *telemetry.Emitter) {
 // timelines, span-conservation counts, and the replay digest vector.
 func (f *Fleet) Tracer() *trace.Tracer { return f.tracer }
 
-// SetEventSink installs the ordered fleet event stream: each collected
-// barrier's board lifecycle events (requires Config.Trace, which enables
-// board-side capture) are stamped with their board ID and emitted sorted
-// by (round, board, kind). Call before stepping; the sink is read from the
-// stepping goroutine without synchronization.
-func (f *Fleet) SetEventSink(s telemetry.Sink) { f.evSink = s }
-
 // NumBoards reports the fleet size.
 func (f *Fleet) NumBoards() int { return len(f.boards) }
 
@@ -566,7 +545,7 @@ func (f *Fleet) submitOneLocked(s Submission) bool {
 // before anything submitted during the batch, preserving FIFO admission
 // (drained tasks were already running, so they go first) — and trims the
 // overflow from the tail with Shed accounting. Every path that re-enters
-// work (barrier retry, auto-drain, manual Drain) funnels through here so
+// work (barrier retry, auto-drain, crash re-placement) funnels through here so
 // an evacuation overlapping a full queue sheds exactly once instead of
 // silently exceeding the cap.
 func (f *Fleet) requeueLocked(requeue []Submission) {
@@ -786,10 +765,8 @@ func (f *Fleet) collectTo(maxOutstanding int) (resubmit []Submission, firstErr e
 			ops := f.ops
 			f.ops = nil
 			for _, op := range ops {
-				// A deferred op is never refused: one the board outlived
-				// (it crashed since) is moot.
-				subs, _ := f.runOp(op.board, op.ev)
-				resubmit = append(resubmit, subs...)
+				// An op the board outlived (it crashed since) is moot.
+				resubmit = append(resubmit, f.runOp(op.board, op.ev)...)
 			}
 			continue
 		}
@@ -899,7 +876,6 @@ func (f *Fleet) collectOldest() error {
 		f.fresh = make([]Snapshot, len(f.boards))
 	}
 	fresh := f.fresh[:len(f.boards)]
-	var events []telemetry.Event
 	var notes []telemetry.Event // lifecycle events, emitted after unlock
 	var errs []error
 	// Unwind the barrier's projection first; the transitions below re-pin
@@ -929,18 +905,6 @@ func (f *Fleet) collectOldest() error {
 			if f.recs[i].state == stStalled {
 				ev.kind = evCatchup
 			}
-			if f.evSink != nil && len(r.events) > 0 {
-				for _, be := range r.events {
-					be.Board = i
-					// Restamp Round with the fold round (the barrier number):
-					// emit sites stamp market rounds inconsistently (migration
-					// leaves it zero, fault uses its own period), so the fold
-					// round is the only key that is monotone across the log.
-					// Exact virtual time is preserved in be.Time.
-					be.Round = int(bar.batch)
-					events = append(events, be)
-				}
-			}
 			if r.err != nil {
 				errs = append(errs, fmt.Errorf("fleet: board %d: %w", i, r.err))
 			}
@@ -950,7 +914,7 @@ func (f *Fleet) collectOldest() error {
 			notes = append(notes, out.notes...)
 			f.queue(i, out.op)
 		}
-		f.recs[i].mark(&fresh[i], f.cfg.StallBarriers)
+		f.recs[i].mark(&fresh[i])
 	}
 	copy(f.snaps, fresh)
 	lag := f.issued - bar.batch
@@ -970,24 +934,6 @@ func (f *Fleet) collectOldest() error {
 		f.histBarrierLag.Record(float64(lag))
 	}
 	f.spare = append(f.spare, bar)
-	if len(events) > 0 {
-		// The per-barrier event fold: one globally sorted flush per
-		// barrier in (round, board, kind) order — the ordering contract
-		// JSONL consumers rely on (see telemetry.JSONLSink).
-		sort.SliceStable(events, func(i, j int) bool {
-			a, b := events[i], events[j]
-			if a.Round != b.Round {
-				return a.Round < b.Round
-			}
-			if a.Board != b.Board {
-				return a.Board < b.Board
-			}
-			return a.Kind < b.Kind
-		})
-		for _, ev := range events {
-			f.evSink.Emit(ev)
-		}
-	}
 	return errors.Join(errs...)
 }
 

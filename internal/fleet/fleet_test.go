@@ -39,6 +39,23 @@ func checkZeroLoss(t *testing.T, f *Fleet) {
 	}
 }
 
+// drainNow evacuates board i at once through the auto-drain op, run on a
+// flushed pipeline as the cooldown machine runs it. Under
+// DrainDegradedAfter 0 no cooldown resumes the board: it stays drained
+// until resumeNow (or a restart).
+func drainNow(t *testing.T, f *Fleet, i int) { opNow(t, f, i, evAutoDrain) }
+
+// resumeNow hands a board drained by drainNow back to routing.
+func resumeNow(t *testing.T, f *Fleet, i int) { opNow(t, f, i, evAutoResume) }
+
+func opNow(t *testing.T, f *Fleet, i int, op evKind) {
+	t.Helper()
+	f.queue(i, op)
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFleetRoutesAndConserves(t *testing.T) {
 	f, err := New(Config{Boards: 3, Seed: 7, Check: true})
 	if err != nil {
@@ -97,6 +114,9 @@ func TestFleetShedsOnQueueOverflow(t *testing.T) {
 	checkZeroLoss(t, f)
 }
 
+// TestFleetManualDrainResubmits drains the busier board at a barrier the
+// test picks (drainNow) and checks its tasks re-route onto the other one
+// with nothing lost, then resumes it.
 func TestFleetManualDrainResubmits(t *testing.T) {
 	f, err := New(Config{Boards: 2, Seed: 3})
 	if err != nil {
@@ -122,9 +142,7 @@ func TestFleetManualDrainResubmits(t *testing.T) {
 		t.Fatal("victim board has no tasks; routing failed before the drain test started")
 	}
 
-	if err := f.Drain(victim); err != nil {
-		t.Fatal(err)
-	}
+	drainNow(t, f, victim)
 	checkZeroLoss(t, f)
 	for i := 0; i < 10; i++ {
 		if err := f.Step(); err != nil {
@@ -148,9 +166,7 @@ func TestFleetManualDrainResubmits(t *testing.T) {
 	}
 
 	// Resume: the board takes new work again.
-	if err := f.Resume(victim); err != nil {
-		t.Fatal(err)
-	}
+	resumeNow(t, f, victim)
 	f.Submit(lightSpec("late"))
 	// The revived board is idle (price 0 after settling) so the next
 	// barrier routes the newcomer there or queues it at worst once.
@@ -304,9 +320,7 @@ func TestFleetSkewedRetryProjectsInFlight(t *testing.T) {
 	// Board 1 out of the picture: every admissible path leads to board 0,
 	// whose supply ceiling (5400 PU on TC2) fits ~54 of these 100-PU
 	// estimated tasks.
-	if err := f.Drain(1); err != nil {
-		t.Fatal(err)
-	}
+	drainNow(t, f, 1)
 	for i := 0; i < 100; i++ {
 		f.Submit(lightSpec("t"))
 	}
@@ -342,8 +356,8 @@ func TestFleetSkewedRetryProjectsInFlight(t *testing.T) {
 // TestFleetDrainOverflowShedsOnce pins the drain-overlapping-overflow
 // accounting: evacuating a board into a full admission queue must shed
 // the overflow exactly once — counted, queue cap respected — instead of
-// silently growing the queue past its cap (the old manual-Drain path) or
-// losing tasks from the conservation ledger.
+// silently growing the queue past its cap or losing tasks from the
+// conservation ledger.
 func TestFleetDrainOverflowShedsOnce(t *testing.T) {
 	f, err := New(Config{Boards: 1, Seed: 2, QueueCap: 4})
 	if err != nil {
@@ -366,9 +380,7 @@ func TestFleetDrainOverflowShedsOnce(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Submit(lightSpec("queued"))
 	}
-	if err := f.Drain(0); err != nil {
-		t.Fatal(err)
-	}
+	drainNow(t, f, 0)
 	st = f.StateSnapshot()
 	if st.QueueLen != 4 {
 		t.Errorf("queue len = %d after drain, want cap 4", st.QueueLen)

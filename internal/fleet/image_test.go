@@ -41,11 +41,11 @@ func sameImage(a, b *Checkpoint) bool {
 
 // TestImageMatchesEagerCheckpoint runs a churned lockstep fleet —
 // placements every barrier, finite tasks retiring, a stall and its
-// catch-up, a manual drain and resume, an auto-drain under a sensor
-// fault, a crash inside a catch-up step and its supervised restart —
-// traced and untraced, and at every barrier checks each board's restart
-// image — on a crashed board, the frozen copy its crashed replies carry —
-// against the eager fold of its last successful barrier.
+// catch-up, a drain and resume at barriers the test picks, an auto-drain
+// under a sensor fault, a crash inside a catch-up step and its supervised
+// restart — traced and untraced, and at every barrier checks each board's
+// restart image — on a crashed board, the frozen copy its crashed replies
+// carry — against the eager fold of its last successful barrier.
 func TestImageMatchesEagerCheckpoint(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
@@ -114,17 +114,13 @@ func TestImageMatchesEagerCheckpoint(t *testing.T) {
 				switch n {
 				case 12:
 					if f.snaps[3].Tasks == 0 {
-						t.Fatal("board 3 is idle at the manual drain")
+						t.Fatal("board 3 is idle at the drain")
 					}
-					if err := f.Drain(3); err != nil {
-						t.Fatal(err)
-					}
+					drainNow(t, f, 3)
 					want[3] = eagerCheckpoint(f.boards[3], f.batch)
-					check("after the manual drain")
+					check("after the drain")
 				case 16:
-					if err := f.Resume(3); err != nil {
-						t.Fatal(err)
-					}
+					resumeNow(t, f, 3)
 					check("after the resume")
 				}
 			}

@@ -31,10 +31,8 @@ func (s boardState) supervised() bool { return s >= stCrashed }
 type boardRec struct {
 	state boardState
 	// drained is the drain mark (Snapshot.Draining). It outlives a stall
-	// or a crash: a drained board that stalls is still drained. manual is
-	// the operator's drain: set by Drain and cleared only by Resume, so
-	// neither the cooldown machine nor a restart undoes it.
-	drained, manual bool
+	// or a crash: a drained board that stalls is still drained.
+	drained bool
 
 	// Drain cooldown (Config.DrainDegradedAfter): consecutive degraded
 	// barriers; healthy barriers while auto-drained; auto-drains since the
@@ -70,24 +68,10 @@ func (r *boardRec) settle() {
 }
 
 // mark stamps the record's lifecycle onto a snapshot about to publish.
-func (r *boardRec) mark(s *Snapshot, stallBarriers int) {
+func (r *boardRec) mark(s *Snapshot) {
 	s.Draining = r.drained
 	s.Stalled = r.state == stStalled && r.stallMiss >= stallBarriers
 	s.Crashed = r.state.supervised()
-}
-
-// refuse is the supervisor's claim on a dead board: a manual drain or
-// resume of a crashed, restarting or quarantined board is refused. A
-// deferred drain or resume is not refused but moot.
-func (r *boardRec) refuse(i int, kind evKind) error {
-	switch {
-	case !r.state.supervised():
-	case kind == evDrain:
-		return fmt.Errorf("fleet: board %d crashed; the supervisor owns its work", i)
-	case kind == evResume:
-		return fmt.Errorf("fleet: board %d crashed; resume waits on the supervisor", i)
-	}
-	return nil
 }
 
 // evKind is one input to a board's lifecycle. The ops a barrier defers to
@@ -109,13 +93,10 @@ const (
 	evAutoDrain            // the cooldown machine's first drain
 	evAutoRedrain          // a drain beyond the first since the cooldown reset
 	evAutoResume           // the cooldown machine's resume
-	evDrain                // manual Drain
-	evResume               // manual Resume
 )
 
 // drainClass names each drain and resume kind's KindDrain event.
-var drainClass = [...]string{evAutoDrain: "drain", evAutoRedrain: "redrain",
-	evAutoResume: "resume", evDrain: "manual-drain", evResume: "manual-resume"}
+var drainClass = [...]string{evAutoDrain: "drain", evAutoRedrain: "redrain", evAutoResume: "resume"}
 
 // event is an evKind with its inputs: the collected barrier, the board's
 // share of it (stall and crash replies) and, at a first crash detection,
@@ -129,13 +110,11 @@ type event struct {
 
 // outcome is what a transition asks of its caller: an op to defer to the
 // flushed pipeline, lifecycle events to emit once f.mu is released (the
-// emitter's clock takes it), orphans released for re-placement, or a
-// manual command's refusal.
+// emitter's clock takes it), or orphans released for re-placement.
 type outcome struct {
 	op      evKind
 	notes   []telemetry.Event
 	release []Submission
-	err     error
 }
 
 // apply is the board lifecycle's one transition function: it moves board
@@ -158,11 +137,10 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 	}
 	switch ev.kind {
 	case evHealthy, evDegraded:
-		if r.state > stDraining || r.manual {
+		if r.state > stDraining {
 			// Silent or dead boards republish stale snapshots; their
 			// Degraded bit is old news, and draining them is the
-			// supervisor's job, not the sensor-health path's. A manually
-			// drained board is the operator's until Resume.
+			// supervisor's job, not the sensor-health path's.
 			r.degraded, r.healthy = 0, 0
 			break
 		}
@@ -211,7 +189,7 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 		r.stallPending = append(r.stallPending, ev.subs...)
 		r.stallMiss++
 		r.state = stStalled
-		if r.stallMiss == f.cfg.StallBarriers {
+		if r.stallMiss == stallBarriers {
 			f.counters.Stalls++
 			note(telemetry.KindBoard, "stall", float64(r.stallMiss))
 		}
@@ -223,7 +201,7 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 		// The caught-up snapshot already counts the deferred batches'
 		// tasks as live, so the pinned carry unwinds here, exactly once.
 		c.sub(r.stallCarry)
-		if r.stallMiss >= f.cfg.StallBarriers {
+		if r.stallMiss >= stallBarriers {
 			note(telemetry.KindBoard, "catch-up", float64(r.stallMiss))
 		}
 		r.stallMiss, r.stallPending, r.stallCarry = 0, nil, projCarry{}
@@ -245,7 +223,7 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 			r.orphans = append(r.orphans, ev.recovered...)
 			// Schedule the resurrection, or retire the board for good. The
 			// delay's jitter lane sits 0x8000 above the epoch-seed lanes.
-			if f.cfg.RestartAfter > 0 && (f.cfg.MaxRestarts <= 0 || r.restarts < f.cfg.MaxRestarts) {
+			if f.cfg.RestartAfter > 0 {
 				r.state = stCrashed
 				r.restartAt = ev.barrier + f.backoffBarriers(f.cfg.RestartAfter, restartSeedStream+0x8000+uint64(i), r.restarts)
 			} else {
@@ -266,7 +244,7 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 		if r.state != stRestarting {
 			break
 		}
-		r.drained = r.manual
+		r.drained = false
 		r.settle()
 		r.epoch++
 		r.restarts++
@@ -290,18 +268,11 @@ func (f *Fleet) apply(i int, ev event) (out outcome) {
 		release()
 		note(telemetry.KindBoard, "replace", float64(len(out.release)))
 
-	case evAutoDrain, evAutoRedrain, evAutoResume, evDrain, evResume:
+	case evAutoDrain, evAutoRedrain, evAutoResume:
 		if r.state.supervised() {
-			out.err = r.refuse(i, ev.kind)
-			break
+			break // the board died since the decision: the op is moot
 		}
-		if ev.kind == evDrain || ev.kind == evResume {
-			// The operator takes the board from the cooldown machine, or
-			// hands it back with a clean slate.
-			r.manual = ev.kind == evDrain
-			r.auto, r.degraded, r.healthy = false, 0, 0
-		}
-		r.drained = r.manual || ev.kind == evAutoDrain || ev.kind == evAutoRedrain
+		r.drained = ev.kind != evAutoResume
 		if r.state != stStalled {
 			r.settle()
 		}
@@ -331,8 +302,8 @@ func (f *Fleet) backoffBarriers(base int, stream uint64, attempt int) int {
 }
 
 // emit publishes lifecycle events: KindBoard (crash / stall / catch-up /
-// restart / replace / quarantine) and KindDrain (drain / redrain / resume
-// / manual-drain / manual-resume). Never call under f.mu: the emitter's
+// restart / replace / quarantine) and KindDrain (drain / redrain /
+// resume). Never call under f.mu: the emitter's
 // clock is f.Now.
 func (f *Fleet) emit(notes []telemetry.Event) {
 	for _, ev := range notes {
@@ -409,12 +380,12 @@ func (f *Fleet) noteBarrier(fresh []Snapshot, collected int) {
 	}
 }
 
-// runOp carries out an op on the flushed pipeline (manual Drain and
-// Resume included): it applies the op's event, does what the transition
-// asks of the board, and returns the work to requeue at the queue head.
-// The flushed pipeline means a restarted board's command queue is empty
-// and its every skewed barrier has been orphan-accounted.
-func (f *Fleet) runOp(i int, kind evKind) ([]Submission, error) {
+// runOp carries out an op on the flushed pipeline: it applies the op's
+// event, does what the transition asks of the board, and returns the work
+// to requeue at the queue head. The flushed pipeline means a restarted
+// board's command queue is empty and its every skewed barrier has been
+// orphan-accounted.
+func (f *Fleet) runOp(i int, kind evKind) []Submission {
 	r := &f.recs[i]
 	var next *Board
 	if kind == evRestarted {
@@ -435,7 +406,7 @@ func (f *Fleet) runOp(i int, kind evKind) ([]Submission, error) {
 	if next != nil {
 		f.boards[i] = next // under mu: Boards() is read from HTTP goroutines
 		f.snaps[i] = Snapshot{Board: i, Epoch: r.epoch, MaxSupplyPU: next.p.MaxSupplyPU(), Completed: f.snaps[i].Completed}
-		r.mark(&f.snaps[i], f.cfg.StallBarriers)
+		r.mark(&f.snaps[i])
 		f.histRestart.Record(float64(f.batch - r.crashedAt))
 	}
 	f.reopenLocked(out.release) // orphans re-placed by a restart or replace
@@ -446,7 +417,7 @@ func (f *Fleet) runOp(i int, kind evKind) ([]Submission, error) {
 			subs = f.boards[i].drain()
 		}
 		f.mu.Lock()
-		r.mark(&f.snaps[i], f.cfg.StallBarriers)
+		r.mark(&f.snaps[i])
 		if r.drained {
 			f.snaps[i].Tasks = 0
 			f.counters.Drained += uint64(len(subs))
@@ -457,7 +428,7 @@ func (f *Fleet) runOp(i int, kind evKind) ([]Submission, error) {
 		out.notes[0].Value = float64(len(subs))
 	}
 	f.emit(out.notes)
-	return subs, out.err
+	return subs
 }
 
 // reopenLocked readies released orphans or evacuated tasks for the queue
@@ -478,34 +449,4 @@ func (f *Fleet) reopenLocked(subs []Submission) {
 			Start: f.now, Class: "requeue",
 		})
 	}
-}
-
-// Drain evacuates board i immediately (manual hot-unplug path): the
-// pipeline is flushed, the board's tasks re-enter the admission queue
-// head (overflow sheds with accounting, like every requeue), and the
-// board stops receiving work until Resume. Safe only between Steps
-// (the caller serializes them with stepping).
-func (f *Fleet) Drain(i int) error { return f.manual(i, evDrain) }
-
-// Resume lets a manually drained board accept work again.
-func (f *Fleet) Resume(i int) error { return f.manual(i, evResume) }
-
-// manual runs a manual drain or resume: refused outright for a board the
-// crash supervisor owns, otherwise run on a flushed pipeline like a
-// deferred op.
-func (f *Fleet) manual(i int, kind evKind) error {
-	if i < 0 || i >= len(f.boards) {
-		return fmt.Errorf("fleet: no board %d", i)
-	}
-	if err := f.recs[i].refuse(i, kind); err != nil {
-		return err
-	}
-	if err := f.Flush(); err != nil {
-		return err
-	}
-	subs, err := f.runOp(i, kind)
-	f.mu.Lock()
-	f.requeueLocked(subs)
-	f.mu.Unlock()
-	return err
 }

@@ -16,20 +16,18 @@ import (
 var stateNames = [...]string{"live", "draining", "stalled", "crashed", "restarting", "quarantined"}
 
 var evNames = [...]string{"none", "healthy", "degraded", "stall", "catch-up", "crash", "restart-due",
-	"restarted", "restart-failed", "replace", "auto-drain", "auto-redrain", "auto-resume", "drain", "resume"}
+	"restarted", "restart-failed", "replace", "auto-drain", "auto-redrain", "auto-resume"}
 
 // cell is one (state, event) outcome as the table states it: the next
 // state, the deferred op, the lifecycle events emitted (classes,
 // comma-joined), the snapshot marks the record publishes (D draining,
 // S stalled, C crashed), the board's routing carry, the stall carry
-// pinned in flight and the orphans held (tasks each), and whether a
-// manual command was refused.
+// pinned in flight and the orphans held (tasks each).
 type cell struct {
 	next                   boardState
 	op                     evKind
 	notes, flags           string
 	carry, pinned, orphans int
-	refused                bool
 }
 
 func (c cell) to(s boardState) cell    { c.next = s; return c }
@@ -54,11 +52,6 @@ func unchanged(s boardState) cell {
 	}
 	return c
 }
-
-func refused(s boardState) cell { c := unchanged(s); c.refused = true; return c }
-
-// manualDrain marks a drained base record as the operator's drain.
-func manualDrain(r *boardRec) { r.manual = r.drained }
 
 func lifecycleSub(name string) Submission { return Submission{Spec: task.Spec{Name: name}} }
 
@@ -88,36 +81,36 @@ func baseRec(s boardState) (boardRec, projCarry) {
 // TestLifecycleTransitionTable drives the board lifecycle's transition
 // function over every (state, event) pair, plus the variants where the
 // record's bookkeeping changes the outcome, and checks the next state,
-// the op or events emitted, the snapshot marks, the ledger terms the
-// record holds, and the refusals.
+// the op or events emitted, the snapshot marks and the ledger terms the
+// record holds.
 func TestLifecycleTransitionTable(t *testing.T) {
 	L, D, S, C, R, Q := stLive, stDraining, stStalled, stCrashed, stRestarting, stQuarantined
 	u := unchanged
 	rows := []struct {
 		name string
 		ev   evKind
-		prep func(*boardRec)
+		prep func(*boardRec, *Config)
 		want [6]cell // indexed by the state before
 	}{
 		{"healthy reply", evHealthy, nil,
 			[6]cell{u(L), u(D), u(S), u(C), u(R), u(Q)}},
-		{"healthy through the cooldown", evHealthy, func(r *boardRec) { r.auto, r.cooldown = true, 1 },
+		{"healthy through the cooldown", evHealthy, func(r *boardRec, _ *Config) { r.auto, r.cooldown = true, 1 },
 			[6]cell{u(L).queues(evAutoResume), u(D).queues(evAutoResume), u(S), u(C), u(R), u(Q)}},
 		{"degraded reply", evDegraded, nil,
 			[6]cell{u(L).queues(evAutoDrain), u(D).queues(evAutoDrain), u(S), u(C), u(R), u(Q)}},
-		{"degraded again after a drain", evDegraded, func(r *boardRec) { r.drains = 1 },
+		{"degraded again after a drain", evDegraded, func(r *boardRec, _ *Config) { r.drains = 1 },
 			[6]cell{u(L).queues(evAutoRedrain), u(D).queues(evAutoRedrain), u(S), u(C), u(R), u(Q)}},
 		{"stall reply", evStall, nil,
 			[6]cell{u(L).to(S).ledger(1, 1, 0), u(D).to(S).ledger(1, 1, 0),
 				u(S).emits("stall").marks("S").ledger(3, 3, 0), u(C), u(R), u(Q)}},
 		{"catch-up", evCatchup, nil,
 			[6]cell{u(L), u(D), u(S).to(L).ledger(0, 0, 0), u(C), u(R), u(Q)}},
-		{"catch-up after the stall quarantine", evCatchup, func(r *boardRec) {
+		{"catch-up after the stall quarantine", evCatchup, func(r *boardRec, _ *Config) {
 			if r.state == stStalled {
 				r.stallMiss = 2
 			}
 		}, [6]cell{u(L), u(D), u(S).to(L).emits("catch-up").ledger(0, 0, 0), u(C), u(R), u(Q)}},
-		{"catch-up of a drained board", evCatchup, func(r *boardRec) {
+		{"catch-up of a drained board", evCatchup, func(r *boardRec, _ *Config) {
 			if r.state == stStalled {
 				r.drained = true
 			}
@@ -127,17 +120,23 @@ func TestLifecycleTransitionTable(t *testing.T) {
 				u(D).to(C).emits("crash").marks("DC").ledger(0, 0, 2),
 				u(S).to(C).emits("crash").marks("C").ledger(0, 0, 4),
 				u(C).ledger(0, 0, 2), u(R).ledger(0, 0, 2), u(Q).ledger(0, 0, 2)}},
-		{"crash with the restarts spent", evCrash, func(r *boardRec) { r.restarts = 1 },
+		{"crash with restarts off", evCrash, func(_ *boardRec, c *Config) { c.RestartAfter = 0 },
 			[6]cell{u(L).to(Q).queues(evReplace).emits("crash,quarantine").marks("C").ledger(0, 0, 2),
 				u(D).to(Q).queues(evReplace).emits("crash,quarantine").marks("DC").ledger(0, 0, 2),
 				u(S).to(Q).queues(evReplace).emits("crash,quarantine").marks("C").ledger(0, 0, 4),
 				u(C).ledger(0, 0, 2), u(R).ledger(0, 0, 2), u(Q).ledger(0, 0, 2)}},
 		{"restart due", evRestartDue, nil,
 			[6]cell{u(L), u(D), u(S), u(C).to(R).queues(evRestarted), u(R), u(Q)}},
-		{"restart not yet due", evRestartDue, func(r *boardRec) { r.restartAt = 9 },
+		{"restart not yet due", evRestartDue, func(r *boardRec, _ *Config) { r.restartAt = 9 },
 			[6]cell{u(L), u(D), u(S), u(C), u(R), u(Q)}},
 		{"restart done", evRestarted, nil,
 			[6]cell{u(L), u(D), u(S), u(C), u(R).to(L).emits("restart").marks("").ledger(0, 0, 0), u(Q)}},
+		// A restart boots a fresh board: a drain it died under is gone.
+		{"restart of a drained board", evRestarted, func(r *boardRec, _ *Config) {
+			if r.state == stRestarting {
+				r.drained = true
+			}
+		}, [6]cell{u(L), u(D), u(S), u(C), u(R).to(L).emits("restart").marks("").ledger(0, 0, 0), u(Q)}},
 		{"restart failed", evRestartFailed, nil,
 			[6]cell{u(L), u(D), u(S), u(C), u(R).to(Q).emits("quarantine").ledger(0, 0, 0), u(Q)}},
 		{"replace", evReplace, nil,
@@ -148,27 +147,6 @@ func TestLifecycleTransitionTable(t *testing.T) {
 			[6]cell{u(L).to(D).emits("redrain").marks("D"), u(D).emits("redrain"), u(S).emits("redrain").marks("D"), u(C), u(R), u(Q)}},
 		{"auto resume", evAutoResume, nil,
 			[6]cell{u(L).emits("resume"), u(D).to(L).emits("resume").marks(""), u(S).emits("resume"), u(C), u(R), u(Q)}},
-		{"manual drain", evDrain, nil,
-			[6]cell{u(L).to(D).emits("manual-drain").marks("D"), u(D).emits("manual-drain"), u(S).emits("manual-drain").marks("D"),
-				refused(C), refused(R), refused(Q)}},
-		// A manual drain is the operator's until Resume: the cooldown
-		// machine neither drains nor resumes it, and a restart keeps it.
-		{"degraded reply while manually drained", evDegraded, manualDrain,
-			[6]cell{u(L).queues(evAutoDrain), u(D), u(S), u(C), u(R), u(Q)}},
-		{"healthy through the cooldown while manually drained", evHealthy, func(r *boardRec) {
-			r.auto, r.cooldown = true, 1
-			manualDrain(r)
-		}, [6]cell{u(L).queues(evAutoResume), u(D), u(S), u(C), u(R), u(Q)}},
-		{"auto resume while manually drained", evAutoResume, manualDrain,
-			[6]cell{u(L).emits("resume"), u(D).emits("resume"), u(S).emits("resume"), u(C), u(R), u(Q)}},
-		{"restart of a manually drained board", evRestarted, func(r *boardRec) {
-			if r.state == stRestarting {
-				r.drained, r.manual = true, true
-			}
-		}, [6]cell{u(L), u(D), u(S), u(C), u(R).to(D).emits("restart").marks("D").ledger(0, 0, 0), u(Q)}},
-		{"manual resume", evResume, nil,
-			[6]cell{u(L).emits("manual-resume"), u(D).to(L).emits("manual-resume").marks(""), u(S).emits("manual-resume"),
-				refused(C), refused(R), refused(Q)}},
 	}
 
 	covered := map[evKind]bool{}
@@ -176,14 +154,13 @@ func TestLifecycleTransitionTable(t *testing.T) {
 		covered[row.ev] = true
 		for from := stLive; from <= stQuarantined; from++ {
 			f := &Fleet{
-				cfg: Config{Boards: 1, Seed: 5, DrainDegradedAfter: 2, StallBarriers: 2,
-					RestartAfter: 3, MaxRestarts: 1}.withDefaults(),
+				cfg:   Config{Boards: 1, Seed: 5, DrainDegradedAfter: 2, RestartAfter: 3}.withDefaults(),
 				recs:  make([]boardRec, 1),
 				carry: make([]projCarry, 1),
 			}
 			f.recs[0], f.carry[0] = baseRec(from)
 			if row.prep != nil {
-				row.prep(&f.recs[0])
+				row.prep(&f.recs[0], &f.cfg)
 			}
 			ev := event{kind: row.ev, barrier: 7}
 			switch row.ev {
@@ -202,7 +179,7 @@ func TestLifecycleTransitionTable(t *testing.T) {
 				classes = append(classes, n.Class)
 			}
 			var snap Snapshot
-			r.mark(&snap, f.cfg.StallBarriers)
+			r.mark(&snap)
 			flags := ""
 			for _, m := range []struct {
 				on bool
@@ -213,7 +190,7 @@ func TestLifecycleTransitionTable(t *testing.T) {
 				}
 			}
 			got := cell{next: r.state, op: out.op, notes: strings.Join(classes, ","), flags: flags,
-				carry: f.carry[0].tasks, pinned: r.stallCarry.tasks, orphans: len(r.orphans), refused: out.err != nil}
+				carry: f.carry[0].tasks, pinned: r.stallCarry.tasks, orphans: len(r.orphans)}
 			if want := row.want[from]; got != want {
 				t.Errorf("%s from %s:\n got  %s\n want %s", row.name, stateNames[from], describe(got), describe(want))
 			}
@@ -224,7 +201,7 @@ func TestLifecycleTransitionTable(t *testing.T) {
 			}
 		}
 	}
-	for k := evHealthy; k <= evResume; k++ {
+	for k := evHealthy; k <= evAutoResume; k++ {
 		if !covered[k] {
 			t.Errorf("event %s has no row in the transition table", evNames[k])
 		}
@@ -232,12 +209,8 @@ func TestLifecycleTransitionTable(t *testing.T) {
 }
 
 func describe(c cell) string {
-	s := fmt.Sprintf("%s op=%s notes=[%s] marks=[%s] carry/pinned/orphans=%d/%d/%d",
+	return fmt.Sprintf("%s op=%s notes=[%s] marks=[%s] carry/pinned/orphans=%d/%d/%d",
 		stateNames[c.next], evNames[c.op], c.notes, c.flags, c.carry, c.pinned, c.orphans)
-	if c.refused {
-		s += " refused"
-	}
-	return s
 }
 
 // fleetGauges reads the two held-ledger gauges from the fleet registry's

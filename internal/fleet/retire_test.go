@@ -155,18 +155,14 @@ func TestDrainDoesNotRequeueFinishedTasks(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		stepChecked(t, f)
 	}
-	if err := f.Drain(0); err != nil {
-		t.Fatal(err)
-	}
+	drainNow(t, f, 0)
 	checkZeroLoss(t, f)
 	st := f.StateSnapshot()
 	if st.Counters.Drained != 1 || st.QueueLen != 1 || st.Completed != 1 {
 		t.Fatalf("drained %d queued %d completed %d, want 1, 1 and 1",
 			st.Counters.Drained, st.QueueLen, st.Completed)
 	}
-	if err := f.Resume(0); err != nil {
-		t.Fatal(err)
-	}
+	resumeNow(t, f, 0)
 	for i := 0; i < 4; i++ {
 		stepChecked(t, f)
 	}
@@ -196,9 +192,7 @@ func TestDrainThenCrashOrphansNothingTwice(t *testing.T) {
 	if n := f.StateSnapshot().Boards[0].Tasks; n == 0 {
 		t.Fatal("board 0 holds no task to drain")
 	}
-	if err := f.Drain(0); err != nil {
-		t.Fatal(err)
-	}
+	drainNow(t, f, 0)
 	for i := 0; i < 4; i++ {
 		stepChecked(t, f)
 	}

@@ -32,7 +32,7 @@ type Snapshot struct {
 	// Crashed marks a board whose goroutine panicked; the supervisor
 	// holds its orphaned work until restart (or permanent quarantine).
 	// Stalled marks a board quarantined by the stall detector after
-	// missing Config.StallBarriers consecutive barriers. Both exclude
+	// missing stallBarriers consecutive barriers. Both exclude
 	// the board from routing.
 	Crashed bool `json:"crashed,omitempty"`
 	Stalled bool `json:"stalled,omitempty"`

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"testing"
 
 	"pricepower/internal/check"
@@ -143,19 +142,15 @@ func TestFleetTraceSpanConservation(t *testing.T) {
 	}
 }
 
-// TestFleetJSONLEventOrdering pins the per-barrier event fold's ordering
-// contract on a 4-board bounded-skew run: the JSONL stream is globally
-// nondecreasing in (round, board, kind), every event carries its board,
-// and only the capture-mask kinds appear.
-func TestFleetJSONLEventOrdering(t *testing.T) {
+// TestFleetTimelinePointsCaptureMask checks the lifecycle events a traced
+// 4-board bounded-skew run marks on its boards' timelines: every point
+// names the board that marked it, and only the capture-mask kinds appear.
+func TestFleetTimelinePointsCaptureMask(t *testing.T) {
 	f, err := New(Config{Boards: 4, Seed: 77, MaxSkew: 4, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var buf bytes.Buffer
-	sink := telemetry.NewJSONL(&buf)
-	f.SetEventSink(sink)
 
 	submitArrivals(t, f, []Arrival{
 		{Bench: "swaptions", Input: "n", Count: 4},
@@ -170,36 +165,22 @@ func TestFleetJSONLEventOrdering(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
-	evs, err := telemetry.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("traced 4-board run emitted no lifecycle events")
-	}
-	key := func(ev telemetry.Event) [3]int { return [3]int{ev.Round, ev.Board, int(ev.Kind)} }
-	less := func(a, b [3]int) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
+	n := 0
+	for i := 0; i < f.Tracer().Boards(); i++ {
+		for _, p := range f.Tracer().Board(i).Points() {
+			n++
+			if p.Board != i {
+				t.Fatalf("board %d marked a point for board %d", i, p.Board)
+			}
+			var k telemetry.Kind
+			if err := k.UnmarshalText([]byte(p.Kind)); err != nil || !traceCaptureKinds.Has(k) {
+				t.Fatalf("board %d point kind %q is outside the capture mask", i, p.Kind)
 			}
 		}
-		return false
 	}
-	for i, ev := range evs {
-		if ev.Board < 0 || ev.Board >= 4 {
-			t.Fatalf("event %d has board %d outside the fleet", i, ev.Board)
-		}
-		if !traceCaptureKinds.Has(ev.Kind) {
-			t.Fatalf("event %d kind %v is outside the capture mask", i, ev.Kind)
-		}
-		if i > 0 && less(key(ev), key(evs[i-1])) {
-			t.Fatalf("event %d %v out of (round, board, kind) order after %v", i, key(ev), key(evs[i-1]))
-		}
+	if n == 0 {
+		t.Fatal("traced 4-board run marked no lifecycle points")
 	}
 }
 

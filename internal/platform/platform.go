@@ -111,8 +111,6 @@ type FaultInjector interface {
 	// PowerReading perturbs one power-sensor sample; cluster is -1 for the
 	// chip-level sensor.
 	PowerReading(cluster int, w float64, now sim.Time) float64
-	// TempReading perturbs one thermal-sensor sample.
-	TempReading(cluster int, t float64, now sim.Time) float64
 	// DVFSOutcome decides the fate of a requested V-F transition on a
 	// cluster: refused outright, delayed by d, or (false, 0) applied now.
 	DVFSOutcome(cluster int, now sim.Time) (refused bool, delay sim.Time)
@@ -344,10 +342,10 @@ func (p *Platform) AttachRoundObserver(c Checker) {
 
 // AttachThermal registers a thermal model, built over the platform's chip,
 // to advance once per platform tick on the tick's cluster power samples.
-// The platform owns thermal time: observers (probes, checkers, thermal
-// governors) read temperatures but never advance the model themselves, so
-// attaching several consumers cannot double-step the thermal state.
-// Attaching the same model twice is a no-op.
+// The platform owns thermal time: observers (probes, checkers) read
+// temperatures but never advance the model themselves, so attaching
+// several consumers cannot double-step the thermal state. Attaching the
+// same model twice is a no-op.
 func (p *Platform) AttachThermal(m *hw.ThermalModel) {
 	if m == nil {
 		return
@@ -361,7 +359,7 @@ func (p *Platform) AttachThermal(m *hw.ThermalModel) {
 }
 
 // AttachFaults plugs a fault injector into the platform: sensor readings
-// (SensorPower, SensorClusterPower, SensorTemp), V-F transitions routed
+// (SensorPower, SensorClusterPower), V-F transitions routed
 // through StepVF, and migration costs are perturbed from then on, and the
 // injector's BeginTick runs at the start of every platform tick (before
 // scheduling, so hot-unplug edges take effect within the same tick).
@@ -408,19 +406,6 @@ func (p *Platform) SensorClusterPower(cluster int) float64 {
 		w = p.faults.PowerReading(cluster, w, p.Engine.Now())
 	}
 	return w
-}
-
-// SensorTemp reports one cluster's die temperature as its sensor sees it,
-// from the first attached thermal model; ok is false without one.
-func (p *Platform) SensorTemp(cluster int) (temp float64, ok bool) {
-	if len(p.thermals) == 0 {
-		return 0, false
-	}
-	t := p.thermals[0].Temp(cluster)
-	if p.faults != nil {
-		t = p.faults.TempReading(cluster, t, p.Engine.Now())
-	}
-	return t, true
 }
 
 // Thermals exposes the attached thermal models (read-only use).

@@ -99,7 +99,6 @@ func (o offliner) BeginTick(p *platform.Platform, now sim.Time) {
 	p.Chip.Cores[1].Offline = now/o.step%3 == 0
 }
 func (offliner) PowerReading(_ int, w float64, _ sim.Time) float64 { return w }
-func (offliner) TempReading(_ int, t float64, _ sim.Time) float64  { return t }
 func (offliner) DVFSOutcome(int, sim.Time) (bool, sim.Time)        { return false, 0 }
 func (offliner) MigrationCost(cost sim.Time, _ sim.Time) sim.Time  { return cost }
 

@@ -53,9 +53,6 @@ type Config struct {
 	// MinSpendGain is the minimal fractional spend reduction for a
 	// power-efficiency movement (default 0.03).
 	MinSpendGain float64
-	// Trace, when set, receives one line per noteworthy governor decision
-	// (movements, state changes) — a debugging aid.
-	Trace func(format string, args ...interface{})
 	// Online, when set, learns cross-architecture demand ratios from the
 	// governor's own migrations (the paper's future-work replacement for
 	// off-line profiling). Compose it with a static table via
@@ -527,9 +524,6 @@ func (g *Governor) handleFaultRecovery() {
 			g.evacuateCore(i)
 		} else if g.offline[i] {
 			g.market.RecoverCore(i)
-			if g.cfg.Trace != nil {
-				g.cfg.Trace("t=%v core %d replugged: supply-agent price state recovered", g.now, i)
-			}
 		}
 		g.offline[i] = c.Offline
 	}
@@ -563,9 +557,6 @@ func (g *Governor) evacuateCore(core int) {
 			r.movedAt, r.moved = g.now, true
 		}
 		g.evacuations++
-		if g.cfg.Trace != nil {
-			g.cfg.Trace("t=%v evacuated task %s: core %d offline -> core %d", g.now, t.Name, core, dst)
-		}
 	}
 }
 
@@ -607,9 +598,6 @@ func (g *Governor) applyMove(mv *lbt.Move) {
 	wasCluster := g.p.ClusterOf(t)
 	if !g.p.Migrate(t, mv.ToCore) {
 		return
-	}
-	if g.cfg.Trace != nil {
-		g.cfg.Trace("t=%v %s (task %s, lbtPeak=%.0f)", g.now, mv, t.Name, r.lbt.peak(g.now))
 	}
 	g.market.MoveTask(mv.Agent, mv.ToCore)
 	r.movedAt, r.moved = g.now, true

@@ -1,18 +1,12 @@
 package telemetry
 
-import "sync/atomic"
-
-// FilterSink wraps another sink with a per-kind mask and an optional 1-in-N
-// sampler — the cost-control wrapper that lets one emitter feed a full-
-// fidelity JSONL log and a cheap steady-state ring at the same time (the
-// emitter's own mask is the union of what its sinks want; each FilterSink
-// narrows its branch).
+// FilterSink wraps another sink with a per-kind mask — the cost-control
+// wrapper that lets one emitter feed a full-fidelity JSONL log and a cheap
+// steady-state ring at the same time (the emitter's own mask is the union
+// of what its sinks want; each FilterSink narrows its branch).
 type FilterSink struct {
 	next Sink
 	mask KindSet
-	// every[k] > 1 samples kind k: only every N-th event is forwarded.
-	every [numKinds]uint32
-	seen  [numKinds]atomic.Uint32
 }
 
 // NewFilter wraps next so only kinds in mask pass through.
@@ -20,25 +14,9 @@ func NewFilter(next Sink, mask KindSet) *FilterSink {
 	return &FilterSink{next: next, mask: mask}
 }
 
-// Sample forwards only every n-th event of kind k (n ≤ 1 restores
-// pass-through). It returns the sink for chaining.
-func (f *FilterSink) Sample(k Kind, n int) *FilterSink {
-	if n < 1 {
-		n = 1
-	}
-	f.every[k] = uint32(n)
-	return f
-}
-
 // Emit implements Sink.
 func (f *FilterSink) Emit(ev Event) {
-	if !f.mask.Has(ev.Kind) {
-		return
+	if f.mask.Has(ev.Kind) {
+		f.next.Emit(ev)
 	}
-	if n := f.every[ev.Kind]; n > 1 {
-		if f.seen[ev.Kind].Add(1)%n != 1 {
-			return
-		}
-	}
-	f.next.Emit(ev)
 }

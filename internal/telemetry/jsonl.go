@@ -23,14 +23,8 @@ const MaxLineBytes = 1 << 20
 //
 // Ordering contract: the sink writes events in Emit order — it imposes no
 // order of its own. Single-platform runs emit on one goroutine, so lines
-// land in simulation order. The fleet's per-barrier event
-// fold (Fleet.SetEventSink) is the ordered producer: it buffers each
-// board's events until the batch barrier collects, then emits the whole
-// barrier sorted by (round, board, kind) — and because boards advance the
-// same virtual batch per barrier, their market-round counters stay in
-// step, so the (round, board, kind) key is nondecreasing across the entire
-// log. ReadJSONL consumers may rely on that order for fleet-produced logs
-// (TestFleetJSONLEventOrdering pins it, including under bounded skew).
+// land in simulation order. Emitters on several goroutines interleave in
+// no fixed order.
 type JSONLSink struct {
 	mu      sync.Mutex
 	w       *bufio.Writer

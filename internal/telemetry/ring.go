@@ -30,9 +30,6 @@ func (r *RingSink) Emit(ev Event) {
 	r.mu.Unlock()
 }
 
-// Cap reports the ring capacity.
-func (r *RingSink) Cap() int { return len(r.buf) }
-
 // Total reports how many events were ever emitted into the ring.
 func (r *RingSink) Total() uint64 {
 	r.mu.Lock()

@@ -85,9 +85,8 @@ const (
 	KindFault
 	// KindDrain marks a fleet board drain-lifecycle transition
 	// (internal/fleet). Name = "board-N"; Class = "drain", "redrain"
-	// (a repeat drain inside the cooldown window), "resume",
-	// "manual-drain" or "manual-resume"; Value = tasks evacuated;
-	// Prev = the resume cooldown in barriers.
+	// (a repeat drain inside the cooldown window) or "resume"; Value =
+	// tasks evacuated; Prev = the resume cooldown in barriers.
 	KindDrain
 	// KindDegraded marks the market's sensor-health transitions. Name =
 	// "enter" (a power reading failed validation and the market tightened
@@ -188,10 +187,8 @@ type Event struct {
 	Cluster int `json:"cluster"`
 	Core    int `json:"core"`
 	Task    int `json:"task"`
-	// Board identifies the fleet board the event came from; 0 both for
-	// board 0 and for single-platform runs, where the field is omitted
-	// from JSONL. Stamped by the fleet's per-barrier event fold, which
-	// also fixes the cross-board ordering (see JSONLSink).
+	// Board identifies a fleet board; 0 both for board 0 and for
+	// single-platform runs, where the field is omitted from JSONL.
 	Board int `json:"board,omitempty"`
 	// Name is a kind-specific label (task name, new chip state, invariant
 	// identifier).
@@ -260,14 +257,6 @@ func (e *Emitter) SetKinds(s KindSet) {
 	if e != nil {
 		e.mask = s
 	}
-}
-
-// EnabledKinds reports the current mask (0 on a nil emitter).
-func (e *Emitter) EnabledKinds() KindSet {
-	if e == nil {
-		return 0
-	}
-	return e.mask
 }
 
 // Enabled reports whether events of kind k are being collected. Emission
